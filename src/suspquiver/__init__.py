@@ -81,6 +81,7 @@ from .operators import (
     SparseOperator,
     TruncatedRep,
     build_rep,
+    norm_squared,
     operator_norm_est,
     operator_norm_upper,
     rank_on_columns,

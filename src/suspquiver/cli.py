@@ -194,8 +194,6 @@ def cmd_verify(args) -> int:
         for t in (Fraction(0), Fraction(1, 3), Fraction(1)):
             out.extend(opalg.kappa_eval(g, m, min(L, 4), a, xi, t).report)
     if run("morita"):
-        if math.gcd(m, n) != 1:
-            raise PreconditionError("morita suite needs gcd(m,n) = 1")
         out.extend(opalg.morita_combinatorics(g, m, n, min(L, 4)))
     if run("flow"):
         out.extend(flowmod.lattice_decomposition_check(g, m, n, min(L, 5)))

@@ -2,8 +2,8 @@
 
 Fibres of the suspension quiver over t != 0 are path spaces of the dual graph
 E(1,m+1) and over t = 0 of the higher power E(0,m); all identities below are
-verified as exact rational matrix equalities on interior masks, with floats
-confined to operator-norm estimates.
+verified as exact rational matrix equalities on interior masks; limit errors
+are exact squared operator norms.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ from .operators import (
     SparseOperator,
     TruncatedRep,
     build_rep,
-    operator_norm_est,
+    norm_squared,
     rank_on_columns,
 )
 from .quiver import as_circle
-from .report import RunReport
+from .report import RunReport, rat_str
 from .transform import (
     LabeledGraph,
     delay,
@@ -443,6 +443,7 @@ class LimitReport:
     eps1_rho: SparseOperator
     eps1_psi: SparseOperator
     errors: dict
+    constants: dict
     report: RunReport = field(default_factory=RunReport)
 
 
@@ -468,9 +469,18 @@ def _limit_ops(
 def limit_formulas(
     g: Graph, m: int, L: int, a: FunctionOnVertices, xi: FunctionOnEdges, K: int = 10
 ) -> LimitReport:
-    """Closed-form limit operators at t -> 0+ and t -> 1-, with float error decay."""
+    """Closed-form limit operators at t -> 0+ and t -> 1-, with exact error decay.
+
+    The errors ||rho(t) - eps0_rho|| etc. are taken at t = 1/2^k and 1 - 1/2^k,
+    k = 1..K.  For the affine a and xi built by vertex_fn_interpolated and
+    edge_fn_interpolated each squared error is C d^2 with d the distance to the
+    endpoint; the check asserts that closed form exactly and reports each C.
+    ``errors`` holds the float norms, ``constants`` the exact C per sequence.
+    """
     if m < 1:
         raise PreconditionError("limit_formulas requires m >= 1")
+    if K < 1:
+        raise PreconditionError("limit_formulas requires K >= 1")
     rep = build_rep(higher_dual(g, 1, m + 1), L)
     eps0_rho, eps0_psi, eps1_rho, eps1_psi = _limit_ops(rep, g, m, a, xi)
     out = RunReport()
@@ -484,30 +494,40 @@ def limit_formulas(
         want_psi = want_psi + jm.t_table[w.edge_ids].scale(xi.at_lattice(w))
     out.add("limits.eps0_rho_is_jmath_image", eps0_rho == want_rho, "exact")
     out.add("limits.eps0_psi_is_jmath_image", eps0_psi == want_psi, "exact")
-    errors: dict[str, list[float]] = {
+    # a and xi are affine in t, so each error operator is d times a fixed
+    # operator, d the distance to the endpoint: ||err||^2 = C d^2 exactly
+    dists = [Fraction(1, 2**k) for k in range(1, K + 1)]
+    sq: dict[str, list[Fraction]] = {
         "rho_at_0": [],
         "psi_at_0": [],
         "rho_at_1": [],
         "psi_at_1": [],
     }
-    for k in range(1, K + 1):
-        t0 = Fraction(1, 2**k)
-        rho0, psi0 = _fibre_rho_psi(rep, g, m, t0, a, xi)
-        errors["rho_at_0"].append(operator_norm_est(rho0 - eps0_rho))
-        errors["psi_at_0"].append(operator_norm_est(psi0 - eps0_psi))
-        rho1, psi1 = _fibre_rho_psi(rep, g, m, 1 - t0, a, xi)
-        errors["rho_at_1"].append(operator_norm_est(rho1 - eps1_rho))
-        errors["psi_at_1"].append(operator_norm_est(psi1 - eps1_psi))
-    tol = 1e-12
-    mono = all(
-        seq[i + 1] <= seq[i] + tol for seq in errors.values() for i in range(len(seq) - 1)
+    for d in dists:
+        rho0, psi0 = _fibre_rho_psi(rep, g, m, d, a, xi)
+        sq["rho_at_0"].append(norm_squared(rho0 - eps0_rho))
+        sq["psi_at_0"].append(norm_squared(psi0 - eps0_psi))
+        rho1, psi1 = _fibre_rho_psi(rep, g, m, 1 - d, a, xi)
+        sq["rho_at_1"].append(norm_squared(rho1 - eps1_rho))
+        sq["psi_at_1"].append(norm_squared(psi1 - eps1_psi))
+    constants = {name: seq[0] / (dists[0] * dists[0]) for name, seq in sq.items()}
+    closed_form = all(
+        e2 == constants[name] * d * d
+        for name, seq in sq.items()
+        for d, e2 in zip(dists, seq)
     )
     out.add(
         "limits.monotone_convergence",
-        mono,
-        "float norms nonincreasing along t = 1/2^k and 1 - 1/2^k",
+        closed_form,
+        f"||err||^2 = C d^2 exactly at t = d and 1 - d, d = 1/2^k, k <= {K}; C "
+        + " ".join(
+            f"{name}={rat_str(c) if c else 'vacuous'}" for name, c in constants.items()
+        ),
     )
-    return LimitReport(rep, eps0_rho, eps0_psi, eps1_rho, eps1_psi, errors, out)
+    errors = {name: [math.sqrt(e2) for e2 in seq] for name, seq in sq.items()}
+    return LimitReport(
+        rep, eps0_rho, eps0_psi, eps1_rho, eps1_psi, errors, constants, out
+    )
 
 
 @dataclass

@@ -11,14 +11,16 @@ cannot reach.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from .errors import PreconditionError, StructuralError
 from .graph import Graph, Path, enumerate_paths, validate, vertex_path
+
+if TYPE_CHECKING:
+    import numpy as np
 
 RatLike = Union[int, Fraction, "QC"]
 
@@ -118,7 +120,15 @@ class SparseOperator:
         return SparseOperator(self.basis, out)
 
     def __sub__(self, other: "SparseOperator") -> "SparseOperator":
-        return self + other.scale(QC(Fraction(-1)))
+        self._same_basis(other)
+        out = dict(self.entries)
+        for rc, val in other.entries.items():
+            s = out.get(rc, QC_ZERO) - val
+            if s:
+                out[rc] = s
+            else:
+                out.pop(rc, None)
+        return SparseOperator(self.basis, out)
 
     def scale(self, c: RatLike) -> "SparseOperator":
         cq = QC.of(c)
@@ -178,6 +188,8 @@ class SparseOperator:
         return {r: v for (r, cc), v in self.entries.items() if cc == c}
 
     def to_dense(self) -> np.ndarray:
+        import numpy as np
+
         n = len(self.basis)
         out = np.zeros((n, n), dtype=complex)
         for (r, c), val in self.entries.items():
@@ -289,12 +301,37 @@ def build_rep(g: Graph, L: int) -> TruncatedRep:
     return TruncatedRep(g, L)
 
 
+def norm_squared(op: SparseOperator) -> Fraction:
+    """Exact squared operator 2-norm ||A||^2 = max diag(A*A) when A*A is diagonal.
+
+    When no row of A holds two entries the columns have disjoint row supports,
+    so A*A is diagonal and its diagonal is the sum of |a_rc|^2 down each
+    column.  Otherwise A*A is formed exactly; an operator whose A*A is not
+    diagonal is refused rather than estimated.
+    """
+    rows: set[int] = set()
+    diag: dict[int, Fraction] = {}
+    for (r, c), val in op.entries.items():
+        if r in rows:
+            break
+        rows.add(r)
+        diag[c] = diag.get(c, Fraction(0)) + val.re * val.re + val.im * val.im
+    else:
+        return max(diag.values(), default=Fraction(0))
+    gram = op.adjoint() @ op
+    if any(r != c for r, c in gram.entries):
+        raise PreconditionError("norm_squared needs A*A diagonal")
+    return max((val.re for val in gram.entries.values()), default=Fraction(0))
+
+
 def operator_norm_est(op: SparseOperator, tol: float = 1e-9, restarts: int = 20) -> float:
     """Float estimate of the operator 2-norm by power iteration on A*A.
 
     Power iteration approaches the norm from below; the companion
     operator_norm_upper gives a certified upper bound.
     """
+    import numpy as np
+
     if not op.entries:
         return 0.0
     a = op.to_dense()
@@ -331,4 +368,4 @@ def operator_norm_upper(op: SparseOperator) -> float:
         m = abs(complex(val))
         rows[r] = rows.get(r, 0.0) + m
         cols[c] = cols.get(c, 0.0) + m
-    return float(np.sqrt(max(rows.values()) * max(cols.values())))
+    return math.sqrt(max(rows.values()) * max(cols.values()))

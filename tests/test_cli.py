@@ -1,6 +1,9 @@
 """CLI contract: parsing, exit codes, determinism, round trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -97,10 +100,34 @@ def test_ktheory_bad_rationals(two_loop_file, capsys):
     capsys.readouterr()
 
 
+def test_verify_bad_rationals(two_loop_file, capsys):
+    assert cli.main(["verify", two_loop_file, "--suite", "morita", "--l", "2/4"]) == 2
+    capsys.readouterr()
+
+
 def test_verify_all_passes(two_loop_file, capsys):
     assert cli.main(["verify", two_loop_file, "--suite", "all", "--L", "4"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out and "CHECK" in out
+
+
+def test_verify_does_not_import_numpy(two_loop_file):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, contextlib, io\n"
+        "from suspquiver import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = cli.main(['verify', {two_loop_file!r}, '--suite', 'all'])\n"
+        "assert rc == 0, rc\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_verify_unknown_suite(two_loop_file, capsys):

@@ -196,6 +196,34 @@ def test_limit_formulas(m, two_loop):
         assert seq[-1] < 1e-2
 
 
+def test_limit_constants_pinned(cycle_plus_loop):
+    g = cycle_plus_loop
+    a = vertex_fn_interpolated(g, {"u": Fraction(1, 2), "v": Fraction(1, 4)})
+    xi = edge_fn_interpolated(g, 1, {("p",): Fraction(1, 2)})
+    lim = limit_formulas(g, 1, 3, a, xi, K=4)
+    assert lim.report.ok, lim.report.to_text()
+    # rho: max_e (a(s(e)) - a(r(e)))^2 = (1/4)^2; psi: the dual vertex q
+    # receives only pq and lq, with coefficients xi(q) - xi(p) = -1/2 and 0
+    assert lim.constants == {
+        "rho_at_0": Fraction(1, 16),
+        "psi_at_0": Fraction(1, 4),
+        "rho_at_1": Fraction(1, 16),
+        "psi_at_1": Fraction(1, 4),
+    }
+    assert lim.errors["psi_at_0"] == [0.25, 0.125, 0.0625, 0.03125]
+
+
+def test_limit_constants_vacuous(two_loop):
+    # one vertex: rho is constant along every edge, so its errors vanish
+    a = vertex_fn_interpolated(two_loop, {"v": Fraction(3, 8)})
+    xi = edge_fn_interpolated(two_loop, 1, {("e",): Fraction(1, 4)})
+    lim = limit_formulas(two_loop, 1, 3, a, xi, K=3)
+    detail = next(
+        c.detail for c in lim.report.checks if c.name == "limits.monotone_convergence"
+    )
+    assert "rho_at_0=vacuous" in detail and "psi_at_0=1/16" in detail
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_eta_relations(m, cycle_plus_loop):
     et = eta_generators(cycle_plus_loop, m, 3)

@@ -15,12 +15,16 @@ from suspquiver import (
     StructuralError,
     build_rep,
     enumerate_paths,
+    higher_dual,
     matrix_unit,
+    norm_squared,
     operator_norm_est,
     operator_norm_upper,
     rank_on_columns,
     vertex_path,
 )
+
+from conftest import random_no_sink_source_graph
 
 rationals = st.fractions(max_denominator=12, min_value=-3, max_value=3)
 
@@ -125,6 +129,48 @@ def test_norm_of_partial_isometry(two_loop):
     rep = build_rep(two_loop, 3)
     assert operator_norm_est(rep.T["e"]) == pytest.approx(1.0, abs=1e-9)
     assert operator_norm_est(rep.zero()) == 0.0
+
+
+@given(
+    seed=st.integers(0, 500),
+    m=st.integers(1, 2),
+    kind=st.sampled_from(["T", "Q"]),
+    data=st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_norm_squared_matches_svd(seed, m, kind, data):
+    g = random_no_sink_source_graph(seed, max_vertices=3, max_edges=4)
+    rep = build_rep(higher_dual(g, 1, m + 1), 2)
+    gens = rep.T if kind == "T" else rep.Q
+    terms = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from(sorted(gens)), rationals, rationals),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    op = rep.zero()
+    for key, re, im in terms:
+        op = op + gens[key].scale(QC(re, im))
+    exact = norm_squared(op)
+    assert isinstance(exact, Fraction)
+    svd = float(np.linalg.norm(op.to_dense(), 2)) ** 2
+    assert float(exact) == pytest.approx(svd, abs=1e-9, rel=1e-9)
+
+
+def test_norm_squared_shared_rows(two_loop):
+    rep = build_rep(two_loop, 2)
+    # rows hold two entries, but the columns are orthogonal: A*A = 2 I
+    op = SparseOperator(rep.basis, {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): -1})
+    assert norm_squared(op) == 2
+    assert norm_squared(rep.zero()) == 0
+
+
+def test_norm_squared_refuses_non_diagonal_gram(two_loop):
+    rep = build_rep(two_loop, 2)
+    op = SparseOperator(rep.basis, {(0, 0): 1, (0, 1): 1})
+    with pytest.raises(PreconditionError):
+        norm_squared(op)
 
 
 def test_operators_refuse_mixed_bases(two_loop, cycle_plus_loop):
