@@ -81,6 +81,7 @@ from .operators import (
     SparseOperator,
     TruncatedRep,
     build_rep,
+    combo,
     norm_squared,
     operator_norm_est,
     operator_norm_upper,

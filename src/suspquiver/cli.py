@@ -184,15 +184,17 @@ def cmd_verify(args) -> int:
     if run("jmath"):
         for p, q in ((1, 2), (1, 3), (2, 3)):
             out.extend(opalg.jmath(g, p, q, min(L, 3)).report)
+    if run("limits") or run("eta") or run("kappa"):
+        # one E(1,m+1) representation serves the limits, eta and kappa suites
+        dual_rep = build_rep(higher_dual(g, 1, m + 1), min(L, 4))
+        a, xi = _seeded_functions(g, m, args.seed)
     if run("limits"):
-        a, xi = _seeded_functions(g, m, args.seed)
-        out.extend(opalg.limit_formulas(g, m, min(L, 4), a, xi, K=6).report)
+        out.extend(opalg.limit_formulas(g, m, min(L, 4), a, xi, K=6, rep=dual_rep).report)
     if run("eta"):
-        out.extend(opalg.eta_generators(g, m, min(L, 4)).report)
+        out.extend(opalg.eta_generators(g, m, min(L, 4), rep=dual_rep).report)
     if run("kappa"):
-        a, xi = _seeded_functions(g, m, args.seed)
         for t in (Fraction(0), Fraction(1, 3), Fraction(1)):
-            out.extend(opalg.kappa_eval(g, m, min(L, 4), a, xi, t).report)
+            out.extend(opalg.kappa_eval(g, m, min(L, 4), a, xi, t, rep=dual_rep).report)
     if run("morita"):
         out.extend(opalg.morita_combinatorics(g, m, n, min(L, 4)))
     if run("flow"):

@@ -260,22 +260,16 @@ def enumerate_paths(
     if n == 0:
         verts = [v for v in sorted(g.vertices) if src in (None, v) and rng in (None, v)]
         return [vertex_path(g, v) for v in verts]
-    out: list[tuple[str, ...]] = []
-
-    def extend(prefix: tuple[str, ...], tail_src: str) -> None:
-        if len(prefix) == n:
-            if src is None or tail_src == src:
-                out.append(prefix)
-            return
-        for e in sorted(g.received(tail_src), key=lambda e: e.id):
-            extend(prefix + (e.id,), e.src)
-
-    # Build outward from the range end: the first edge has r(e) = rng.
-    starts = [rng] if rng is not None else list(g.vertices)
-    for v in starts:
-        for e in sorted(g.received(v), key=lambda e: e.id):
-            extend((e.id,), e.src)
-    out.sort()
+    # Build outward from the range end, one layer per length: the first edge
+    # has r(e) = rng, and each later edge f has r(f) = s of the edge before.
+    received = {v: sorted(g.received(v), key=lambda e: e.id) for v in g.vertices}
+    if rng is not None and rng not in received:
+        raise StructuralError(f"unknown vertex id {rng!r}")
+    starts = [rng] if rng is not None else g.vertices
+    layer = [((e.id,), e.src) for v in starts for e in received[v]]
+    for _ in range(n - 1):
+        layer = [(ids + (e.id,), e.src) for ids, tail in layer for e in received[tail]]
+    out = sorted(ids for ids, tail in layer if src is None or tail == src)
     return [Path(g, ids) for ids in out]
 
 

@@ -24,6 +24,7 @@ from .operators import (
     SparseOperator,
     TruncatedRep,
     build_rep,
+    combo,
     norm_squared,
     rank_on_columns,
 )
@@ -288,31 +289,13 @@ def jmath(
     verifies t_mu* t_nu = delta_{mu,nu} q_{s(mu)} on interior depth 1 and the
     defect identity q_v - sum t t* = sum_{mu in vE^p} Delta_mu exactly.
     An already-built representation of E(p,q) may be passed in so the tables
-    share its basis.
+    share its basis; one of another graph, (p,q) or L is refused.
     """
     if not 0 < p < q:
         raise PreconditionError("jmath requires 0 < p < q")
-    if rep is None:
-        dual = higher_dual(g, p, q)
-        rep = build_rep(dual, L)
-    else:
-        dual = rep.graph
-        if rep.L != L:
-            raise PreconditionError("supplied representation has the wrong length cap")
+    rep = _dual_rep(g, p, q, L, rep)
     out = RunReport()
-    q_table = {}
-    for v in g.vertices:
-        op = rep.zero()
-        for mu in enumerate_paths(g, p, rng=v):
-            op = op + rep.Q[join_ids(mu.edge_ids)]
-        q_table[v] = op
-    t_table = {}
-    words = enumerate_paths(g, q - p)
-    for mu in words:
-        op = rep.zero()
-        for nu in enumerate_paths(g, p, rng=mu.s):
-            op = op + rep.T[join_ids(mu.edge_ids + nu.edge_ids)]
-        t_table[mu.edge_ids] = op
+    q_table, t_table, words = _jmath_tables(g, p, q, rep)
     ok_tt = all(
         (t_table[mu.edge_ids].adjoint() @ t_table[nu.edge_ids]).equal_on_columns(
             q_table[mu.s] if mu.edge_ids == nu.edge_ids else rep.zero(), L - 1
@@ -324,14 +307,10 @@ def jmath(
     ok_defect = True
     ok_witness = True
     for v in g.vertices:
-        d = q_table[v]
-        for nu in words:
-            if nu.r == v:
-                t = t_table[nu.edge_ids]
-                d = d - t @ t.adjoint()
-        expected = rep.zero()
-        for mu in enumerate_paths(g, p, rng=v):
-            expected = expected + rep.delta(join_ids(mu.edge_ids))
+        tts = [t_table[nu.edge_ids] for nu in words if nu.r == v]
+        d = combo(rep, [(1, q_table[v])] + [(-1, t @ t.adjoint()) for t in tts])
+        vpaths = enumerate_paths(g, p, rng=v)
+        expected = combo(rep, [(1, rep.delta(join_ids(mu.edge_ids))) for mu in vpaths])
         if d != expected:
             ok_defect = False
         if expected.is_zero():
@@ -342,7 +321,34 @@ def jmath(
         ok_witness,
         "each image defect projection is nonzero on the truncation",
     )
-    return JmathTables(g, p, q, dual, rep, q_table, t_table, out)
+    return JmathTables(g, p, q, rep.graph, rep, q_table, t_table, out)
+
+
+def _dual_rep(g: Graph, p: int, q: int, L: int, rep: Optional[TruncatedRep]) -> TruncatedRep:
+    """The E(p,q) representation truncated at L: rep if given and checked, else built."""
+    dual = higher_dual(g, p, q)
+    if rep is None:
+        return build_rep(dual, L)
+    if rep.L != L:
+        raise PreconditionError("supplied representation has the wrong length cap")
+    if rep.graph.vertices != dual.vertices or rep.graph.edges != dual.edges:
+        raise PreconditionError(f"supplied representation is not of E({p},{q}) of this graph")
+    return rep
+
+
+def _jmath_tables(g: Graph, p: int, q: int, rep: TruncatedRep):
+    """q_table, t_table and the words E^(q-p) keying t_table, on rep = E(p,q)."""
+    q_table = {
+        v: combo(rep, [(1, rep.Q[join_ids(mu.edge_ids)]) for mu in enumerate_paths(g, p, rng=v)])
+        for v in g.vertices
+    }
+    words = enumerate_paths(g, q - p)
+    t_table = {}
+    for mu in words:
+        tails = enumerate_paths(g, p, rng=mu.s)
+        terms = [(1, rep.T[join_ids(mu.edge_ids + nu.edge_ids)]) for nu in tails]
+        t_table[mu.edge_ids] = combo(rep, terms)
+    return q_table, t_table, words
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +372,9 @@ def _fibre_rho_psi(
     rep: TruncatedRep, g: Graph, m: int, t: Fraction, a: FunctionOnVertices, xi: FunctionOnEdges
 ) -> tuple[SparseOperator, SparseOperator]:
     """rho = sum_e a([e,t]) Q_e, psi = sum_{mu in E^{m+1}} xi([mu,t]) T_mu on E(1,m+1)."""
-    rho = rep.zero()
-    for e in g.edges:
-        rho = rho + rep.Q[e.id].scale(a.at_edge(e.id, t))
-    psi = rep.zero()
-    for mu in enumerate_paths(g, m + 1):
-        psi = psi + rep.T[join_ids(mu.edge_ids)].scale(xi.at_word(mu.edge_ids, t))
+    rho = combo(rep, [(a.at_edge(e.id, t), rep.Q[e.id]) for e in g.edges])
+    words = enumerate_paths(g, m + 1)
+    psi = combo(rep, [(xi.at_word(mu.edge_ids, t), rep.T[join_ids(mu.edge_ids)]) for mu in words])
     return rho, psi
 
 
@@ -385,33 +388,24 @@ def rho_psi(
     if m == 0:
         # multiplication plus a weighted unilateral shift, one ladder per symbol
         if t != 0:
-            loops = _loop_graph(sorted(e.id for e in g.edges))
-            rep = build_rep(loops, L)
-            rho = rep.zero()
-            psi = rep.zero()
-            for e in g.edges:
-                rho = rho + rep.Q[e.id].scale(a.at_edge(e.id, t))
-                psi = psi + rep.T[f"loop({e.id})"].scale(xi.at_word((e.id,), t))
+            rep = build_rep(_loop_graph(sorted(e.id for e in g.edges)), L)
+            rho = combo(rep, [(a.at_edge(e.id, t), rep.Q[e.id]) for e in g.edges])
+            psi = combo(rep, [(xi.at_word((e.id,), t), rep.T[f"loop({e.id})"]) for e in g.edges])
         else:
-            loops = _loop_graph(sorted(g.vertices))
-            rep = build_rep(loops, L)
-            rho = rep.zero()
-            psi = rep.zero()
-            for v in g.vertices:
-                rho = rho + rep.Q[v].scale(a.at_base(v))
-                psi = psi + rep.T[f"loop({v})"].scale(xi.at_lattice(vertex_path(g, v)))
+            rep = build_rep(_loop_graph(sorted(g.vertices)), L)
+            rho = combo(rep, [(a.at_base(v), rep.Q[v]) for v in g.vertices])
+            psi = combo(
+                rep, [(xi.at_lattice(vertex_path(g, v)), rep.T[f"loop({v})"]) for v in g.vertices]
+            )
         return RhoPsi(rep, rho, psi, "loops")
     if t != 0:
         rep = build_rep(higher_dual(g, 1, m + 1), L)
         rho, psi = _fibre_rho_psi(rep, g, m, t, a, xi)
         return RhoPsi(rep, rho, psi, "dual-interior")
     rep = build_rep(higher_power(g, m), L)
-    rho = rep.zero()
-    for v in g.vertices:
-        rho = rho + rep.Q[v].scale(a.at_base(v))
-    psi = rep.zero()
-    for w in enumerate_paths(g, m):
-        psi = psi + rep.T[join_ids(w.edge_ids)].scale(xi.at_lattice(w))
+    rho = combo(rep, [(a.at_base(v), rep.Q[v]) for v in g.vertices])
+    words = enumerate_paths(g, m)
+    psi = combo(rep, [(xi.at_lattice(w), rep.T[join_ids(w.edge_ids)]) for w in words])
     return RhoPsi(rep, rho, psi, "power-lattice")
 
 
@@ -448,26 +442,35 @@ class LimitReport:
 
 
 def _limit_ops(
+    rep: TruncatedRep, g: Graph, m: int, a: FunctionOnVertices, xi: FunctionOnEdges, end: int
+) -> tuple[SparseOperator, SparseOperator]:
+    """The limits (rho, psi) of the fibre pair at t -> 0+ (end 0) or t -> 1- (end 1).
+
+    At 0 each word w in E^m extends to we with r(e) = s(w), at 1 to ew with s(e) = r(w).
+    """
+    if end == 0:
+        rho = combo(rep, [(a.at_base(e.dst), rep.Q[e.id]) for e in g.edges])
+        words = [(w, w.edge_ids + (e.id,)) for w in enumerate_paths(g, m) for e in g.received(w.s)]
+    else:
+        rho = combo(rep, [(a.at_base(e.src), rep.Q[e.id]) for e in g.edges])
+        words = [(w, (e.id,) + w.edge_ids) for w in enumerate_paths(g, m) for e in g.emitted(w.r)]
+    psi = combo(rep, [(xi.at_lattice(w), rep.T[join_ids(ids)]) for w, ids in words])
+    return rho, psi
+
+
+def _jmath_image(
     rep: TruncatedRep, g: Graph, m: int, a: FunctionOnVertices, xi: FunctionOnEdges
-):
-    eps0_rho = rep.zero()
-    eps1_rho = rep.zero()
-    for e in g.edges:
-        eps0_rho = eps0_rho + rep.Q[e.id].scale(a.at_base(e.dst))
-        eps1_rho = eps1_rho + rep.Q[e.id].scale(a.at_base(e.src))
-    eps0_psi = rep.zero()
-    eps1_psi = rep.zero()
-    for w in enumerate_paths(g, m):
-        val = xi.at_lattice(w)
-        for e in g.received(w.s):  # e with r(e) = s(w): the word we
-            eps0_psi = eps0_psi + rep.T[join_ids(w.edge_ids + (e.id,))].scale(val)
-        for e in g.emitted(w.r):  # e with s(e) = r(w): the word ew
-            eps1_psi = eps1_psi + rep.T[join_ids((e.id,) + w.edge_ids)].scale(val)
-    return eps0_rho, eps0_psi, eps1_rho, eps1_psi
+) -> tuple[SparseOperator, SparseOperator]:
+    """The jmath images sum_v a([v]) q_v and sum_w xi([w]) t_w of the E(0,m) fibre."""
+    q_table, t_table, words = _jmath_tables(g, 1, m + 1, rep)
+    rho = combo(rep, [(a.at_base(v), q_table[v]) for v in g.vertices])
+    psi = combo(rep, [(xi.at_lattice(w), t_table[w.edge_ids]) for w in words])
+    return rho, psi
 
 
 def limit_formulas(
-    g: Graph, m: int, L: int, a: FunctionOnVertices, xi: FunctionOnEdges, K: int = 10
+    g: Graph, m: int, L: int, a: FunctionOnVertices, xi: FunctionOnEdges, K: int = 10,
+    rep: Optional[TruncatedRep] = None,
 ) -> LimitReport:
     """Closed-form limit operators at t -> 0+ and t -> 1-, with exact error decay.
 
@@ -476,22 +479,18 @@ def limit_formulas(
     edge_fn_interpolated each squared error is C d^2 with d the distance to the
     endpoint; the check asserts that closed form exactly and reports each C.
     ``errors`` holds the float norms, ``constants`` the exact C per sequence.
+    A representation of E(1,m+1) truncated at L may be passed in as rep, as in jmath.
     """
     if m < 1:
         raise PreconditionError("limit_formulas requires m >= 1")
     if K < 1:
         raise PreconditionError("limit_formulas requires K >= 1")
-    rep = build_rep(higher_dual(g, 1, m + 1), L)
-    eps0_rho, eps0_psi, eps1_rho, eps1_psi = _limit_ops(rep, g, m, a, xi)
+    rep = _dual_rep(g, 1, m + 1, L, rep)
+    eps0_rho, eps0_psi = _limit_ops(rep, g, m, a, xi, 0)
+    eps1_rho, eps1_psi = _limit_ops(rep, g, m, a, xi, 1)
     out = RunReport()
-    jm = jmath(g, 1, m + 1, L, rep=rep)
     # the t -> 0+ limits are the jmath images of the E(0,m) fibre operators
-    want_rho = rep.zero()
-    for v in g.vertices:
-        want_rho = want_rho + jm.q_table[v].scale(a.at_base(v))
-    want_psi = rep.zero()
-    for w in enumerate_paths(g, m):
-        want_psi = want_psi + jm.t_table[w.edge_ids].scale(xi.at_lattice(w))
+    want_rho, want_psi = _jmath_image(rep, g, m, a, xi)
     out.add("limits.eps0_rho_is_jmath_image", eps0_rho == want_rho, "exact")
     out.add("limits.eps0_psi_is_jmath_image", eps0_psi == want_psi, "exact")
     # a and xi are affine in t, so each error operator is d times a fixed
@@ -540,35 +539,26 @@ class EtaTables:
     report: RunReport = field(default_factory=RunReport)
 
 
-def eta_generators(g: Graph, m: int, L: int) -> EtaTables:
-    """w_v, x_v, y_mu, z_mu in the E(1,m+1) representation, with their relations."""
+def eta_generators(g: Graph, m: int, L: int, rep: Optional[TruncatedRep] = None) -> EtaTables:
+    """w_v, x_v, y_mu, z_mu in the E(1,m+1) representation, with their relations.
+
+    A representation of E(1,m+1) truncated at L may be passed in as rep, as in jmath.
+    """
     if m < 1:
         raise PreconditionError("eta_generators requires m >= 1")
-    rep = build_rep(higher_dual(g, 1, m + 1), L)
+    rep = _dual_rep(g, 1, m + 1, L, rep)
     out = RunReport()
-    w_table = {}
-    x_table = {}
-    for v in g.vertices:
-        wv = rep.zero()
-        for e in g.emitted(v):
-            wv = wv + rep.Q[e.id]
-        w_table[v] = wv
-        xv = rep.zero()
-        for e in g.received(v):
-            xv = xv + rep.Q[e.id]
-        x_table[v] = xv
+    w_table = {v: combo(rep, [(1, rep.Q[e.id]) for e in g.emitted(v)]) for v in g.vertices}
+    x_table = {v: combo(rep, [(1, rep.Q[e.id]) for e in g.received(v)]) for v in g.vertices}
+    words = enumerate_paths(g, m)
     y_table = {}
     z_table = {}
-    words = enumerate_paths(g, m)
     for mu in words:
-        ym = rep.zero()
-        for e in g.emitted(mu.r):  # e in E^1 r(mu): s(e) = r(mu)
-            ym = ym + rep.T[join_ids((e.id,) + mu.edge_ids)]
-        y_table[mu.edge_ids] = ym
-        zm = rep.zero()
-        for e in g.received(mu.s):  # e in s(mu)E^1: r(e) = s(mu)
-            zm = zm + rep.T[join_ids(mu.edge_ids + (e.id,))]
-        z_table[mu.edge_ids] = zm
+        # y_mu sums T_(e mu) over s(e) = r(mu), z_mu sums T_(mu e) over r(e) = s(mu)
+        ys = [(1, rep.T[join_ids((e.id,) + mu.edge_ids)]) for e in g.emitted(mu.r)]
+        zs = [(1, rep.T[join_ids(mu.edge_ids + (e.id,))]) for e in g.received(mu.s)]
+        y_table[mu.edge_ids] = combo(rep, ys)
+        z_table[mu.edge_ids] = combo(rep, zs)
     ok_y = all(
         (y_table[mu.edge_ids].adjoint() @ y_table[mu.edge_ids]).equal_on_columns(
             rep.Q[mu.edge_ids[-1]].scale(len(g.emitted(mu.r))), L - 1
@@ -576,9 +566,9 @@ def eta_generators(g: Graph, m: int, L: int) -> EtaTables:
         for mu in words
     )
     out.add("eta.y*y=|E1r|Q", ok_y, f"{len(words)} words, interior depth 1")
-    jm = jmath(g, 1, m + 1, L, rep=rep)
-    ok_x = all(x_table[v] == jm.q_table[v] for v in g.vertices)
-    ok_z = all(z_table[mu.edge_ids] == jm.t_table[mu.edge_ids] for mu in words)
+    q_table, t_table, _ = _jmath_tables(g, 1, m + 1, rep)
+    ok_x = all(x_table[v] == q_table[v] for v in g.vertices)
+    ok_z = all(z_table[mu.edge_ids] == t_table[mu.edge_ids] for mu in words)
     out.add("eta.x=jmath(Q)", ok_x, "exact")
     out.add("eta.z=jmath(T)", ok_z, "exact")
     return EtaTables(rep, w_table, x_table, y_table, z_table, out)
@@ -593,19 +583,21 @@ class KappaResult:
 
 
 def kappa_eval(
-    g: Graph, m: int, L: int, a: FunctionOnVertices, xi: FunctionOnEdges, t
+    g: Graph, m: int, L: int, a: FunctionOnVertices, xi: FunctionOnEdges, t,
+    rep: Optional[TruncatedRep] = None,
 ) -> KappaResult:
     """The three-case fibre evaluation of (rho(a), psi(xi)) on E(1,m+1)^{<=L}.
 
     t = 0 gives the jmath images of the E(0,m) fibre, 0 < t < 1 the coefficient
     sums, t = 1 the edge-prepended sums; endpoints match the limit operators.
+    A representation of E(1,m+1) truncated at L may be passed in as rep, as in jmath.
     """
     t = Fraction(t)
     if not 0 <= t <= 1:
         raise PreconditionError("kappa is evaluated on [0,1]")
     if m < 1:
         raise PreconditionError("kappa_eval requires m >= 1")
-    rep = build_rep(higher_dual(g, 1, m + 1), L)
+    rep = _dual_rep(g, 1, m + 1, L, rep)
     out = RunReport()
     hyp = hypothesis_check(g, m)
     out.add(
@@ -613,22 +605,16 @@ def kappa_eval(
         True,
         f"hypothesis_check(g,{m}) = {hyp.ok} (recorded, not gating)",
     )
-    eps0_rho, eps0_psi, eps1_rho, eps1_psi = _limit_ops(rep, g, m, a, xi)
     if t == 0:
-        jm = jmath(g, 1, m + 1, L, rep=rep)
-        rho = rep.zero()
-        for v in g.vertices:
-            rho = rho + jm.q_table[v].scale(a.at_base(v))
-        psi = rep.zero()
-        for w in enumerate_paths(g, m):
-            psi = psi + jm.t_table[w.edge_ids].scale(xi.at_lattice(w))
+        eps0_rho, eps0_psi = _limit_ops(rep, g, m, a, xi, 0)
+        rho, psi = _jmath_image(rep, g, m, a, xi)
         out.add(
             "kappa.t0_in_jmath_span",
             rho == eps0_rho and psi == eps0_psi,
             "value at 0 built from jmath tables; equals the eps0 limit exactly",
         )
     elif t == 1:
-        rho, psi = eps1_rho, eps1_psi
+        rho, psi = _limit_ops(rep, g, m, a, xi, 1)
         out.add("kappa.t1_is_eps1", True, "value at 1 is the eps1 limit by the case split")
     else:
         rho, psi = _fibre_rho_psi(rep, g, m, t, a, xi)
@@ -720,10 +706,8 @@ def morita_combinatorics(g: Graph, m: int, n: int, L: int) -> RunReport:
     ok_ck = True
     ok_ideal = True
     for v in g.vertices:
-        d = rep.Q[v]
-        for mu, S in S_table.items():
-            if Path(g, mu).r == v:
-                d = d - S @ S.adjoint()
+        ss = [S @ S.adjoint() for mu, S in S_table.items() if Path(g, mu).r == v]
+        d = combo(rep, [(1, rep.Q[v])] + [(-1, x) for x in ss])
         mid = d.restrict_columns(
             lambda c: n <= rep.basis.lengths[c] <= rep.L - n
         )

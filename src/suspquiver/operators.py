@@ -38,12 +38,18 @@ class QC:
             return x
         return QC(Fraction(x))
 
+    # Real operands (both imaginary parts 0) are the common case; they skip
+    # the complex formula, whose value would be the same.
     def __add__(self, other: RatLike) -> "QC":
         o = QC.of(other)
+        if not (self.im or o.im):
+            return QC(self.re + o.re)
         return QC(self.re + o.re, self.im + o.im)
 
     def __sub__(self, other: RatLike) -> "QC":
         o = QC.of(other)
+        if not (self.im or o.im):
+            return QC(self.re - o.re)
         return QC(self.re - o.re, self.im - o.im)
 
     def __neg__(self) -> "QC":
@@ -51,6 +57,8 @@ class QC:
 
     def __mul__(self, other: RatLike) -> "QC":
         o = QC.of(other)
+        if not (self.im or o.im):
+            return QC(self.re * o.re)
         return QC(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
     def __truediv__(self, other: RatLike) -> "QC":
@@ -104,6 +112,14 @@ class SparseOperator:
                 if q:
                     self.entries[rc] = q
 
+    @classmethod
+    def _wrap(cls, basis: Basis, entries: dict) -> "SparseOperator":
+        """An operator owning entries that are already nonzero QC values."""
+        op = cls.__new__(cls)
+        op.basis = basis
+        op.entries = entries
+        return op
+
     def _same_basis(self, other: "SparseOperator") -> None:
         if self.basis is not other.basis:
             raise PreconditionError("operators live on different bases")
@@ -117,7 +133,7 @@ class SparseOperator:
                 out[rc] = s
             else:
                 out.pop(rc, None)
-        return SparseOperator(self.basis, out)
+        return SparseOperator._wrap(self.basis, out)
 
     def __sub__(self, other: "SparseOperator") -> "SparseOperator":
         self._same_basis(other)
@@ -128,11 +144,13 @@ class SparseOperator:
                 out[rc] = s
             else:
                 out.pop(rc, None)
-        return SparseOperator(self.basis, out)
+        return SparseOperator._wrap(self.basis, out)
 
     def scale(self, c: RatLike) -> "SparseOperator":
         cq = QC.of(c)
-        return SparseOperator(
+        if not cq:
+            return SparseOperator(self.basis)
+        return SparseOperator._wrap(
             self.basis, {rc: val * cq for rc, val in self.entries.items()}
         )
 
@@ -149,10 +167,10 @@ class SparseOperator:
                     out[(r, c)] = s
                 else:
                     out.pop((r, c), None)
-        return SparseOperator(self.basis, out)
+        return SparseOperator._wrap(self.basis, out)
 
     def adjoint(self) -> "SparseOperator":
-        return SparseOperator(
+        return SparseOperator._wrap(
             self.basis, {(c, r): val.conj() for (r, c), val in self.entries.items()}
         )
 
@@ -180,7 +198,7 @@ class SparseOperator:
 
     def restrict_columns(self, keep) -> "SparseOperator":
         """Zero out all columns whose index is not accepted by keep(col)."""
-        return SparseOperator(
+        return SparseOperator._wrap(
             self.basis, {rc: v for rc, v in self.entries.items() if keep(rc[1])}
         )
 
@@ -277,11 +295,11 @@ class TruncatedRep:
 
     def delta(self, v: str) -> SparseOperator:
         """Defect projection Q_v - sum_{e in vE1} T_e T_e*."""
-        d = self.Q[v]
+        terms = [(1, self.Q[v])]
         for e in self.graph.received(v):
             t = self.T[e.id]
-            d = d - t @ t.adjoint()
-        return d
+            terms.append((-1, t @ t.adjoint()))
+        return combo(self, terms)
 
     def interior_cols(self, depth: int, min_len: int = 0):
         return [
@@ -301,6 +319,35 @@ def build_rep(g: Graph, L: int) -> TruncatedRep:
     return TruncatedRep(g, L)
 
 
+def combo(
+    rep: TruncatedRep, terms: Iterable[tuple[RatLike, SparseOperator]]
+) -> SparseOperator:
+    """The linear combination sum c X over the (c, X) in terms, on rep's basis.
+
+    All terms are added into one dict, with no operator built per term.
+    Entries that cancel to zero are dropped, so == keeps comparing entries;
+    an empty terms gives the zero operator.  A term on another basis raises
+    PreconditionError.
+    """
+    basis = rep.basis
+    acc: dict[tuple[int, int], QC] = {}
+    get = acc.get
+    for c, op in terms:
+        if op.basis is not basis:
+            raise PreconditionError("operators live on different bases")
+        cq = QC.of(c)
+        if not cq:
+            continue
+        unit = cq == QC_ONE
+        for rc, val in op.entries.items():
+            # generator entries are the shared QC_ONE, so c * 1 needs no product
+            if not unit:
+                val = cq if val is QC_ONE else val * cq
+            old = get(rc)
+            acc[rc] = val if old is None else old + val
+    return SparseOperator._wrap(basis, {rc: v for rc, v in acc.items() if v})
+
+
 def norm_squared(op: SparseOperator) -> Fraction:
     """Exact squared operator 2-norm ||A||^2 = max diag(A*A) when A*A is diagonal.
 
@@ -315,7 +362,9 @@ def norm_squared(op: SparseOperator) -> Fraction:
         if r in rows:
             break
         rows.add(r)
-        diag[c] = diag.get(c, Fraction(0)) + val.re * val.re + val.im * val.im
+        sq = val.re * val.re + val.im * val.im if val.im else val.re * val.re
+        old = diag.get(c)
+        diag[c] = sq if old is None else old + sq
     else:
         return max(diag.values(), default=Fraction(0))
     gram = op.adjoint() @ op

@@ -82,6 +82,27 @@ def brute_paths(g: Graph, n: int, src=None, rng=None) -> list[tuple[str, ...]]:
     return out
 
 
+def recursive_paths(g: Graph, n: int, src=None, rng=None) -> list[tuple[str, ...]]:
+    """The former recursive enumerate_paths, kept as a reference: sorted edge-id
+    tuples of rng E^n src, extended depth-first from the range end (n >= 1)."""
+    out: list[tuple[str, ...]] = []
+
+    def extend(prefix: tuple[str, ...], tail_src: str) -> None:
+        if len(prefix) == n:
+            if src is None or tail_src == src:
+                out.append(prefix)
+            return
+        for e in sorted(g.received(tail_src), key=lambda e: e.id):
+            extend(prefix + (e.id,), e.src)
+
+    starts = [rng] if rng is not None else list(g.vertices)
+    for v in starts:
+        for e in sorted(g.received(v), key=lambda e: e.id):
+            extend((e.id,), e.src)
+    out.sort()
+    return out
+
+
 def normal_form_closure(g: Graph, m: int, denominator: int = 6, max_len: int = 4):
     """Union-find closure of the generating relations on (mu, t) pairs.
 

@@ -19,6 +19,17 @@ TWO_LOOP = {
 
 SINGLE_LOOP = {"vertices": ["v"], "edges": [{"id": "e", "src": "v", "dst": "v"}]}
 
+CYCLE_PLUS_LOOP = {
+    "vertices": ["u", "v"],
+    "edges": [
+        {"id": "p", "src": "u", "dst": "v"},
+        {"id": "q", "src": "v", "dst": "u"},
+        {"id": "l", "src": "u", "dst": "u"},
+    ],
+}
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
 SINGLE_EDGE = {
     "vertices": ["u", "v"],
     "edges": [{"id": "e", "src": "u", "dst": "v"}],
@@ -111,6 +122,22 @@ def test_verify_all_passes(two_loop_file, capsys):
     assert "FAIL" not in out and "CHECK" in out
 
 
+@pytest.mark.parametrize(
+    "graph,l,golden",
+    [
+        (CYCLE_PLUS_LOOP, "2/3", "verify_cycle_plus_loop_l2-3.txt"),
+        (TWO_LOOP, "2", "verify_two_loop_l2.txt"),
+    ],
+)
+def test_verify_all_stdout_pinned(tmp_path, capsys, graph, l, golden):
+    # every check line with its detail: C constants, counts, vacuous labels
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    assert cli.main(["verify", str(path), "--suite", "all", "--l", l]) == 0
+    with open(os.path.join(GOLDEN, golden), encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
 def test_verify_does_not_import_numpy(two_loop_file):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
@@ -177,6 +204,13 @@ def test_flow_precision_exhaustion(two_loop_file, capsys):
     rc = cli.main(["flow", two_loop_file, "--start", "e,f", "--step", "2", "--count", "3"])
     assert rc == 2
     capsys.readouterr()
+
+
+def test_quiver_long_single_loop_fibre(single_loop_file, capsys):
+    # a 1200-edge fibre path used to exhaust the recursion limit
+    assert cli.main(["quiver", single_loop_file, "--n", "1200"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("FIBRE m=1 t=1/3 n=1200 count=1\n")
 
 
 def test_quiver_fibre_and_openness(two_loop_file, capsys):

@@ -24,7 +24,12 @@ from suspquiver import (
     vertex_path,
 )
 
-from conftest import brute_paths, random_no_sink_source_graph
+from conftest import (
+    brute_paths,
+    make_single_loop,
+    random_no_sink_source_graph,
+    recursive_paths,
+)
 
 
 def test_graph_rejects_duplicates_and_dangling():
@@ -82,6 +87,35 @@ def test_enumerate_paths_matches_oracle(seed, n):
     v, w = g.vertices[0], g.vertices[-1]
     got = [p.edge_ids or (p.anchor,) for p in enumerate_paths(g, n, src=w, rng=v)]
     assert got == brute_paths(g, n, src=w, rng=v)
+
+
+@st.composite
+def small_graphs(draw):
+    """Any small graph, sinks and sources allowed, edges drawn in any order."""
+    vs = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(vs), st.sampled_from(vs)), max_size=7))
+    ids = draw(st.permutations([f"e{i}" for i in range(len(pairs))]))
+    return Graph(vs, [(i, s, d) for i, (s, d) in zip(ids, pairs)])
+
+
+@given(g=small_graphs(), n=st.integers(1, 6), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_enumerate_paths_matches_recursive_reference(g, n, data):
+    ends = st.one_of(st.none(), st.sampled_from(g.vertices))
+    src, rng = data.draw(ends), data.draw(ends)
+    got = [p.edge_ids for p in enumerate_paths(g, n, src=src, rng=rng)]
+    assert got == recursive_paths(g, n, src=src, rng=rng)
+
+
+def test_enumerate_paths_deep_single_loop():
+    # the recursive version exceeded the interpreter's recursion limit here
+    (path,) = enumerate_paths(make_single_loop(), 3000)
+    assert path.edge_ids == ("e",) * 3000
+
+
+def test_enumerate_paths_unknown_range_vertex(two_loop):
+    with pytest.raises(StructuralError):
+        enumerate_paths(two_loop, 2, rng="nowhere")
 
 
 @given(seed=st.integers(0, 10**6), n=st.integers(0, 4))

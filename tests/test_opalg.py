@@ -15,6 +15,7 @@ from suspquiver import (
     edge_fn_interpolated,
     enumerate_paths,
     eta_generators,
+    higher_dual,
     jmath,
     kappa_eval,
     limit_formulas,
@@ -263,6 +264,36 @@ def test_kappa_interior_matches_fibre(two_loop):
 
     rho, psi = _fibre_rho_psi(res.rep, two_loop, 1, t, a, xi)
     assert res.rho == rho and res.psi == psi
+
+
+SUITES_WITH_REP = {
+    "jmath": lambda g, a, xi, rep: jmath(g, 1, 2, 3, rep=rep),
+    "limits": lambda g, a, xi, rep: limit_formulas(g, 1, 3, a, xi, K=2, rep=rep),
+    "eta": lambda g, a, xi, rep: eta_generators(g, 1, 3, rep=rep),
+    "kappa": lambda g, a, xi, rep: kappa_eval(g, 1, 3, a, xi, 0, rep=rep),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES_WITH_REP))
+def test_supplied_rep_is_used(suite, two_loop):
+    a, xi = _test_functions(two_loop, 1)
+    rep = build_rep(higher_dual(two_loop, 1, 2), 3)
+    res = SUITES_WITH_REP[suite](two_loop, a, xi, rep)
+    assert res.rep is rep
+    assert res.report.to_text() == SUITES_WITH_REP[suite](two_loop, a, xi, None).report.to_text()
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES_WITH_REP))
+@pytest.mark.parametrize("wrong", ["graph", "p,q", "L"])
+def test_supplied_rep_is_checked(suite, wrong, two_loop, cycle_plus_loop):
+    a, xi = _test_functions(two_loop, 1)
+    rep = {
+        "graph": lambda: build_rep(higher_dual(cycle_plus_loop, 1, 2), 3),
+        "p,q": lambda: build_rep(higher_dual(two_loop, 1, 3), 3),
+        "L": lambda: build_rep(higher_dual(two_loop, 1, 2), 2),
+    }[wrong]()
+    with pytest.raises(PreconditionError):
+        SUITES_WITH_REP[suite](two_loop, a, xi, rep)
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from suspquiver import (
     SparseOperator,
     StructuralError,
     build_rep,
+    combo,
     enumerate_paths,
     higher_dual,
     matrix_unit,
@@ -39,6 +40,62 @@ def test_qc_field_arithmetic(a, b, c, d):
     if y:
         assert (x / y) * y == x
     assert complex(x) == complex(float(a), float(b))
+
+
+@given(a=rationals, b=rationals, c=rationals, d=rationals)
+@settings(max_examples=50, deadline=None)
+def test_qc_real_fast_path_matches_complex_formula(a, b, c, d):
+    for x, y in ((QC(a), QC(c)), (QC(a, b), QC(c, d)), (QC(a), QC(c, d))):
+        assert x + y == QC(x.re + y.re, x.im + y.im)
+        assert x - y == QC(x.re - y.re, x.im - y.im)
+        assert x * y == QC(x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re)
+    assert QC(a) * 2 == QC(2 * a) and QC(a) + Fraction(1, 3) == QC(a + Fraction(1, 3))
+
+
+@given(
+    seed=st.integers(0, 500),
+    m=st.integers(1, 2),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_combo_matches_fold_of_add_and_scale(seed, m, data):
+    g = random_no_sink_source_graph(seed, max_vertices=3, max_edges=4)
+    rep = build_rep(higher_dual(g, 1, m + 1), 2)
+    gens = [rep.T[k] for k in sorted(rep.T)] + [rep.Q[k] for k in sorted(rep.Q)]
+    # a scaled generator too, so that terms carry entries other than the shared 1
+    gens.append(gens[0].scale(QC(Fraction(2, 3), Fraction(-1, 2))))
+    drawn = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, len(gens) - 1), rationals, rationals), max_size=6
+        )
+    )
+    terms = [(QC(re, im), gens[i]) for i, re, im in drawn]
+    # repeat a prefix with negated coefficients, so that some entries cancel
+    k = data.draw(st.integers(0, len(terms)))
+    terms += [(-c, op) for c, op in terms[:k]]
+    # and an int coefficient, as the callers in opalg pass
+    terms += [(int(re.numerator), gens[i]) for i, re, _ in drawn[:1]]
+    expected = rep.zero()
+    for c, op in terms:
+        expected = expected + op.scale(c)
+    got = combo(rep, terms)
+    assert got == expected
+    assert got.basis is rep.basis and all(got.entries.values())
+
+
+def test_combo_cancellation_empty_and_foreign_basis(two_loop, cycle_plus_loop):
+    rep = build_rep(two_loop, 2)
+    t = rep.T["e"]
+    assert combo(rep, []) == rep.zero()
+    assert combo(rep, [(QC(Fraction(1), Fraction(2)), t), (QC(-1, -2), t)]).is_zero()
+    assert combo(rep, [(0, t)]).is_zero()
+    f = rep.T["f"]
+    assert rep.delta("v") == rep.Q["v"] - t @ t.adjoint() - f @ f.adjoint()
+    other = build_rep(cycle_plus_loop, 2)
+    with pytest.raises(PreconditionError):
+        combo(rep, [(1, t), (1, other.T["p"])])
+    with pytest.raises(PreconditionError):
+        combo(rep, [(0, other.T["p"])])
 
 
 def test_rep_requires_no_sources(single_edge):
