@@ -160,7 +160,7 @@ class IntMatrix:
             raise StructuralError("dimensions do not match entry count")
         self.rows = rows
         self.cols = cols
-        self.entries = list(int(x) for x in entries)
+        self.entries = list(map(int, entries))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -195,29 +195,41 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise PreconditionError("shape mismatch")
-        out = IntMatrix.zeros(self.rows, other.cols)
-        for i in range(self.rows):
-            for k in range(self.cols):
-                a = self[i, k]
+        brows = other.row_lists()
+        out: list[int] = []
+        for arow in self.row_lists():
+            acc = [0] * other.cols
+            for a, brow in zip(arow, brows):
                 if a:
-                    for j in range(other.cols):
-                        out[i, j] += a * other[k, j]
-        return out
+                    acc = [x + a * y for x, y in zip(acc, brow)]
+            out.extend(acc)
+        return IntMatrix(self.rows, other.cols, out)
 
     def pow(self, n: int) -> "IntMatrix":
+        """self^n by repeated squaring."""
         if self.rows != self.cols or n < 0:
             raise PreconditionError("pow needs a square matrix and n >= 0")
-        result = IntMatrix.identity(self.rows)
-        for _ in range(n):
-            result = result @ self
-        return result
+        result, base = None, self
+        while n:
+            if n & 1:
+                result = base if result is None else result @ base
+            n >>= 1
+            if n:
+                base = base @ base
+        if result is None:
+            return IntMatrix.identity(self.rows)
+        return result.copy() if result is self else result
 
     def transpose(self) -> "IntMatrix":
+        c = self.cols
         return IntMatrix(
-            self.cols,
-            self.rows,
-            [self[i, j] for j in range(self.cols) for i in range(self.rows)],
+            c, self.rows, [x for j in range(c) for x in self.entries[j::c]]
         )
+
+    def row_lists(self) -> list[list[int]]:
+        """The rows as fresh lists."""
+        c = self.cols
+        return [self.entries[i * c : (i + 1) * c] for i in range(self.rows)]
 
     def trace(self) -> int:
         return sum(self[i, i] for i in range(min(self.rows, self.cols)))
@@ -277,86 +289,179 @@ def adjacency(g: Graph) -> IntMatrix:
     """A(v,w) = |vE1w|, the number of edges with r(e) = v and s(e) = w."""
     n = len(g.vertices)
     index = {v: i for i, v in enumerate(g.vertices)}
-    m = IntMatrix.zeros(n, n)
+    entries = [0] * (n * n)
     for e in g.edges:
-        m[index[e.dst], index[e.src]] += 1
-    return m
+        entries[index[e.dst] * n + index[e.src]] += 1
+    return IntMatrix(n, n, entries)
 
 
 def is_strongly_connected(g: Graph) -> bool:
     """True iff every ordered vertex pair is joined by a nonempty path.
 
     A single vertex with no edges is not strongly connected under this
-    definition (it has no nonempty path to itself).
+    definition (it has no nonempty path to itself). It suffices that one
+    vertex reaches every vertex, itself included, by a nonempty path and
+    that every vertex reaches it: two searches, O(|V| + |E|).
     """
     if not g.vertices:
         return False
-    for v in g.vertices:
-        # vertices reachable from v by a nonempty path, walking r -> s
+    root = g.vertices[0]
+    for step in (
+        lambda v: [e.src for e in g.received(v)],
+        lambda v: [e.dst for e in g.emitted(v)],
+    ):
         seen: set[str] = set()
-        frontier = [e.src for e in g.received(v)]
+        frontier = step(root)
         while frontier:
             u = frontier.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            frontier.extend(e.src for e in g.received(u))
-        if seen != set(g.vertices):
+            if u not in seen:
+                seen.add(u)
+                frontier.extend(step(u))
+        if len(seen) != len(g.vertices):
             return False
     return True
+
+
+def _strong_components(
+    vertices: list[str], succ: dict[str, list[tuple[str, str]]]
+) -> list[list[str]]:
+    """Tarjan's strongly connected components of the subgraph induced on
+    ``vertices``, with an explicit stack; ``succ[v]`` lists (edge id, next vertex)."""
+    inside = set(vertices)
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    comps: list[list[str]] = []
+    for root in vertices:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for _, w in it:
+                if w not in inside:
+                    continue
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        on_stack.discard(comp[-1])
+                    comps.append(comp)
+    return comps
 
 
 def simple_cycles(g: Graph) -> list[tuple[str, ...]]:
     """All simple cycles as edge-id sequences (vertices pairwise distinct).
 
     A cycle mu_1 ... mu_k starts at r(mu_1) and closes with s(mu_k) = r(mu_1);
-    rotations are deduplicated by keeping only the lexicographically least
-    rotation of each edge sequence.
+    each is reported as the lexicographically least rotation of its edge
+    sequence. Johnson's algorithm (SIAM J. Comput. 4, 1975), with explicit
+    stacks: the cycles through one vertex s of a strongly connected component
+    are listed with blocking, then s is removed and the rest of the component
+    is split again, so the work is O((|V| + |E|)(c + 1)) for c cycles.
     """
-    found: set[tuple[str, ...]] = set()
-
-    def canonical(seq: tuple[str, ...]) -> tuple[str, ...]:
-        rots = [seq[i:] + seq[:i] for i in range(len(seq))]
-        return min(rots)
-
-    def walk(start: str, here: str, used: set[str], seq: tuple[str, ...]) -> None:
-        # extend at the source end: the next edge f has r(f) = here
-        for e in g.received(here):
-            nxt = e.src
-            if nxt == start:
-                found.add(canonical(seq + (e.id,)))
-            elif nxt not in used:
-                walk(start, nxt, used | {nxt}, seq + (e.id,))
-
-    for v in g.vertices:
-        walk(v, v, {v}, ())
+    # a cycle is walked from its range end: the next edge f has r(f) = here
+    succ = {v: [(e.id, e.src) for e in g.received(v)] for v in g.vertices}
+    found: list[tuple[str, ...]] = []
+    comps = _strong_components(list(g.vertices), succ)
+    while comps:
+        comp = comps.pop()
+        s = comp[0]
+        inside = set(comp)
+        blocked = {s}
+        blocked_by: dict[str, set[str]] = {}
+        edges: list[str] = []
+        # frames: [vertex, its remaining successors, a cycle was found below]
+        frames = [[s, iter(succ[s]), False]]
+        while frames:
+            frame = frames[-1]
+            for eid, w in frame[1]:
+                if w not in inside:
+                    continue
+                if w == s:
+                    seq = tuple(edges) + (eid,)
+                    found.append(min(seq[i:] + seq[:i] for i in range(len(seq))))
+                    frame[2] = True
+                elif w not in blocked:
+                    edges.append(eid)
+                    blocked.add(w)
+                    frames.append([w, iter(succ[w]), False])
+                    break
+            else:
+                v, _, closed = frames.pop()
+                if closed:
+                    todo = [v]
+                    while todo:
+                        u = todo.pop()
+                        if u in blocked:
+                            blocked.discard(u)
+                            todo.extend(blocked_by.pop(u, ()))
+                else:
+                    for _, w in succ[v]:
+                        if w in inside:
+                            blocked_by.setdefault(w, set()).add(v)
+                if frames:
+                    edges.pop()
+                    frames[-1][2] = frames[-1][2] or closed
+        comps.extend(
+            c for c in _strong_components(comp[1:], succ)
+            if len(c) > 1 or any(w == c[0] for _, w in succ[c[0]])
+        )
     return sorted(found)
 
 
 def period(g: Graph) -> int:
-    """gcd of the lengths of all cycles of a strongly connected graph."""
+    """gcd of the lengths of all cycles of a strongly connected graph.
+
+    With BFS levels from one vertex, it is the gcd over all edges of
+    level(u) + 1 - level(v) for an edge walked from u to v.
+    """
     if not is_strongly_connected(g):
         raise PreconditionError("period requires a strongly connected graph")
-    a = adjacency(g)
-    power = IntMatrix.identity(a.rows)
-    p = 0
-    for length in range(1, len(g.vertices) + 1):
-        power = power @ a
-        if power.trace() > 0:
-            p = math.gcd(p, length)
-    return p
+    level = {g.vertices[0]: 0}
+    frontier = [g.vertices[0]]
+    for u in frontier:  # grows while it is walked
+        for e in g.received(u):
+            if e.src not in level:
+                level[e.src] = level[u] + 1
+                frontier.append(e.src)
+    return math.gcd(*(level[e.dst] + 1 - level[e.src] for e in g.edges))
 
 
 def every_cycle_has_entrance(g: Graph) -> bool:
     """True iff every cycle mu has some i with |r(mu_i)E1| >= 2.
 
-    It suffices to check simple cycles: every cycle visits the vertex set of
-    one of its simple subcycles.
+    A cycle without an entrance runs through vertices that each receive
+    exactly one edge, along those edges. Such vertices have one predecessor
+    each, so it is a cycle of that functional graph, found in O(|V| + |E|).
     """
-    ids = {e.id: e for e in g.edges}
-    for cyc in simple_cycles(g):
-        if not any(len(g.received(ids[eid].dst)) >= 2 for eid in cyc):
-            return False
+    pred = {v: g.received(v)[0].src for v in g.vertices if len(g.received(v)) == 1}
+    done: set[str] = set()
+    for v in pred:
+        walk: set[str] = set()
+        while v in pred and v not in done:
+            if v in walk:
+                return False
+            walk.add(v)
+            v = pred[v]
+        done |= walk
     return True
 
 

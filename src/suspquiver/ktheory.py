@@ -1,8 +1,9 @@
 """Integer linear algebra and the K-theoretic / homological invariants.
 
-Everything reduces to Smith normal form over the integers with unimodular
-transformation witnesses; groups are reported as free rank plus invariant
-factors d_1 | d_2 | ... (no factors 1 stored).
+Everything reduces to one integer elimination on row lists: Smith normal form
+with unimodular transformation witnesses, or, for cokernels and kernels, the
+diagonal alone. Groups are reported as free rank plus invariant factors
+d_1 | d_2 | ... (no factors 1 stored).
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import PreconditionError
-from .graph import Graph, IntMatrix, adjacency, hereditary_closure, validate
-from .transform import higher_dual, higher_power, opposite
+from .graph import Graph, IntMatrix, adjacency, validate
+from .transform import higher_dual, opposite
 
 
 @dataclass(frozen=True)
@@ -43,9 +44,9 @@ class AbelianGroup:
         return " (+) ".join(parts) if parts else "0"
 
 
-def direct_sum(a: AbelianGroup, b: AbelianGroup) -> AbelianGroup:
-    """Direct sum, re-canonicalized to a divisor chain."""
-    factors = sorted(a.torsion + b.torsion)
+def _divisor_chain(factors) -> tuple[int, ...]:
+    """The invariant factors >= 2 of (+) Z/d over ``factors``, as a divisor chain."""
+    factors = sorted(abs(d) for d in factors if abs(d) > 1)
     # merge into a divisor chain by repeated gcd/lcm exchanges
     changed = True
     while changed:
@@ -57,7 +58,12 @@ def direct_sum(a: AbelianGroup, b: AbelianGroup) -> AbelianGroup:
                 factors[i], factors[i + 1] = g, l
                 changed = True
         factors.sort()
-    return AbelianGroup(a.free_rank + b.free_rank, tuple(d for d in factors if d > 1))
+    return tuple(d for d in factors if d > 1)
+
+
+def direct_sum(a: AbelianGroup, b: AbelianGroup) -> AbelianGroup:
+    """Direct sum, re-canonicalized to a divisor chain."""
+    return AbelianGroup(a.free_rank + b.free_rank, _divisor_chain(a.torsion + b.torsion))
 
 
 @dataclass
@@ -67,95 +73,116 @@ class SNFResult:
     V: IntMatrix
 
 
-def _swap_rows(m: IntMatrix, i: int, j: int) -> None:
-    for c in range(m.cols):
-        m[i, c], m[j, c] = m[j, c], m[i, c]
+def _pivot(S: list[list[int]], k: int) -> Optional[tuple[int, int]]:
+    """A minimal-magnitude nonzero entry of the block S[k:, k:], found row by row
+    and stopping at the first +-1; None when the block is zero."""
+    best, row = 0, -1
+    for i in range(k, len(S)):
+        mag = min(map(abs, filter(None, S[i][k:])), default=0)
+        if mag and (not best or mag < best):
+            best, row = mag, i
+            if mag == 1:
+                break
+    if not best:
+        return None
+    tail = S[row][k:]
+    return row, k + (tail.index(best) if best in tail else tail.index(-best))
 
 
-def _swap_cols(m: IntMatrix, i: int, j: int) -> None:
-    for r in range(m.rows):
-        m[r, i], m[r, j] = m[r, j], m[r, i]
+def _eliminate(
+    S: list[list[int]],
+    U: Optional[list[list[int]]] = None,
+    Vt: Optional[list[list[int]]] = None,
+    chain: bool = False,
+) -> list[int]:
+    """Diagonalise the row list S in place by unimodular row and column
+    operations and return its nonzero diagonal, every entry positive.
+
+    Row operations are repeated on the rows of U and column operations on the
+    rows of Vt (V transposed), when given, so that U M V = S for the input M.
+    With ``chain`` each pivot is also made to divide the block after it, which
+    leaves the diagonal a divisor chain; cokernels need only its values.
+    """
+    ncols = len(S[0]) if S else 0
+    k = 0
+    while k < min(len(S), ncols):
+        at = _pivot(S, k)
+        if at is None:
+            break
+        i, j = at
+        if i != k:
+            S[i], S[k] = S[k], S[i]
+            if U is not None:
+                U[i], U[k] = U[k], U[i]
+        if j != k:
+            for row in S:
+                row[j], row[k] = row[k], row[j]
+            if Vt is not None:
+                Vt[j], Vt[k] = Vt[k], Vt[j]
+        Sk = S[k]
+        p = Sk[k]
+        tail = Sk[k:]  # entries left of column k are zero below row k
+        # clear column k below the pivot; a nonzero remainder is a smaller pivot
+        remainder = False
+        for i in range(k + 1, len(S)):
+            c = S[i][k]
+            if c:
+                q = c // p
+                S[i][k:] = [a - q * b for a, b in zip(S[i][k:], tail)]
+                if U is not None:
+                    U[i] = [a - q * b for a, b in zip(U[i], U[k])]
+                remainder = remainder or bool(S[i][k])
+        if remainder:
+            continue
+        # column k is clear, so clearing row k touches row k alone
+        for j in range(k + 1, ncols):
+            c = Sk[j]
+            if c:
+                q = c // p
+                Sk[j] = c - q * p
+                if Vt is not None:
+                    Vt[j] = [a - q * b for a, b in zip(Vt[j], Vt[k])]
+        if any(Sk[k + 1 :]):
+            continue
+        if chain and abs(p) > 1:
+            # pull up a row holding an entry the pivot does not divide
+            bad = next(
+                (i for i in range(k + 1, len(S)) if any(x % p for x in S[i][k + 1 :])),
+                None,
+            )
+            if bad is not None:
+                S[k] = [a + b for a, b in zip(Sk, S[bad])]
+                if U is not None:
+                    U[k] = [a + b for a, b in zip(U[k], U[bad])]
+                continue
+        if p < 0:
+            S[k] = [-a for a in Sk]
+            if U is not None:
+                U[k] = [-a for a in U[k]]
+        k += 1
+    return [S[i][i] for i in range(k)]
 
 
-def _add_row(m: IntMatrix, dst: int, src: int, k: int) -> None:
-    for c in range(m.cols):
-        m[dst, c] += k * m[src, c]
-
-
-def _add_col(m: IntMatrix, dst: int, src: int, k: int) -> None:
-    for r in range(m.rows):
-        m[r, dst] += k * m[r, src]
+def _from_rows(rows: list[list[int]], cols: int) -> IntMatrix:
+    return IntMatrix(len(rows), cols, [x for row in rows for x in row])
 
 
 def smith_normal_form(M: IntMatrix) -> SNFResult:
     """U M V = S diagonal with a divisibility chain; U, V unimodular."""
-    S = M.copy()
-    U = IntMatrix.identity(M.rows)
-    V = IntMatrix.identity(M.cols)
-    n = min(S.rows, S.cols)
-    for k in range(n):
-        while True:
-            # locate a minimal-magnitude nonzero pivot in the trailing block
-            pivot = None
-            for i in range(k, S.rows):
-                for j in range(k, S.cols):
-                    if S[i, j] and (pivot is None or abs(S[i, j]) < abs(S[pivot[0], pivot[1]])):
-                        pivot = (i, j)
-            if pivot is None:
-                break
-            i, j = pivot
-            if i != k:
-                _swap_rows(S, i, k)
-                _swap_rows(U, i, k)
-            if j != k:
-                _swap_cols(S, j, k)
-                _swap_cols(V, j, k)
-            p = S[k, k]
-            done = True
-            for i in range(k + 1, S.rows):
-                q = S[i, k] // p
-                if q:
-                    _add_row(S, i, k, -q)
-                    _add_row(U, i, k, -q)
-                if S[i, k]:
-                    done = False
-            for j in range(k + 1, S.cols):
-                q = S[k, j] // p
-                if q:
-                    _add_col(S, j, k, -q)
-                    _add_col(V, j, k, -q)
-                if S[k, j]:
-                    done = False
-            if not done:
-                continue
-            # pivot divides everything below/right of it, or pull a bad row up
-            bad = None
-            for i in range(k + 1, S.rows):
-                for j in range(k + 1, S.cols):
-                    if S[i, j] % p:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            _add_row(S, k, bad, 1)
-            _add_row(U, k, bad, 1)
-        if S[k, k] < 0:
-            for c in range(S.cols):
-                S[k, c] = -S[k, c]
-            for c in range(U.cols):
-                U[k, c] = -U[k, c]
-    return SNFResult(U, S, V)
+    S = M.row_lists()
+    U = IntMatrix.identity(M.rows).row_lists()
+    Vt = IntMatrix.identity(M.cols).row_lists()
+    _eliminate(S, U, Vt, chain=True)
+    return SNFResult(
+        _from_rows(U, M.rows), _from_rows(S, M.cols), _from_rows(Vt, M.cols).transpose()
+    )
 
 
 def coker_ker(M: IntMatrix) -> tuple[AbelianGroup, AbelianGroup]:
     """Cokernel and kernel of the map Z^cols -> Z^rows given by M."""
-    S = smith_normal_form(M).S
-    diag = [S[i, i] for i in range(min(S.rows, S.cols))]
-    rank = sum(1 for d in diag if d)
-    torsion = tuple(d for d in diag if d > 1)
-    coker = AbelianGroup(M.rows - rank, torsion)
+    diag = _eliminate(M.row_lists())
+    rank = len(diag)
+    coker = AbelianGroup(M.rows - rank, _divisor_chain(diag))
     ker = AbelianGroup(M.cols - rank)
     return coker, ker
 
@@ -175,11 +202,13 @@ def graph_K(g: Graph, m: int) -> tuple[AbelianGroup, AbelianGroup]:
 def homology(g: Graph) -> tuple[AbelianGroup, AbelianGroup]:
     """H0 = ker, H1 = coker of the boundary map ZE0 -> ZE1, a |-> a(r(.)) - a(s(.))."""
     vi = {v: i for i, v in enumerate(g.vertices)}
-    D = IntMatrix.zeros(len(g.edges), len(g.vertices))
-    for i, e in enumerate(g.edges):
-        D[i, vi[e.dst]] += 1
-        D[i, vi[e.src]] -= 1
-    H1, H0 = coker_ker(D)
+    rows = []
+    for e in g.edges:
+        row = [0] * len(g.vertices)
+        row[vi[e.dst]] += 1
+        row[vi[e.src]] -= 1
+        rows.append(row)
+    H1, H0 = coker_ker(_from_rows(rows, len(g.vertices)))
     return H0, H1
 
 
@@ -189,25 +218,41 @@ class HypothesisResult:
     ok: bool
 
 
+def _hypothesis_reach(g: Graph, m: int) -> tuple[set[str], set[str]]:
+    """The seeds W = {w : |E1 w| >= 2} and the vertices v that are the source
+    of some path mu with |mu| in m*{1,2,...} and r(mu) in W.
+
+    One reverse breadth-first search over the states (vertex, |path| mod m),
+    in O(m (|V| + |E|)): a path of E^{km} ending in W is a walk from some
+    (w, 0) that follows received edges r(e) -> s(e), stepping the residue by
+    one, and comes back to residue 0 after at least one step.
+    """
+    if m < 1:
+        raise PreconditionError("hypothesis_check requires m >= 1")
+    seeds = {w for w in g.vertices if len(g.emitted(w)) >= 2}
+    seen = {(w, 0) for w in seeds}
+    frontier = list(seen)
+    reached: set[str] = set()
+    for u, j in frontier:  # grows while it is walked
+        step = (j + 1) % m
+        for e in g.received(u):
+            if step == 0:
+                reached.add(e.src)
+            if (e.src, step) not in seen:
+                seen.add((e.src, step))
+                frontier.append((e.src, step))
+    return seeds, reached
+
+
 def hypothesis_check(g: Graph, m: int) -> HypothesisResult:
     """For each v: does some mu with |mu| in m*{1,2,...}, s(mu) = v, have
     |E1 r(mu)| >= 2?
 
-    Computed as reachability in E(0,m) from the seed W = {w : |E1 w| >= 2},
-    traversing edges range -> source, requiring at least one step.
+    This is reachability in E(0,m) from the seed W = {w : |E1 w| >= 2},
+    traversing edges range -> source and requiring at least one step; it is
+    computed on E itself, without building E(0,m).
     """
-    if m < 1:
-        raise PreconditionError("hypothesis_check requires m >= 1")
-    H = higher_power(g, m)
-    seeds = {w for w in g.vertices if len(g.emitted(w)) >= 2}
-    reached: set[str] = set()
-    frontier = list(seeds)
-    while frontier:
-        u = frontier.pop()
-        for e in H.received(u):  # H-edges with r = u; mark their sources
-            if e.src not in reached:
-                reached.add(e.src)
-                frontier.append(e.src)
+    _, reached = _hypothesis_reach(g, m)
     per_vertex = {v: v in reached for v in g.vertices}
     return HypothesisResult(per_vertex, all(per_vertex.values()))
 
@@ -215,9 +260,8 @@ def hypothesis_check(g: Graph, m: int) -> HypothesisResult:
 def hypothesis_check_closure(g: Graph, m: int) -> bool:
     """The introduction's variant: the set of vertices emitting >= 2 edges has
     hereditary closure all of E(0,m)^0."""
-    H = higher_power(g, m)
-    seeds = {w for w in g.vertices if len(g.emitted(w)) >= 2}
-    return hereditary_closure(H, seeds) == set(g.vertices)
+    seeds, reached = _hypothesis_reach(g, m)
+    return seeds | reached == set(g.vertices)
 
 
 def is_connected(g: Graph) -> bool:
@@ -292,14 +336,17 @@ class DualKReport:
 
 
 def dual_K_invariance(g: Graph, p: int, q: int) -> DualKReport:
-    """graph_K of E(p,q) against graph_K of E(0,q-p); the groups must agree."""
+    """graph_K of E(p,q) against graph_K of E(0,q-p); the groups must agree.
+
+    E(0,q-p) has adjacency matrix A^(q-p), so its groups are graph_K(g, q-p).
+    """
     if not 0 < p < q:
         raise PreconditionError("need 0 < p < q")
     diag = validate(g)
     if diag.sinks or diag.sources:
         raise PreconditionError("need a graph with no sinks and no sources")
     dk = graph_K(higher_dual(g, p, q), 1)
-    pk = graph_K(higher_power(g, q - p), 1)
+    pk = graph_K(g, q - p)
     return DualKReport(dk, pk, dk == pk)
 
 

@@ -10,8 +10,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import strategies as st
 
-from suspquiver import Graph
+from suspquiver import Graph, hereditary_closure, higher_power
+from suspquiver.ktheory import HypothesisResult
 
 
 def make_single_loop() -> Graph:
@@ -101,6 +103,60 @@ def recursive_paths(g: Graph, n: int, src=None, rng=None) -> list[tuple[str, ...
             extend((e.id,), e.src)
     out.sort()
     return out
+
+
+def higher_power_hypothesis_check(g: Graph, m: int) -> HypothesisResult:
+    """The former hypothesis_check, kept as a reference: reachability from the
+    seeds in the built graph E(0,m), which has |E|^m edges."""
+    H = higher_power(g, m)
+    seeds = {w for w in g.vertices if len(g.emitted(w)) >= 2}
+    reached: set[str] = set()
+    frontier = list(seeds)
+    while frontier:
+        u = frontier.pop()
+        for e in H.received(u):  # H-edges with r = u; mark their sources
+            if e.src not in reached:
+                reached.add(e.src)
+                frontier.append(e.src)
+    per_vertex = {v: v in reached for v in g.vertices}
+    return HypothesisResult(per_vertex, all(per_vertex.values()))
+
+
+def higher_power_hypothesis_check_closure(g: Graph, m: int) -> bool:
+    """The former hypothesis_check_closure, kept as a reference."""
+    H = higher_power(g, m)
+    seeds = {w for w in g.vertices if len(g.emitted(w)) >= 2}
+    return hereditary_closure(H, seeds) == set(g.vertices)
+
+
+def recursive_simple_cycles(g: Graph) -> list[tuple[str, ...]]:
+    """The former recursive simple_cycles, kept as a reference: every simple
+    cycle grown from every start vertex, deduplicated by least rotation."""
+    found: set[tuple[str, ...]] = set()
+
+    def canonical(seq: tuple[str, ...]) -> tuple[str, ...]:
+        return min(seq[i:] + seq[:i] for i in range(len(seq)))
+
+    def walk(start: str, here: str, used: set[str], seq: tuple[str, ...]) -> None:
+        for e in g.received(here):
+            nxt = e.src
+            if nxt == start:
+                found.add(canonical(seq + (e.id,)))
+            elif nxt not in used:
+                walk(start, nxt, used | {nxt}, seq + (e.id,))
+
+    for v in g.vertices:
+        walk(v, v, {v}, ())
+    return sorted(found)
+
+
+@st.composite
+def small_graphs(draw):
+    """Any small graph, sinks and sources allowed, edges drawn in any order."""
+    vs = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(vs), st.sampled_from(vs)), max_size=7))
+    ids = draw(st.permutations([f"e{i}" for i in range(len(pairs))]))
+    return Graph(vs, [(i, s, d) for i, (s, d) in zip(ids, pairs)])
 
 
 def normal_form_closure(g: Graph, m: int, denominator: int = 6, max_len: int = 4):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from suspquiver import (
     CompositionError,
     Graph,
+    IntMatrix,
     Path,
     StructuralError,
     adjacency,
@@ -29,6 +30,8 @@ from conftest import (
     make_single_loop,
     random_no_sink_source_graph,
     recursive_paths,
+    recursive_simple_cycles,
+    small_graphs,
 )
 
 
@@ -87,15 +90,6 @@ def test_enumerate_paths_matches_oracle(seed, n):
     v, w = g.vertices[0], g.vertices[-1]
     got = [p.edge_ids or (p.anchor,) for p in enumerate_paths(g, n, src=w, rng=v)]
     assert got == brute_paths(g, n, src=w, rng=v)
-
-
-@st.composite
-def small_graphs(draw):
-    """Any small graph, sinks and sources allowed, edges drawn in any order."""
-    vs = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
-    pairs = draw(st.lists(st.tuples(st.sampled_from(vs), st.sampled_from(vs)), max_size=7))
-    ids = draw(st.permutations([f"e{i}" for i in range(len(pairs))]))
-    return Graph(vs, [(i, s, d) for i, (s, d) in zip(ids, pairs)])
 
 
 @given(g=small_graphs(), n=st.integers(1, 6), data=st.data())
@@ -174,6 +168,95 @@ def test_entrance_condition(two_loop, three_cycle, cycle_plus_loop):
     assert not every_cycle_has_entrance(three_cycle)  # each vertex receives 1
     assert every_cycle_has_entrance(two_loop)  # v receives 2
     assert every_cycle_has_entrance(cycle_plus_loop)
+
+
+def _nonempty_reach(g: Graph) -> dict[str, set[str]]:
+    """v -> vertices joined to v by a nonempty path, from the raw edge list."""
+    reach = {v: {e.src for e in g.edges if e.dst == v} for v in g.vertices}
+    changed = True
+    while changed:
+        changed = False
+        for v in g.vertices:
+            more = set().union(*(reach[u] for u in reach[v])) - reach[v]
+            if more:
+                reach[v] |= more
+                changed = True
+    return reach
+
+
+@given(g=small_graphs())
+@settings(max_examples=150, deadline=None)
+def test_cycle_structure_matches_references(g):
+    cycles = recursive_simple_cycles(g)
+    assert simple_cycles(g) == cycles
+    entrance = all(any(len(g.received(g.edge(i).dst)) >= 2 for i in c) for c in cycles)
+    assert every_cycle_has_entrance(g) == entrance
+    reach = _nonempty_reach(g)
+    strong = all(reach[v] == set(g.vertices) for v in g.vertices)
+    assert is_strongly_connected(g) == strong
+    if strong:
+        # every cycle length is a sum of simple cycle lengths
+        assert period(g) == math.gcd(*(len(c) for c in cycles))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_simple_cycles_match_reference_on_larger_graphs(seed):
+    # one strongly connected component, split again as start vertices are removed
+    g = random_no_sink_source_graph(900 + seed, max_vertices=8, max_edges=14)
+    assert simple_cycles(g) == recursive_simple_cycles(g)
+
+
+def _long_cycle(n: int, reverse: bool) -> Graph:
+    vs = [f"v{i}" for i in range(n)]
+    ends = [(vs[i], vs[(i + 1) % n]) for i in range(n)]
+    return Graph(vs, [(f"c{i}", *(e[::-1] if reverse else e)) for i, e in enumerate(ends)])
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_long_cycle_without_recursion(reverse):
+    # the recursive cycle search exceeded the interpreter's recursion limit here
+    g = _long_cycle(1500, reverse)
+    (cycle,) = simple_cycles(g)
+    assert sorted(cycle) == sorted(e.id for e in g.edges)
+    assert cycle == min(cycle[i:] + cycle[:i] for i in range(1500))
+    assert not every_cycle_has_entrance(g)
+    assert period(g) == 1500
+
+
+def test_long_cycle_with_an_entrance():
+    c = _long_cycle(1500, False)
+    g = Graph(c.vertices, [(e.id, e.src, e.dst) for e in c.edges] + [("x", "v0", "v500")])
+    assert sorted(len(cyc) for cyc in simple_cycles(g)) == [1001, 1500]
+    assert every_cycle_has_entrance(g)  # v500 receives two edges
+    assert period(g) == math.gcd(1001, 1500) == 1
+
+
+def _int_matrices(rows, cols):
+    return st.lists(
+        st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7]), min_size=rows * cols, max_size=rows * cols
+    ).map(lambda xs: IntMatrix(rows, cols, xs))
+
+
+@given(data=st.data(), shape=st.tuples(*[st.integers(0, 5)] * 3), n=st.integers(0, 9))
+@settings(max_examples=80, deadline=None)
+def test_matmul_and_pow_match_entrywise_products(data, shape, n):
+    a_rows, inner, b_cols = shape
+    a = data.draw(_int_matrices(a_rows, inner))
+    b = data.draw(_int_matrices(inner, b_cols))
+    assert (a @ b).entries == [
+        sum(a[i, k] * b[k, j] for k in range(inner))
+        for i in range(a_rows)
+        for j in range(b_cols)
+    ]
+    sq = data.draw(_int_matrices(inner, inner))
+    expected = IntMatrix.identity(inner)
+    for _ in range(n):
+        expected = expected @ sq
+    before = list(sq.entries)
+    power = sq.pow(n)
+    assert power == expected
+    power.entries[:] = [0] * len(power.entries)  # the result shares nothing
+    assert sq.entries == before
 
 
 def test_hereditary_closure(single_edge, three_cycle):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from suspquiver import (
     AbelianGroup,
+    Graph,
     IntMatrix,
     PreconditionError,
     adjacency,
@@ -27,10 +28,13 @@ from suspquiver import (
 )
 
 from conftest import (
+    higher_power_hypothesis_check,
+    higher_power_hypothesis_check_closure,
     make_single_loop,
     make_three_cycle,
     make_two_loop,
     random_no_sink_source_graph,
+    small_graphs,
 )
 
 
@@ -96,6 +100,46 @@ def test_snf_invariant_under_unimodular_conjugation(seed):
     assert coker_ker(um) == base
 
 
+def _sympy_coker_ker(m: IntMatrix) -> tuple[AbelianGroup, AbelianGroup]:
+    diag = [abs(int(x)) for x in sympy_snf(_to_sympy(m)).diagonal()]
+    rank = sum(1 for d in diag if d)
+    torsion = tuple(sorted(d for d in diag if d > 1))
+    return AbelianGroup(m.rows - rank, torsion), AbelianGroup(m.cols - rank)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_coker_ker_matches_sympy_on_graph_matrices(seed):
+    rng = random.Random(500 + seed)
+    nv = rng.randint(10, 30)
+    vs = [f"v{i}" for i in range(nv)]
+    edges = [(f"e{j}", rng.choice(vs), rng.choice(vs)) for j in range(rng.randint(nv, 2 * nv))]
+    at = adjacency(Graph(vs, edges)).transpose().pow(rng.randint(1, 4))
+    b = IntMatrix.identity(nv) - at
+    assert coker_ker(b) == _sympy_coker_ker(b)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_coker_ker_and_snf_on_sparse_rectangular(seed):
+    rng = random.Random(700 + seed)
+    rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+    density = rng.choice([0.15, 0.3, 0.6])
+    m = IntMatrix(
+        rows, cols,
+        [rng.randint(-12, 12) if rng.random() < density else 0 for _ in range(rows * cols)],
+    )
+    assert coker_ker(m) == _sympy_coker_ker(m)
+    res = smith_normal_form(m)
+    assert res.U @ m @ res.V == res.S
+    assert abs(_to_sympy(res.U).det()) == 1 and abs(_to_sympy(res.V).det()) == 1
+    diag = [res.S[i, i] for i in range(min(rows, cols))]
+    assert res.S == IntMatrix(
+        rows, cols, [diag[i] if i == j else 0 for i in range(rows) for j in range(cols)]
+    )
+    nonzero = [d for d in diag if d]
+    assert diag[: len(nonzero)] == nonzero and all(d > 0 for d in nonzero)
+    assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+
+
 def test_coker_ker_pinned():
     # 1 - A for the 2-loop graph: A = [2], matrix [-1]
     m = IntMatrix(1, 1, [-1])
@@ -147,6 +191,15 @@ def test_hypothesis_closure_variant_consistency(seed, m):
         assert closure
 
 
+@given(g=small_graphs(), m=st.integers(1, 5))
+@settings(max_examples=120, deadline=None)
+def test_hypothesis_check_matches_higher_power_reference(g, m):
+    got = hypothesis_check(g, m)
+    want = higher_power_hypothesis_check(g, m)
+    assert (got.per_vertex, got.ok) == (want.per_vertex, want.ok)
+    assert hypothesis_check_closure(g, m) == higher_power_hypothesis_check_closure(g, m)
+
+
 def test_suspension_K_pinned():
     rep = suspension_K(make_two_loop(), 2, 3)
     assert (rep.k0, rep.k1) == (AbelianGroup(0, (3,)), AbelianGroup(0))
@@ -159,6 +212,14 @@ def test_suspension_K_pinned():
     assert not rep.hypotheses_met and "hypotheses unmet" in rep.flags
     with pytest.raises(PreconditionError):
         suspension_K(make_two_loop(), 2, 4)
+
+
+def test_suspension_K_deep_two_loop():
+    # E(0,64) has 2^64 edges; the check walks (vertex, length mod 64) states
+    rep = suspension_K(make_two_loop(), 64, 1)
+    assert (rep.k0, rep.k1) == (AbelianGroup(0, (2**64 - 1,)), AbelianGroup(0))
+    assert str(rep.k0) == "Z/18446744073709551615"
+    assert rep.hypotheses_met and rep.hypothesis_table == {"v": True}
 
 
 def test_suspension_K_negative_parameter():
