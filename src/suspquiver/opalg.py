@@ -255,9 +255,7 @@ def matrix_unit(rep: TruncatedRep, mu: Path, nu: Path) -> SparseOperator:
     if mu.s != nu.s:
         raise PreconditionError("matrix_unit needs s(mu) = s(nu)")
     op = rep.creation(mu) @ rep.delta(mu.s) @ rep.creation(nu).adjoint()
-    expected = SparseOperator(
-        rep.basis, {(rep.basis.index[mu], rep.basis.index[nu]): 1}
-    )
+    expected = SparseOperator(rep.basis, {(rep.basis_vector(mu), rep.basis_vector(nu)): 1})
     if op != expected:
         raise StructuralError("matrix unit identity failed on the truncation")
     return op

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from .errors import PreconditionError, StructuralError
-from .graph import Graph, Path, enumerate_paths, validate, vertex_path
+from .graph import Graph, Path, enumerate_paths, validate
 
 if TYPE_CHECKING:
     import numpy as np
@@ -83,18 +83,20 @@ class QC:
 
 QC_ZERO = QC(Fraction(0))
 QC_ONE = QC(Fraction(1))
+QC_MINUS_ONE = QC(Fraction(-1))
 
 
 class Basis:
-    """An ordered path basis with length and source-block bookkeeping."""
+    """An ordered path basis, indexed by (edge ids, anchor), with path lengths."""
 
     def __init__(self, labels: Sequence[Path]):
         self.labels: tuple[Path, ...] = tuple(labels)
-        self.index: dict[Path, int] = {p: i for i, p in enumerate(self.labels)}
+        self.index: dict[tuple[tuple[str, ...], Optional[str]], int] = {
+            (p.edge_ids, p.anchor): i for i, p in enumerate(self.labels)
+        }
         if len(self.index) != len(self.labels):
             raise StructuralError("duplicate basis labels")
         self.lengths: tuple[int, ...] = tuple(len(p) for p in self.labels)
-        self.sources: tuple[str, ...] = tuple(p.s for p in self.labels)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -125,34 +127,13 @@ class SparseOperator:
             raise PreconditionError("operators live on different bases")
 
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
-        self._same_basis(other)
-        out = dict(self.entries)
-        for rc, val in other.entries.items():
-            s = out.get(rc, QC_ZERO) + val
-            if s:
-                out[rc] = s
-            else:
-                out.pop(rc, None)
-        return SparseOperator._wrap(self.basis, out)
+        return _lincomb(self.basis, ((1, self), (1, other)))
 
     def __sub__(self, other: "SparseOperator") -> "SparseOperator":
-        self._same_basis(other)
-        out = dict(self.entries)
-        for rc, val in other.entries.items():
-            s = out.get(rc, QC_ZERO) - val
-            if s:
-                out[rc] = s
-            else:
-                out.pop(rc, None)
-        return SparseOperator._wrap(self.basis, out)
+        return _lincomb(self.basis, ((1, self), (-1, other)))
 
     def scale(self, c: RatLike) -> "SparseOperator":
-        cq = QC.of(c)
-        if not cq:
-            return SparseOperator(self.basis)
-        return SparseOperator._wrap(
-            self.basis, {rc: val * cq for rc, val in self.entries.items()}
-        )
+        return _lincomb(self.basis, ((c, self),))
 
     def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
         self._same_basis(other)
@@ -257,41 +238,42 @@ class TruncatedRep:
         for n in range(L + 1):
             labels.extend(enumerate_paths(graph, n))
         self.basis = Basis(labels)
-        self.Q: dict[str, SparseOperator] = {}
-        for v in graph.vertices:
-            ent = {
-                (i, i): QC_ONE
-                for i, p in enumerate(self.basis.labels)
-                if p.r == v
-            }
-            self.Q[v] = SparseOperator(self.basis, ent)
-        self.T: dict[str, SparseOperator] = {}
-        for e in graph.edges:
-            ent = {}
-            for i, p in enumerate(self.basis.labels):
-                if p.r == e.src and len(p) + 1 <= L:
-                    ep = Path(graph, (e.id,) + p.edge_ids)
-                    ent[(self.basis.index[ep], i)] = QC_ONE
-            self.T[e.id] = SparseOperator(self.basis, ent)
+        # basis columns grouped by range vertex, in basis (so length) order
+        self._by_range: dict[str, list[int]] = {v: [] for v in graph.vertices}
+        for i, p in enumerate(labels):
+            self._by_range[p.r].append(i)
+        self.Q: dict[str, SparseOperator] = {
+            v: SparseOperator._wrap(self.basis, {(i, i): QC_ONE for i in cols})
+            for v, cols in self._by_range.items()
+        }
+        self.T: dict[str, SparseOperator] = {
+            e.id: self._prepend((e.id,), e.src) for e in graph.edges
+        }
 
     def zero(self) -> SparseOperator:
         return SparseOperator(self.basis)
 
     def identity(self) -> SparseOperator:
-        return SparseOperator(
-            self.basis, {(i, i): QC_ONE for i in range(len(self.basis))}
-        )
+        diagonal = {(i, i): QC_ONE for i in range(len(self.basis))}
+        return SparseOperator._wrap(self.basis, diagonal)
 
     def creation(self, mu: Path) -> SparseOperator:
         """T_mu = prepend mu (the product T_{mu_1} ... T_{mu_n}), built directly."""
         if not mu.edge_ids:
             return self.Q[mu.anchor]
+        return self._prepend(mu.edge_ids, mu.s)
+
+    def _prepend(self, word: tuple[str, ...], src: str) -> SparseOperator:
+        """The operator sending each path p with r(p) = src and |word p| <= L to
+        word p, found by its edge ids; every other column is annihilated."""
+        labels, lengths, index = self.basis.labels, self.basis.lengths, self.basis.index
+        cap = self.L - len(word)
         ent = {}
-        for i, p in enumerate(self.basis.labels):
-            if p.r == mu.s and len(p) + len(mu) <= self.L:
-                mp = Path(self.graph, mu.edge_ids + p.edge_ids)
-                ent[(self.basis.index[mp], i)] = QC_ONE
-        return SparseOperator(self.basis, ent)
+        for i in self._by_range.get(src, ()):
+            if lengths[i] > cap:
+                break
+            ent[(index[(word + labels[i].edge_ids, None)], i)] = QC_ONE
+        return SparseOperator._wrap(self.basis, ent)
 
     def delta(self, v: str) -> SparseOperator:
         """Defect projection Q_v - sum_{e in vE1} T_e T_e*."""
@@ -301,18 +283,14 @@ class TruncatedRep:
             terms.append((-1, t @ t.adjoint()))
         return combo(self, terms)
 
-    def interior_cols(self, depth: int, min_len: int = 0):
-        return [
-            i
-            for i, n in enumerate(self.basis.lengths)
-            if min_len <= n <= self.L - depth
-        ]
+    def interior_cols(self, depth: int):
+        return [i for i, n in enumerate(self.basis.lengths) if n <= self.L - depth]
 
     def basis_vector(self, p: Path) -> int:
-        return self.basis.index[p]
+        return self.basis.index[(p.edge_ids, p.anchor)]
 
     def vertex_index(self, v: str) -> int:
-        return self.basis.index[vertex_path(self.graph, v)]
+        return self.basis.index[((), v)]
 
 
 def build_rep(g: Graph, L: int) -> TruncatedRep:
@@ -329,7 +307,18 @@ def combo(
     an empty terms gives the zero operator.  A term on another basis raises
     PreconditionError.
     """
-    basis = rep.basis
+    return _lincomb(rep.basis, terms)
+
+
+def _lincomb(
+    basis: Basis, terms: Iterable[tuple[RatLike, SparseOperator]]
+) -> SparseOperator:
+    """The one accumulation loop behind combo, +, - and scale.
+
+    Entries are added as they are for c = 1 and subtracted for c = -1; any
+    other c multiplies them (the shared QC_ONE of a generator entry needs no
+    product).  A sum that reaches zero leaves the dict at once.
+    """
     acc: dict[tuple[int, int], QC] = {}
     get = acc.get
     for c, op in terms:
@@ -338,14 +327,21 @@ def combo(
         cq = QC.of(c)
         if not cq:
             continue
-        unit = cq == QC_ONE
+        neg = cq == QC_MINUS_ONE
+        unit = neg or cq == QC_ONE
         for rc, val in op.entries.items():
-            # generator entries are the shared QC_ONE, so c * 1 needs no product
             if not unit:
                 val = cq if val is QC_ONE else val * cq
             old = get(rc)
-            acc[rc] = val if old is None else old + val
-    return SparseOperator._wrap(basis, {rc: v for rc, v in acc.items() if v})
+            if old is None:
+                acc[rc] = -val if neg else val
+            else:
+                s = old - val if neg else old + val
+                if s:
+                    acc[rc] = s
+                else:
+                    del acc[rc]
+    return SparseOperator._wrap(basis, acc)
 
 
 def norm_squared(op: SparseOperator) -> Fraction:

@@ -2,8 +2,10 @@
 
 Derived graphs are LabeledGraphs: every vertex/edge id carries a provenance
 label recording the source-graph object it encodes (a path, or a pair (e,j)
-for delay chains).  Dual-graph ids are the edge-id tuples joined with ",";
-delay ids are formatted "w(e,j)" / "f(e,j)".
+for delay chains).  Dual-graph ids are the edge-id tuples joined with ","
+(see join_ids: a one-edge path keeps its edge id, and ids that themselves
+hold a comma are escaped, so that distinct paths of one length never share
+an id); delay ids are formatted "w(e,j)" / "f(e,j)".
 """
 
 from __future__ import annotations
@@ -85,7 +87,19 @@ def delay(g: Graph, n: int) -> LabeledGraph:
 
 
 def join_ids(ids: tuple[str, ...]) -> str:
-    return ",".join(ids)
+    """The id of a derived vertex or edge: one-to-one on words of one length.
+
+    A one-edge word keeps its edge id.  A longer word is joined with ","
+    when no id holds a comma, i.e. when the joined string has exactly
+    len(ids) - 1 commas; otherwise each id has "\\" and "," escaped with a
+    backslash before joining.
+    """
+    if len(ids) == 1:
+        return ids[0]
+    joined = ",".join(ids)
+    if joined.count(",") == len(ids) - 1:
+        return joined
+    return ",".join(i.replace("\\", "\\\\").replace(",", "\\,") for i in ids)
 
 
 def higher_dual(g: Graph, p: int, q: int) -> LabeledGraph:

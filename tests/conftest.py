@@ -12,8 +12,16 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from suspquiver import Graph, hereditary_closure, higher_power
+from suspquiver import (
+    Graph,
+    Path,
+    PreconditionError,
+    SparseOperator,
+    hereditary_closure,
+    higher_power,
+)
 from suspquiver.ktheory import HypothesisResult
+from suspquiver.operators import QC, QC_ONE, QC_ZERO
 
 
 def make_single_loop() -> Graph:
@@ -148,6 +156,77 @@ def recursive_simple_cycles(g: Graph) -> list[tuple[str, ...]]:
     for v in g.vertices:
         walk(v, v, {v}, ())
     return sorted(found)
+
+
+def reference_add(a: SparseOperator, b: SparseOperator) -> SparseOperator:
+    """The former SparseOperator.__add__, kept as a reference: copy a, then
+    merge b entry by entry, dropping sums that cancel."""
+    if a.basis is not b.basis:
+        raise PreconditionError("operators live on different bases")
+    out = dict(a.entries)
+    for rc, val in b.entries.items():
+        s = out.get(rc, QC_ZERO) + val
+        if s:
+            out[rc] = s
+        else:
+            out.pop(rc, None)
+    return SparseOperator(a.basis, out)
+
+
+def reference_sub(a: SparseOperator, b: SparseOperator) -> SparseOperator:
+    """The former SparseOperator.__sub__, kept as a reference."""
+    if a.basis is not b.basis:
+        raise PreconditionError("operators live on different bases")
+    out = dict(a.entries)
+    for rc, val in b.entries.items():
+        s = out.get(rc, QC_ZERO) - val
+        if s:
+            out[rc] = s
+        else:
+            out.pop(rc, None)
+    return SparseOperator(a.basis, out)
+
+
+def reference_scale(a: SparseOperator, c) -> SparseOperator:
+    """The former SparseOperator.scale, kept as a reference."""
+    cq = QC.of(c)
+    if not cq:
+        return SparseOperator(a.basis)
+    return SparseOperator(a.basis, {rc: val * cq for rc, val in a.entries.items()})
+
+
+def reference_creation(rep, mu: Path) -> SparseOperator:
+    """The former Path-based TruncatedRep.creation, kept as a reference: scan
+    the whole basis and look each prepended path up as a validated Path."""
+    if not mu.edge_ids:
+        return reference_generators(rep)[0][mu.anchor]
+    index = {p: i for i, p in enumerate(rep.basis.labels)}
+    ent = {}
+    for i, p in enumerate(rep.basis.labels):
+        if p.r == mu.s and len(p) + len(mu) <= rep.L:
+            ent[(index[Path(rep.graph, mu.edge_ids + p.edge_ids)], i)] = QC_ONE
+    return SparseOperator(rep.basis, ent)
+
+
+def reference_generators(rep) -> tuple[dict, dict]:
+    """The former Q and T builders of TruncatedRep, kept as a reference: one
+    full-basis scan per vertex and per edge, rows found through Paths."""
+    g, labels = rep.graph, rep.basis.labels
+    index = {p: i for i, p in enumerate(labels)}
+    Q = {
+        v: SparseOperator(
+            rep.basis, {(i, i): QC_ONE for i, p in enumerate(labels) if p.r == v}
+        )
+        for v in g.vertices
+    }
+    T = {}
+    for e in g.edges:
+        ent = {}
+        for i, p in enumerate(labels):
+            if p.r == e.src and len(p) + 1 <= rep.L:
+                ent[(index[Path(g, (e.id,) + p.edge_ids)], i)] = QC_ONE
+        T[e.id] = SparseOperator(rep.basis, ent)
+    return Q, T
 
 
 @st.composite

@@ -28,6 +28,15 @@ CYCLE_PLUS_LOOP = {
     ],
 }
 
+# two loops whose ids, joined with ",", can spell the same word
+COMMA_LOOPS = {
+    "vertices": ["v"],
+    "edges": [
+        {"id": "a", "src": "v", "dst": "v"},
+        {"id": "a,a", "src": "v", "dst": "v"},
+    ],
+}
+
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 SINGLE_EDGE = {
@@ -136,6 +145,28 @@ def test_verify_all_stdout_pinned(tmp_path, capsys, graph, l, golden):
     assert cli.main(["verify", str(path), "--suite", "all", "--l", l]) == 0
     with open(os.path.join(GOLDEN, golden), encoding="utf-8") as fh:
         assert capsys.readouterr().out == fh.read()
+
+
+def test_verify_limits_non_vacuous_at_seed_1(tmp_path, capsys):
+    # at the default seed both vertices get 3/8 and every rho error is 0
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(CYCLE_PLUS_LOOP))
+    args = ["verify", str(path), "--suite", "limits", "--l", "1/2", "--seed", "1"]
+    assert cli.main(args) == 0
+    out = capsys.readouterr().out
+    assert "C rho_at_0=9/64 psi_at_0=1/16 rho_at_1=9/64 psi_at_1=1/16" in out
+    assert "vacuous" not in out and "FAIL" not in out
+
+
+def test_comma_edge_ids_transform_and_verify(tmp_path, capsys):
+    path = tmp_path / "comma.json"
+    path.write_text(json.dumps(COMMA_LOOPS))
+    assert cli.main(["transform", str(path), "--op", "power:2"]) == 0
+    ids = [e["id"] for e in json.loads(capsys.readouterr().out)["edges"]]
+    assert len(ids) == len(set(ids)) == 4
+    assert cli.main(["verify", str(path), "--suite", "all", "--l", "1/2"]) == 0
+    out = capsys.readouterr().out
+    assert "CHECK" in out and "FAIL" not in out
 
 
 def test_verify_does_not_import_numpy(two_loop_file):

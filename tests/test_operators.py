@@ -25,7 +25,14 @@ from suspquiver import (
     vertex_path,
 )
 
-from conftest import random_no_sink_source_graph
+from conftest import (
+    random_no_sink_source_graph,
+    reference_add,
+    reference_creation,
+    reference_generators,
+    reference_scale,
+    reference_sub,
+)
 
 rationals = st.fractions(max_denominator=12, min_value=-3, max_value=3)
 
@@ -243,3 +250,85 @@ def test_basis_duplicate_labels_rejected(two_loop):
     p = Path(two_loop, ("e",))
     with pytest.raises(StructuralError):
         Basis([p, p])
+
+
+def _small_rep(seed: int, m: int, L: int):
+    """A small random graph (m = 0) or its E(1,m+1) dual, truncated at
+    L' = min(L, 4 - m): at most 341 basis paths."""
+    g = random_no_sink_source_graph(seed, max_vertices=3, max_edges=4 if m == 0 else 3)
+    return build_rep(g if m == 0 else higher_dual(g, 1, m + 1), min(L, 4 - m))
+
+
+@given(
+    seed=st.integers(0, 500),
+    m=st.integers(0, 2),
+    L=st.integers(1, 4),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_add_sub_scale_match_reference_loops(seed, m, L, data):
+    rep = _small_rep(seed, m, L)
+    gens = [rep.T[k] for k in sorted(rep.T)] + [rep.Q[k] for k in sorted(rep.Q)]
+    # complex-scaled sums, so that operands carry entries other than the shared 1
+    for _ in range(2):
+        x, y = data.draw(st.sampled_from(gens)), data.draw(st.sampled_from(gens))
+        c = QC(data.draw(rationals), data.draw(rationals))
+        gens.append(reference_add(x, reference_scale(y, c)))
+    a, b = data.draw(st.sampled_from(gens)), data.draw(st.sampled_from(gens))
+    c = QC(data.draw(rationals), data.draw(rationals))
+    before = (dict(a.entries), dict(b.entries))
+    for got, want in (
+        (a + b, reference_add(a, b)),
+        (a - b, reference_sub(a, b)),
+        (a.scale(c), reference_scale(a, c)),
+        (a.scale(-1), reference_scale(a, -1)),
+        (a.scale(Fraction(1, 3)), reference_scale(a, Fraction(1, 3))),
+        (b + a.scale(c), reference_add(b, reference_scale(a, c))),
+    ):
+        assert got == want and got.basis is rep.basis and all(got.entries.values())
+    # cancellation to zero, through each operation
+    assert (a - a).is_zero() and (a + a.scale(-1)).is_zero() and a.scale(0).is_zero()
+    assert (a.scale(c) - a.scale(c)).is_zero()
+    assert (a.entries, b.entries) == before  # the operands are left as they were
+
+
+def test_add_sub_scale_refuse_a_foreign_basis(two_loop):
+    a, b = build_rep(two_loop, 2), build_rep(two_loop, 2)
+    for op in (lambda x, y: x + y, lambda x, y: x - y, reference_add, reference_sub):
+        with pytest.raises(PreconditionError):
+            op(a.T["e"], b.T["e"])
+    with pytest.raises(PreconditionError):
+        combo(a, [(1, a.T["e"]), (-1, b.T["e"])])
+
+
+@given(seed=st.integers(0, 500), m=st.integers(0, 2), L=st.integers(1, 4))
+@settings(max_examples=30, deadline=None)
+def test_generators_match_path_built_reference(seed, m, L):
+    rep = _small_rep(seed, m, L)
+    Q, T = reference_generators(rep)
+    assert rep.Q == Q and rep.T == T
+    for mu in rep.basis.labels:  # every path with |mu| <= L
+        T_mu = rep.creation(mu)
+        assert T_mu == reference_creation(rep, mu)
+        product = rep.Q[mu.r]
+        for e in mu.edge_ids:
+            product = product @ rep.T[e]
+        assert T_mu == product
+        assert rep.basis_vector(mu) == rep.basis.labels.index(mu)
+
+
+def test_generators_build_no_path_per_column(cycle_plus_loop, monkeypatch):
+    dual = higher_dual(cycle_plus_loop, 1, 3)
+    built = []
+    init = Path.__post_init__
+    monkeypatch.setattr(Path, "__post_init__", lambda p: (built.append(p), init(p)))
+    rep = build_rep(dual, 4)
+    # the basis enumeration builds each label once; Q and T build none
+    assert len(built) <= len(rep.basis)
+    mus = list(rep.basis.labels)
+    built.clear()
+    for mu in mus:
+        rep.creation(mu)
+    assert built == []
+    for v in rep.graph.vertices:
+        assert mus[rep.vertex_index(v)] == vertex_path(rep.graph, v)

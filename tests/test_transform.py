@@ -1,8 +1,13 @@
 """Opposite, delay, and higher-dual constructions."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from suspquiver import (
+    Graph,
     Path,
     StructuralError,
     adjacency,
@@ -103,3 +108,28 @@ def test_dual_vertex_flattening(cycle_plus_loop):
     for v in dual.vertices:
         flat = dual_word_to_path(g, dual, Path(dual, (), v))
         assert join_ids(flat.edge_ids) == v
+
+
+@given(ids=st.lists(st.text(alphabet="a,\\", max_size=3), min_size=1, max_size=4, unique=True))
+@settings(max_examples=200, deadline=None)
+def test_join_ids_is_injective_on_words_of_one_length(ids):
+    for n in (1, 2, 3):
+        words = list(itertools.product(ids, repeat=n))
+        assert len({join_ids(w) for w in words}) == len(words)
+    # a one-edge word keeps its id; comma-free ids join plainly
+    assert [join_ids((i,)) for i in ids] == ids
+    plain = tuple(i for i in ids if "," not in i)
+    if len(plain) >= 2:
+        assert join_ids(plain) == ",".join(plain)
+
+
+def test_higher_dual_of_comma_ids_is_a_graph():
+    # (a, "a,a") and ("a,a", a) used to share the id "a,a,a"
+    g = Graph(["v"], [("a", "v", "v"), ("a,a", "v", "v")])
+    for p, q in ((0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+        dual = higher_dual(g, p, q)
+        assert len(dual.edges) == 2**q
+        assert len(dual.vertices) == (1 if p == 0 else 2**p)
+        for nu in enumerate_paths(dual, 2):
+            flat = dual_word_to_path(g, dual, nu)
+            assert join_ids(flat.edge_ids[:q]) == nu.edge_ids[0]
