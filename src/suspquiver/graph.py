@@ -13,9 +13,10 @@ Conventions are fixed once and used literally everywhere:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CompositionError, PreconditionError, StructuralError
 
@@ -105,6 +106,15 @@ class Path:
                 raise StructuralError("length-0 path needs an anchor vertex")
             if self.anchor not in g._received:
                 raise StructuralError(f"unknown anchor vertex {self.anchor!r}")
+
+    @classmethod
+    def _composed(cls, graph: Graph, edge_ids: tuple[str, ...]) -> "Path":
+        """A nonempty path whose edges the caller built composable, unchecked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "graph", graph)
+        object.__setattr__(p, "edge_ids", edge_ids)
+        object.__setattr__(p, "anchor", None)
+        return p
 
     def __len__(self) -> int:
         return len(self.edge_ids)
@@ -272,17 +282,25 @@ def enumerate_paths(
     if n == 0:
         verts = [v for v in sorted(g.vertices) if src in (None, v) and rng in (None, v)]
         return [vertex_path(g, v) for v in verts]
-    # Build outward from the range end, one layer per length: the first edge
-    # has r(e) = rng, and each later edge f has r(f) = s of the edge before.
+    layer = next(itertools.islice(_path_layers(g, rng), n - 1, None))
+    return [Path(g, ids) for ids, tail in layer if src is None or tail == src]
+
+
+def _path_layers(g: Graph, rng: Optional[str] = None) -> Iterator[list]:
+    """The paths of length 1, 2, ... with range rng (any range for None), one
+    lexicographically ordered list of (edge ids, source vertex) per length.
+
+    Each layer extends the last outward from the range end: the first edge
+    has r(e) = rng, and each later edge f has r(f) = s of the edge before.
+    """
     received = {v: sorted(g.received(v), key=lambda e: e.id) for v in g.vertices}
     if rng is not None and rng not in received:
         raise StructuralError(f"unknown vertex id {rng!r}")
     starts = [rng] if rng is not None else g.vertices
-    layer = [((e.id,), e.src) for v in starts for e in received[v]]
-    for _ in range(n - 1):
+    layer = sorted(((e.id,), e.src) for v in starts for e in received[v])
+    while True:
+        yield layer
         layer = [(ids + (e.id,), e.src) for ids, tail in layer for e in received[tail]]
-    out = sorted(ids for ids, tail in layer if src is None or tail == src)
-    return [Path(g, ids) for ids in out]
 
 
 def adjacency(g: Graph) -> IntMatrix:

@@ -1,5 +1,10 @@
-"""Sparse operators with exact rational-complex scalars, and the truncated
+"""Sparse operators with exact rational-complex entries, and the truncated
 path-space representation.
+
+An operator's entries are Python int numerators over one positive int
+denominator, so the kernel (linear combinations, products, adjoints, exact
+norms and comparisons) runs on ints alone; the exact scalar QC appears only
+at the boundary, in scalar arguments and in the {(r, c): QC} entries view.
 
 The basis of a truncated representation is the set of paths of length at most
 L, ordered by (length, lexicographic edge ids); T_e prepends an edge and
@@ -12,12 +17,13 @@ cannot reach.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import PreconditionError, StructuralError
-from .graph import Graph, Path, enumerate_paths, validate
+from .graph import Graph, Path, _path_layers, validate, vertex_path
 
 if TYPE_CHECKING:
     import numpy as np
@@ -83,7 +89,18 @@ class QC:
 
 QC_ZERO = QC(Fraction(0))
 QC_ONE = QC(Fraction(1))
-QC_MINUS_ONE = QC(Fraction(-1))
+
+
+def _parts(c: RatLike) -> tuple[int, int, int]:
+    """The ints (a, b, d) with c = (a + b i) / d and d > 0."""
+    if type(c) is int:
+        return c, 0, 1
+    if type(c) is Fraction:
+        return c.numerator, 0, c.denominator
+    q = QC.of(c)
+    re, im = q.re, q.im
+    d = math.lcm(re.denominator, im.denominator)
+    return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
 
 
 class Basis:
@@ -103,24 +120,47 @@ class Basis:
 
 
 class SparseOperator:
-    """A linear operator stored as a sparse matrix over a shared path basis."""
+    """A linear operator stored as a sparse matrix over a shared path basis.
+
+    Entry (r, c) is (re[(r, c)] + im[(r, c)] i) / den: int numerators over one
+    positive int denominator.  Both dicts hold nonzero numerators only, and im
+    is empty for a real operator, so every loop below skips it at no cost.
+    Numerators are never reduced by a gcd; comparison cross-multiplies.
+    """
+
+    __slots__ = ("basis", "re", "im", "den")
 
     def __init__(self, basis: Basis, entries: Optional[dict] = None):
         self.basis = basis
-        self.entries: dict[tuple[int, int], QC] = {}
+        self.re: dict[tuple[int, int], int] = {}
+        self.im: dict[tuple[int, int], int] = {}
+        self.den = 1
         if entries:
-            for rc, val in entries.items():
-                q = QC.of(val)
-                if q:
-                    self.entries[rc] = q
+            parts = {rc: _parts(val) for rc, val in entries.items()}
+            self.den = math.lcm(*(d for _, _, d in parts.values()))
+            for rc, (a, b, d) in parts.items():
+                k = self.den // d
+                if a:
+                    self.re[rc] = a * k
+                if b:
+                    self.im[rc] = b * k
 
     @classmethod
-    def _wrap(cls, basis: Basis, entries: dict) -> "SparseOperator":
-        """An operator owning entries that are already nonzero QC values."""
+    def _of(
+        cls, basis: Basis, re: dict, im: Optional[dict] = None, den: int = 1
+    ) -> "SparseOperator":
+        """An operator owning dicts of nonzero int numerators over den."""
         op = cls.__new__(cls)
         op.basis = basis
-        op.entries = entries
+        op.re = re
+        op.im = {} if im is None else im
+        op.den = den
         return op
+
+    @property
+    def entries(self) -> "Entries":
+        """The entries as a read-only {(r, c): QC} mapping, each built on read."""
+        return Entries(self)
 
     def _same_basis(self, other: "SparseOperator") -> None:
         if self.basis is not other.basis:
@@ -136,55 +176,51 @@ class SparseOperator:
         return _lincomb(self.basis, ((c, self),))
 
     def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
+        # (A + iB)(C + iD) = (AC - BD) + i(AD + BC), over den(A) den(C)
         self._same_basis(other)
-        by_col_left: dict[int, list[tuple[int, QC]]] = {}
-        for (r, c), val in self.entries.items():
-            by_col_left.setdefault(c, []).append((r, val))
-        out: dict[tuple[int, int], QC] = {}
-        for (k, c), bval in other.entries.items():
-            for r, aval in by_col_left.get(k, ()):
-                s = out.get((r, c), QC_ZERO) + aval * bval
-                if s:
-                    out[(r, c)] = s
-                else:
-                    out.pop((r, c), None)
-        return SparseOperator._wrap(self.basis, out)
+        re: dict[tuple[int, int], int] = {}
+        im: dict[tuple[int, int], int] = {}
+        _add_product(re, self.re, other.re, 1)
+        _add_product(re, self.im, other.im, -1)
+        _add_product(im, self.re, other.im, 1)
+        _add_product(im, self.im, other.re, 1)
+        return SparseOperator._of(self.basis, re, im, self.den * other.den)
 
     def adjoint(self) -> "SparseOperator":
-        return SparseOperator._wrap(
-            self.basis, {(c, r): val.conj() for (r, c), val in self.entries.items()}
+        return SparseOperator._of(
+            self.basis,
+            {(c, r): v for (r, c), v in self.re.items()},
+            {(c, r): -v for (r, c), v in self.im.items()},
+            self.den,
         )
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SparseOperator)
-            and self.basis is other.basis
-            and self.entries == other.entries
-        )
+        if not (isinstance(other, SparseOperator) and self.basis is other.basis):
+            return False
+        if self.den == other.den:
+            return self.re == other.re and self.im == other.im
+        return _agree(self, other, None)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not (self.re or self.im)
 
     def equal_on_columns(self, other: "SparseOperator", max_len: int) -> bool:
         """Exact equality restricted to columns of basis paths of length <= max_len."""
         self._same_basis(other)
-        lengths = self.basis.lengths
-        for rc, val in self.entries.items():
-            if lengths[rc[1]] <= max_len and other.entries.get(rc, QC_ZERO) != val:
-                return False
-        for rc, val in other.entries.items():
-            if lengths[rc[1]] <= max_len and rc not in self.entries:
-                return False
-        return True
+        return _agree(self, other, max_len)
 
     def restrict_columns(self, keep) -> "SparseOperator":
         """Zero out all columns whose index is not accepted by keep(col)."""
-        return SparseOperator._wrap(
-            self.basis, {rc: v for rc, v in self.entries.items() if keep(rc[1])}
+        return SparseOperator._of(
+            self.basis,
+            {rc: v for rc, v in self.re.items() if keep(rc[1])},
+            {rc: v for rc, v in self.im.items() if keep(rc[1])},
+            self.den,
         )
 
     def column(self, c: int) -> dict[int, QC]:
-        return {r: v for (r, cc), v in self.entries.items() if cc == c}
+        ent = self.entries
+        return {rc[0]: ent[rc] for rc in ent if rc[1] == c}
 
     def to_dense(self) -> np.ndarray:
         import numpy as np
@@ -199,11 +235,101 @@ class SparseOperator:
         return f"SparseOperator({len(self.entries)} entries on {len(self.basis)} basis paths)"
 
 
+class Entries(Mapping):
+    """The {(r, c): QC} view of an operator's entries.
+
+    Only nonzero entries are present; len is the number of nonzero entries and
+    costs no QC.  A value is built as a QC when it is read.
+    """
+
+    __slots__ = ("_op",)
+
+    def __init__(self, op: SparseOperator):
+        self._op = op
+
+    def __len__(self) -> int:
+        re, im = self._op.re, self._op.im
+        return len(re.keys() | im.keys()) if im else len(re)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        re, im = self._op.re, self._op.im
+        yield from re
+        yield from (rc for rc in im if rc not in re)
+
+    def __contains__(self, rc: object) -> bool:
+        return rc in self._op.re or rc in self._op.im
+
+    def __getitem__(self, rc: tuple[int, int]) -> QC:
+        op = self._op
+        a, b = op.re.get(rc, 0), op.im.get(rc, 0)
+        if not (a or b):
+            raise KeyError(rc)
+        return QC(Fraction(a, op.den), Fraction(b, op.den))
+
+
+def _add_scaled(acc: dict, src: dict, m: int) -> None:
+    """acc += m * src on int numerators; a sum that reaches zero leaves acc."""
+    if not (m and src):
+        return
+    get = acc.get
+    for rc, v in src.items():
+        if m != 1:
+            v *= m
+        old = get(rc)
+        if old is None:
+            acc[rc] = v
+        else:
+            s = old + v
+            if s:
+                acc[rc] = s
+            else:
+                del acc[rc]
+
+
+def _add_product(acc: dict, a: dict, b: dict, sign: int) -> None:
+    """acc += sign * (a @ b) on int numerators keyed by (row, col)."""
+    if not (a and b):
+        return
+    by_col_left: dict[int, list[tuple[int, int]]] = {}
+    for (r, k), v in a.items():
+        by_col_left.setdefault(k, []).append((r, v * sign))
+    get = acc.get
+    for (k, c), bv in b.items():
+        for r, av in by_col_left.get(k, ()):
+            rc = (r, c)
+            s = get(rc, 0) + av * bv
+            if s:
+                acc[rc] = s
+            else:
+                del acc[rc]
+
+
+def _agree(x: SparseOperator, y: SparseOperator, max_len: Optional[int]) -> bool:
+    """Whether x and y have equal entries in the columns of basis paths of
+    length <= max_len (every column for None), by cross-multiplication."""
+    lengths = x.basis.lengths
+    dx, dy = x.den, y.den
+    for a, b in ((x.re, y.re), (x.im, y.im)):
+        for rc, v in a.items():
+            if (max_len is None or lengths[rc[1]] <= max_len) and b.get(rc, 0) * dx != v * dy:
+                return False
+        for rc in b:
+            if (max_len is None or lengths[rc[1]] <= max_len) and rc not in a:
+                return False
+    return True
+
+
 def rank_on_columns(op: SparseOperator, cols: Iterable[int]) -> int:
     """Rank over the rationals of the submatrix with the given columns (all rows)."""
+    cols = list(cols)
+    wanted = set(cols)
+    by_col: dict[int, dict[int, QC]] = {}
+    for (r, c), val in op.entries.items():
+        if c in wanted:
+            by_col.setdefault(c, {})[r] = val
     pivots: list[tuple[int, dict[int, QC]]] = []  # (pivot row, reduced column)
     for c in cols:
-        vec = op.column(c)
+        vec = dict(by_col.get(c, {}))
         for prow, pvec in pivots:
             coeff = vec.get(prow)
             if coeff:
@@ -234,16 +360,18 @@ class TruncatedRep:
             )
         self.graph = graph
         self.L = L
-        labels: list[Path] = []
-        for n in range(L + 1):
-            labels.extend(enumerate_paths(graph, n))
+        # one pass over the lengths, each layer extending the last, so every
+        # label composes by construction and is not walked again
+        labels = [vertex_path(graph, v) for v in sorted(graph.vertices)]
+        for _, layer in zip(range(L), _path_layers(graph)):
+            labels.extend(Path._composed(graph, ids) for ids, _ in layer)
         self.basis = Basis(labels)
         # basis columns grouped by range vertex, in basis (so length) order
         self._by_range: dict[str, list[int]] = {v: [] for v in graph.vertices}
         for i, p in enumerate(labels):
             self._by_range[p.r].append(i)
         self.Q: dict[str, SparseOperator] = {
-            v: SparseOperator._wrap(self.basis, {(i, i): QC_ONE for i in cols})
+            v: SparseOperator._of(self.basis, {(i, i): 1 for i in cols})
             for v, cols in self._by_range.items()
         }
         self.T: dict[str, SparseOperator] = {
@@ -254,8 +382,7 @@ class TruncatedRep:
         return SparseOperator(self.basis)
 
     def identity(self) -> SparseOperator:
-        diagonal = {(i, i): QC_ONE for i in range(len(self.basis))}
-        return SparseOperator._wrap(self.basis, diagonal)
+        return SparseOperator._of(self.basis, {(i, i): 1 for i in range(len(self.basis))})
 
     def creation(self, mu: Path) -> SparseOperator:
         """T_mu = prepend mu (the product T_{mu_1} ... T_{mu_n}), built directly."""
@@ -272,8 +399,8 @@ class TruncatedRep:
         for i in self._by_range.get(src, ()):
             if lengths[i] > cap:
                 break
-            ent[(index[(word + labels[i].edge_ids, None)], i)] = QC_ONE
-        return SparseOperator._wrap(self.basis, ent)
+            ent[(index[(word + labels[i].edge_ids, None)], i)] = 1
+        return SparseOperator._of(self.basis, ent)
 
     def delta(self, v: str) -> SparseOperator:
         """Defect projection Q_v - sum_{e in vE1} T_e T_e*."""
@@ -302,8 +429,8 @@ def combo(
 ) -> SparseOperator:
     """The linear combination sum c X over the (c, X) in terms, on rep's basis.
 
-    All terms are added into one dict, with no operator built per term.
-    Entries that cancel to zero are dropped, so == keeps comparing entries;
+    All terms are added into one pair of numerator dicts, with no operator
+    built per term.  Entries that cancel to zero are dropped;
     an empty terms gives the zero operator.  A term on another basis raises
     PreconditionError.
     """
@@ -315,33 +442,30 @@ def _lincomb(
 ) -> SparseOperator:
     """The one accumulation loop behind combo, +, - and scale.
 
-    Entries are added as they are for c = 1 and subtracted for c = -1; any
-    other c multiplies them (the shared QC_ONE of a generator entry needs no
-    product).  A sum that reaches zero leaves the dict at once.
+    With c = (a + b i) / d, each term c X adds k(a X.re - b X.im) to the real
+    and k(a X.im + b X.re) to the imaginary numerators, where k = den / (d
+    X.den) and den, the lcm of the terms' d X.den, is found once up front.
     """
-    acc: dict[tuple[int, int], QC] = {}
-    get = acc.get
+    scaled = []
+    den = 1
     for c, op in terms:
         if op.basis is not basis:
             raise PreconditionError("operators live on different bases")
-        cq = QC.of(c)
-        if not cq:
-            continue
-        neg = cq == QC_MINUS_ONE
-        unit = neg or cq == QC_ONE
-        for rc, val in op.entries.items():
-            if not unit:
-                val = cq if val is QC_ONE else val * cq
-            old = get(rc)
-            if old is None:
-                acc[rc] = -val if neg else val
-            else:
-                s = old - val if neg else old + val
-                if s:
-                    acc[rc] = s
-                else:
-                    del acc[rc]
-    return SparseOperator._wrap(basis, acc)
+        a, b, d = _parts(c)
+        if a or b:
+            d *= op.den
+            scaled.append((a, b, d, op))
+            if den % d:
+                den = math.lcm(den, d)
+    re: dict[tuple[int, int], int] = {}
+    im: dict[tuple[int, int], int] = {}
+    for a, b, d, op in scaled:
+        k = den // d
+        _add_scaled(re, op.re, a * k)
+        _add_scaled(re, op.im, -b * k)
+        _add_scaled(im, op.im, a * k)
+        _add_scaled(im, op.re, b * k)
+    return SparseOperator._of(basis, re, im, den)
 
 
 def norm_squared(op: SparseOperator) -> Fraction:
@@ -352,21 +476,17 @@ def norm_squared(op: SparseOperator) -> Fraction:
     column.  Otherwise A*A is formed exactly; an operator whose A*A is not
     diagonal is refused rather than estimated.
     """
-    rows: set[int] = set()
-    diag: dict[int, Fraction] = {}
-    for (r, c), val in op.entries.items():
-        if r in rows:
-            break
-        rows.add(r)
-        sq = val.re * val.re + val.im * val.im if val.im else val.re * val.re
-        old = diag.get(c)
-        diag[c] = sq if old is None else old + sq
-    else:
-        return max(diag.values(), default=Fraction(0))
+    keys = op.re.keys() | op.im.keys() if op.im else op.re.keys()
+    if len({r for r, _ in keys}) == len(keys):
+        diag: dict[int, int] = {}
+        for part in (op.re, op.im):
+            for (_, c), v in part.items():
+                diag[c] = diag.get(c, 0) + v * v
+        return Fraction(max(diag.values(), default=0), op.den * op.den)
     gram = op.adjoint() @ op
-    if any(r != c for r, c in gram.entries):
+    if gram.im or any(r != c for r, c in gram.re):
         raise PreconditionError("norm_squared needs A*A diagonal")
-    return max((val.re for val in gram.entries.values()), default=Fraction(0))
+    return Fraction(max(gram.re.values(), default=0), gram.den)
 
 
 def operator_norm_est(op: SparseOperator, tol: float = 1e-9, restarts: int = 20) -> float:
@@ -377,7 +497,7 @@ def operator_norm_est(op: SparseOperator, tol: float = 1e-9, restarts: int = 20)
     """
     import numpy as np
 
-    if not op.entries:
+    if op.is_zero():
         return 0.0
     a = op.to_dense()
     b = a.conj().T @ a
@@ -405,7 +525,7 @@ def operator_norm_est(op: SparseOperator, tol: float = 1e-9, restarts: int = 20)
 
 def operator_norm_upper(op: SparseOperator) -> float:
     """Certified upper bound sqrt(|A|_1 * |A|_inf) on the operator 2-norm."""
-    if not op.entries:
+    if op.is_zero():
         return 0.0
     rows: dict[int, float] = {}
     cols: dict[int, float] = {}

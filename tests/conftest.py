@@ -8,6 +8,7 @@ enumerate_paths / adjacency powers is a real cross-check.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
@@ -193,6 +194,105 @@ def reference_scale(a: SparseOperator, c) -> SparseOperator:
     if not cq:
         return SparseOperator(a.basis)
     return SparseOperator(a.basis, {rc: val * cq for rc, val in a.entries.items()})
+
+
+class ReferenceOperator:
+    """The former SparseOperator arithmetic, kept as a reference: one dict of
+    nonzero QC entries, every sum and product formed in QC/Fraction."""
+
+    def __init__(self, basis, entries: dict):
+        self.basis = basis
+        self.entries = {rc: QC.of(v) for rc, v in entries.items() if QC.of(v)}
+
+    @classmethod
+    def of(cls, op: SparseOperator) -> "ReferenceOperator":
+        return cls(op.basis, dict(op.entries))
+
+    def _same_basis(self, other) -> None:
+        if self.basis is not other.basis:
+            raise PreconditionError("operators live on different bases")
+
+    def __add__(self, other):
+        return reference_lincomb(self.basis, ((1, self), (1, other)))
+
+    def __sub__(self, other):
+        return reference_lincomb(self.basis, ((1, self), (-1, other)))
+
+    def scale(self, c):
+        return reference_lincomb(self.basis, ((c, self),))
+
+    def __matmul__(self, other):
+        self._same_basis(other)
+        by_col_left: dict = {}
+        for (r, c), val in self.entries.items():
+            by_col_left.setdefault(c, []).append((r, val))
+        out: dict = {}
+        for (k, c), bval in other.entries.items():
+            for r, aval in by_col_left.get(k, ()):
+                s = out.get((r, c), QC_ZERO) + aval * bval
+                if s:
+                    out[(r, c)] = s
+                else:
+                    out.pop((r, c), None)
+        return ReferenceOperator(self.basis, out)
+
+    def adjoint(self):
+        return ReferenceOperator(
+            self.basis, {(c, r): val.conj() for (r, c), val in self.entries.items()}
+        )
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, ReferenceOperator)
+            and self.basis is other.basis
+            and self.entries == other.entries
+        )
+
+    def equal_on_columns(self, other, max_len: int) -> bool:
+        self._same_basis(other)
+        lengths = self.basis.lengths
+        for rc, val in self.entries.items():
+            if lengths[rc[1]] <= max_len and other.entries.get(rc, QC_ZERO) != val:
+                return False
+        for rc, val in other.entries.items():
+            if lengths[rc[1]] <= max_len and rc not in self.entries:
+                return False
+        return True
+
+
+def reference_lincomb(basis, terms) -> ReferenceOperator:
+    """The former accumulation loop: every c X summed entry by entry in QC."""
+    acc: dict = {}
+    for c, op in terms:
+        if op.basis is not basis:
+            raise PreconditionError("operators live on different bases")
+        cq = QC.of(c)
+        if not cq:
+            continue
+        for rc, val in op.entries.items():
+            s = acc.get(rc, QC_ZERO) + val * cq
+            if s:
+                acc[rc] = s
+            else:
+                acc.pop(rc, None)
+    return ReferenceOperator(basis, acc)
+
+
+def reference_norm_squared(op: ReferenceOperator) -> Fraction:
+    """The former norm_squared: max diag(A*A) in QC/Fraction, A*A diagonal."""
+    rows: set = set()
+    diag: dict = {}
+    for (r, c), val in op.entries.items():
+        if r in rows:
+            break
+        rows.add(r)
+        diag[c] = diag.get(c, Fraction(0)) + val.re * val.re + val.im * val.im
+    else:
+        return max(diag.values(), default=Fraction(0))
+    gram = op.adjoint() @ op
+    if any(r != c for r, c in gram.entries):
+        raise PreconditionError("norm_squared needs A*A diagonal")
+    return max((val.re for val in gram.entries.values()), default=Fraction(0))
 
 
 def reference_creation(rep, mu: Path) -> SparseOperator:

@@ -26,12 +26,17 @@ from suspquiver import (
 )
 
 from conftest import (
+    ReferenceOperator,
+    brute_paths,
     random_no_sink_source_graph,
     reference_add,
     reference_creation,
     reference_generators,
+    reference_lincomb,
+    reference_norm_squared,
     reference_scale,
     reference_sub,
+    small_graphs,
 )
 
 rationals = st.fractions(max_denominator=12, min_value=-3, max_value=3)
@@ -332,3 +337,151 @@ def test_generators_build_no_path_per_column(cycle_plus_loop, monkeypatch):
     assert built == []
     for v in rep.graph.vertices:
         assert mus[rep.vertex_index(v)] == vertex_path(rep.graph, v)
+
+
+# coprime denominators, units, plain rationals and complex values
+coefficients = st.one_of(
+    st.sampled_from([Fraction(1, 3), Fraction(5, 7), Fraction(-5, 7), 1, -1, 3]),
+    rationals,
+    st.builds(QC, rationals, rationals),
+)
+
+
+@given(
+    seed=st.integers(0, 500),
+    m=st.integers(0, 2),
+    L=st.integers(1, 4),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_integer_kernel_matches_qc_reference(seed, m, L, data):
+    rep = _small_rep(seed, m, L)
+    gens = [rep.T[k] for k in sorted(rep.T)] + [rep.Q[k] for k in sorted(rep.Q)]
+    pool = [(x, ReferenceOperator.of(x)) for x in gens]
+    for _ in range(data.draw(st.integers(1, 8))):
+        kind = data.draw(st.sampled_from(["+", "-", "scale", "@", "adjoint", "combo"]))
+        (x, rx), (y, ry) = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
+        c = data.draw(coefficients)
+        if kind == "+":
+            got, want = x + y.scale(c), rx + ry.scale(c)
+        elif kind == "-":
+            got, want = x.scale(c) - y, rx.scale(c) - ry
+        elif kind == "scale":
+            got, want = x.scale(c), rx.scale(c)
+        elif kind == "@":
+            got, want = x.scale(c) @ y, rx.scale(c) @ ry
+        elif kind == "adjoint":
+            got, want = x.scale(c).adjoint(), rx.scale(c).adjoint()
+        else:  # c X - c X + Y cancels to Y, through one combo
+            got = combo(rep, [(c, x), (1, y), (-c, x)])
+            want = reference_lincomb(rep.basis, [(c, rx), (1, ry), (-QC.of(c), rx)])
+            assert got == y
+        assert got.entries == want.entries and len(got.entries) == len(want.entries)
+        assert all(type(v) is int for v in (*got.re.values(), *got.im.values()))
+        pool.append((got, want))
+    for (x, rx), (y, ry) in data.draw(
+        st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)), max_size=4)
+    ):
+        assert (x == y) == (rx == ry)
+        for max_len in range(rep.L + 1):
+            assert x.equal_on_columns(y, max_len) == rx.equal_on_columns(ry, max_len)
+    for x, rx in pool:
+        try:
+            want = reference_norm_squared(rx)
+        except PreconditionError:
+            with pytest.raises(PreconditionError):
+                norm_squared(x)
+        else:
+            assert norm_squared(x) == want and isinstance(norm_squared(x), Fraction)
+
+
+def test_integer_kernel_denominators(two_loop):
+    rep = build_rep(two_loop, 3)
+    x = rep.T["e"] + rep.T["f"].scale(QC(Fraction(2), Fraction(-1, 5)))
+    third = x.scale(Fraction(1, 3))
+    assert third.den == 15 and third != x
+    assert third.scale(3) == x  # numerators over 15 against numerators over 5
+    assert x.scale(Fraction(1, 3)) + x.scale(Fraction(2, 3)) == x
+    assert (x.scale(Fraction(5, 7)) - x.scale(Fraction(5, 7))).is_zero()
+    assert combo(rep, [(Fraction(1, 3), x), (Fraction(-5, 7), x), (Fraction(8, 21), x)]).is_zero()
+    c = QC(Fraction(1, 3), Fraction(5, 7))
+    assert combo(rep, [(c, x), (-c, x)]).is_zero()
+    # equality and equal_on_columns compare values, not stored numerators
+    y = rep.T["e"].scale(Fraction(1, 3)) @ rep.T["f"].scale(Fraction(5, 7))
+    z = (rep.T["e"] @ rep.T["f"]).scale(Fraction(5, 21))
+    assert y.den == 21 and y == z
+    assert y.equal_on_columns(z.scale(Fraction(1, 3)).scale(3), 1)
+    assert not y.equal_on_columns(z.scale(2), 1)
+    assert norm_squared(y) == Fraction(25, 441)
+    # the QC view: nonzero entries only, in lowest terms, and a round trip
+    want = {QC(Fraction(1, 3)), QC(Fraction(2, 3), Fraction(-1, 15))}
+    assert set(third.entries.values()) == want
+    assert SparseOperator(rep.basis, dict(third.entries)) == third
+    assert len(x.entries) == len(dict(x.entries)) == len(rep.T["e"].re) + len(rep.T["f"].re)
+    w = rep.T["e"].scale(QC(Fraction(0), Fraction(1, 2))) + rep.T["f"]  # T_e's imaginary only
+    assert len(w.entries) == len(dict(w.entries)) == len(x.entries) and len(w.re) < len(x.re)
+
+
+def test_real_combo_builds_no_fraction_per_entry(cycle_plus_loop, monkeypatch):
+    rep = build_rep(higher_dual(cycle_plus_loop, 1, 3), 6)
+    terms = [(Fraction(1, 3), rep.T[k]) for k in sorted(rep.T)]
+    terms += [(Fraction(-5, 7), rep.Q[k]) for k in sorted(rep.Q)] + [(2, rep.identity())]
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    op = combo(rep, terms)
+    gram = op.adjoint() @ op
+    same = op == op.scale(Fraction(1, 3)).scale(3)
+    n2 = norm_squared(combo(rep, terms[: len(rep.T)])), norm_squared(op - op)
+    monkeypatch.undo()
+    assert len(rep.basis) > 1000 and len(op.re) > 2000 and len(gram.re) > 2000
+    assert same and n2 == (Fraction(3, 9), 0)  # three edges leave each dual vertex
+    assert len(built) < 10  # one per scalar argument and result at most, none per entry
+
+
+@given(seed=st.integers(0, 500), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_rank_on_columns_matches_sympy(seed, data):
+    import sympy
+
+    rep = _small_rep(seed, 0, 2)
+    n = len(rep.basis)
+    cols = data.draw(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 6), unique=True)
+    )
+    value = st.one_of(rationals, st.builds(QC, rationals, rationals))
+    vecs = [
+        data.draw(st.dictionaries(st.integers(0, n - 1), value, max_size=4)) for _ in cols
+    ]
+    if len(cols) >= 3:  # a combination of two columns, so that the rank drops
+        k = QC.of(data.draw(coefficients))
+        rows = {*vecs[0], *vecs[1]}
+        vecs[2] = {r: QC.of(vecs[0].get(r, 0)) * k + vecs[1].get(r, 0) for r in rows}
+    ent = {(r, c): v for c, vec in zip(cols, vecs) for r, v in vec.items()}
+    op = SparseOperator(rep.basis, ent)
+    mat = sympy.zeros(n, len(cols))
+    for j, vec in enumerate(vecs):
+        for r, v in vec.items():
+            re, im = QC.of(v).re, QC.of(v).im
+            mat[r, j] = sympy.Rational(re.numerator, re.denominator) + sympy.I * sympy.Rational(
+                im.numerator, im.denominator
+            )
+    assert rank_on_columns(op, cols) == mat.rank(simplify=True)
+
+
+@given(g=small_graphs(), L=st.integers(1, 4))
+@settings(max_examples=40, deadline=None)
+def test_basis_matches_brute_force_paths(g, L):
+    if any(not g.received(v) for v in g.vertices):
+        return  # sources are refused
+    rep = build_rep(g, L)
+    got = [p.edge_ids or (p.anchor,) for p in rep.basis.labels]
+    assert got == [ids for n in range(L + 1) for ids in brute_paths(g, n)]
+    for p in rep.basis.labels:  # each unchecked label is a valid path
+        q = Path(g, p.edge_ids, p.anchor)
+        assert (p.r, p.s, len(p)) == (q.r, q.s, len(q))
