@@ -22,11 +22,8 @@ from .graph import (
     concatenate,
     enumerate_paths,
     every_cycle_has_entrance,
-    hereditary_closure,
-    is_simple_cycle,
     is_strongly_connected,
     period,
-    simple_cycles,
     validate,
     vertex_path,
 )
@@ -84,7 +81,6 @@ from .operators import (
     combo,
     norm_squared,
     operator_norm_est,
-    operator_norm_upper,
     rank_on_columns,
 )
 from .opalg import (
@@ -98,7 +94,6 @@ from .opalg import (
     limit_formulas,
     matrix_unit,
     morita_combinatorics,
-    psi_norm_bound,
     rho_psi,
     vertex_fn_interpolated,
 )
@@ -113,7 +108,6 @@ from .ktheory import (
     hypothesis_check_closure,
     smith_normal_form,
     suspension_K,
-    toeplitz_K,
 )
 from .report import Check, RunReport, rat_str
 

@@ -14,9 +14,9 @@ from typing import Optional, Union
 
 from .errors import PrecisionError, PreconditionError
 from .graph import Graph, Path, enumerate_paths
-from .quiver import QuiverPath, normalize_edge, reduce_parameter
+from .quiver import QuiverPath, normalize_edge
 from .report import RunReport, rat_str
-from .transform import delay_embed_path
+from .transform import delay, delay_embed_path
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,6 @@ class FlowPoint:
             raise PreconditionError("flow point needs a nonempty prefix")
         if not 0 <= self.t < 1:
             raise PreconditionError("flow time must lie in [0,1)")
-
-    @property
-    def precision(self) -> int:
-        return len(self.prefix)
 
     def __repr__(self) -> str:
         return f"FlowPoint({' '.join(self.prefix.edge_ids)}, t={self.t})"
@@ -200,8 +196,7 @@ def lattice_decomposition_check(g: Graph, m: int, n: int, L: int) -> RunReport:
     rep = RunReport()
     if m < 1 or n < 1 or math.gcd(m, n) != 1:
         raise PreconditionError("need coprime m/n > 0")
-    red = reduce_parameter(g, m, n)
-    D = red.graph
+    D = delay(g, n)
     cases = 0
     mismatch = None
     for x in enumerate_paths(g, L):

@@ -56,9 +56,6 @@ class Graph:
         except KeyError:
             raise StructuralError(f"unknown edge id {edge_id!r}") from None
 
-    def has_edge(self, edge_id: str) -> bool:
-        return edge_id in self._by_id
-
     def r(self, edge_id: str) -> str:
         return self.edge(edge_id).dst
 
@@ -340,111 +337,6 @@ def is_strongly_connected(g: Graph) -> bool:
     return True
 
 
-def _strong_components(
-    vertices: list[str], succ: dict[str, list[tuple[str, str]]]
-) -> list[list[str]]:
-    """Tarjan's strongly connected components of the subgraph induced on
-    ``vertices``, with an explicit stack; ``succ[v]`` lists (edge id, next vertex)."""
-    inside = set(vertices)
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    stack: list[str] = []
-    on_stack: set[str] = set()
-    comps: list[list[str]] = []
-    for root in vertices:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, it = work[-1]
-            for _, w in it:
-                if w not in inside:
-                    continue
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ[w])))
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    comp = []
-                    while not comp or comp[-1] != v:
-                        comp.append(stack.pop())
-                        on_stack.discard(comp[-1])
-                    comps.append(comp)
-    return comps
-
-
-def simple_cycles(g: Graph) -> list[tuple[str, ...]]:
-    """All simple cycles as edge-id sequences (vertices pairwise distinct).
-
-    A cycle mu_1 ... mu_k starts at r(mu_1) and closes with s(mu_k) = r(mu_1);
-    each is reported as the lexicographically least rotation of its edge
-    sequence. Johnson's algorithm (SIAM J. Comput. 4, 1975), with explicit
-    stacks: the cycles through one vertex s of a strongly connected component
-    are listed with blocking, then s is removed and the rest of the component
-    is split again, so the work is O((|V| + |E|)(c + 1)) for c cycles.
-    """
-    # a cycle is walked from its range end: the next edge f has r(f) = here
-    succ = {v: [(e.id, e.src) for e in g.received(v)] for v in g.vertices}
-    found: list[tuple[str, ...]] = []
-    comps = _strong_components(list(g.vertices), succ)
-    while comps:
-        comp = comps.pop()
-        s = comp[0]
-        inside = set(comp)
-        blocked = {s}
-        blocked_by: dict[str, set[str]] = {}
-        edges: list[str] = []
-        # frames: [vertex, its remaining successors, a cycle was found below]
-        frames = [[s, iter(succ[s]), False]]
-        while frames:
-            frame = frames[-1]
-            for eid, w in frame[1]:
-                if w not in inside:
-                    continue
-                if w == s:
-                    seq = tuple(edges) + (eid,)
-                    found.append(min(seq[i:] + seq[:i] for i in range(len(seq))))
-                    frame[2] = True
-                elif w not in blocked:
-                    edges.append(eid)
-                    blocked.add(w)
-                    frames.append([w, iter(succ[w]), False])
-                    break
-            else:
-                v, _, closed = frames.pop()
-                if closed:
-                    todo = [v]
-                    while todo:
-                        u = todo.pop()
-                        if u in blocked:
-                            blocked.discard(u)
-                            todo.extend(blocked_by.pop(u, ()))
-                else:
-                    for _, w in succ[v]:
-                        if w in inside:
-                            blocked_by.setdefault(w, set()).add(v)
-                if frames:
-                    edges.pop()
-                    frames[-1][2] = frames[-1][2] or closed
-        comps.extend(
-            c for c in _strong_components(comp[1:], succ)
-            if len(c) > 1 or any(w == c[0] for _, w in succ[c[0]])
-        )
-    return sorted(found)
-
-
 def period(g: Graph) -> int:
     """gcd of the lengths of all cycles of a strongly connected graph.
 
@@ -481,38 +373,3 @@ def every_cycle_has_entrance(g: Graph) -> bool:
             v = pred[v]
         done |= walk
     return True
-
-
-def hereditary_closure(g: Graph, H: Iterable[str]) -> frozenset[str]:
-    """Smallest superset of H closed under v in H, r(e) = v  =>  s(e) in H."""
-    closed = set(H)
-    for v in closed:
-        if v not in g._received:
-            raise StructuralError(f"unknown vertex id {v!r}")
-    frontier = list(closed)
-    while frontier:
-        v = frontier.pop()
-        for e in g.received(v):
-            if e.src not in closed:
-                closed.add(e.src)
-                frontier.append(e.src)
-    return frozenset(closed)
-
-
-def is_simple_cycle(g: Graph) -> bool:
-    """|E0| = |E1| = n with every vertex receiving and emitting exactly one edge,
-    and the graph connected (hence a single n-cycle)."""
-    n = len(g.vertices)
-    if n == 0 or len(g.edges) != n:
-        return False
-    if any(len(g.received(v)) != 1 or len(g.emitted(v)) != 1 for v in g.vertices):
-        return False
-    # in = out = 1 means the graph is a disjoint union of cycles; check one orbit
-    seen = {g.vertices[0]}
-    here = g.vertices[0]
-    while True:
-        here = g.received(here)[0].src
-        if here in seen:
-            break
-        seen.add(here)
-    return len(seen) == n

@@ -31,9 +31,6 @@ class AbelianGroup:
             if b % a:
                 raise PreconditionError("invariant factors must form a divisor chain")
 
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     def __str__(self) -> str:
         parts = []
         if self.free_rank == 1:
@@ -348,13 +345,3 @@ def dual_K_invariance(g: Graph, p: int, q: int) -> DualKReport:
     dk = graph_K(higher_dual(g, p, q), 1)
     pk = graph_K(g, q - p)
     return DualKReport(dk, pk, dk == pk)
-
-
-def toeplitz_K(g: Graph, m: int) -> Optional[tuple[AbelianGroup, AbelianGroup]]:
-    """(Z^{|E0|}, 0) whenever the hypothesis checker passes, else None.
-
-    A table lookup exposed for reporting; its correctness is not re-derived.
-    """
-    if hypothesis_check(g, m).ok:
-        return AbelianGroup(len(g.vertices)), AbelianGroup(0)
-    return None

@@ -407,21 +407,6 @@ def rho_psi(
     return RhoPsi(rep, rho, psi, "power-lattice")
 
 
-def psi_norm_bound(g: Graph, m: int, xi: FunctionOnEdges, t) -> float:
-    """The display bound ||psi(xi)|| <= ||xi||_inf * #supporting words at t."""
-    sup = 0.0
-    count = 0
-    for mu in enumerate_paths(g, m + 1):
-        val = abs(complex(xi.at_word(mu.edge_ids, t)))
-        has_support = any(
-            xi.at_word(mu.edge_ids, Fraction(k, 8)) for k in range(9)
-        )
-        if has_support:
-            count += 1
-        sup = max(sup, val)
-    return sup * count
-
-
 # ---------------------------------------------------------------------------
 # limits, eta generators, kappa
 # ---------------------------------------------------------------------------

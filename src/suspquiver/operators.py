@@ -490,11 +490,8 @@ def norm_squared(op: SparseOperator) -> Fraction:
 
 
 def operator_norm_est(op: SparseOperator, tol: float = 1e-9, restarts: int = 20) -> float:
-    """Float estimate of the operator 2-norm by power iteration on A*A.
-
-    Power iteration approaches the norm from below; the companion
-    operator_norm_upper gives a certified upper bound.
-    """
+    """Float estimate of the operator 2-norm by power iteration on A*A,
+    which approaches the norm from below."""
     import numpy as np
 
     if op.is_zero():
@@ -521,16 +518,3 @@ def operator_norm_est(op: SparseOperator, tol: float = 1e-9, restarts: int = 20)
             lam = new_lam
         best = max(best, lam)
     return float(np.sqrt(max(best, 0.0)))
-
-
-def operator_norm_upper(op: SparseOperator) -> float:
-    """Certified upper bound sqrt(|A|_1 * |A|_inf) on the operator 2-norm."""
-    if op.is_zero():
-        return 0.0
-    rows: dict[int, float] = {}
-    cols: dict[int, float] = {}
-    for (r, c), val in op.entries.items():
-        m = abs(complex(val))
-        rows[r] = rows.get(r, 0.0) + m
-        cols[c] = cols.get(c, 0.0) + m
-    return math.sqrt(max(rows.values()) * max(cols.values()))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import PreconditionError, StructuralError
-from .graph import Graph, Path, concatenate, enumerate_paths
+from .graph import Graph, Path, enumerate_paths
 
 Label = tuple
 

@@ -7,8 +7,16 @@ enumerate_paths / adjacency powers is a real cross-check.
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
+from typing import Iterable
+
+# One BLAS thread: the oracles' tiny SVDs and norms run many times slower on
+# spinning OpenBLAS threads when another process holds a CPU. Set before
+# anything imports numpy, which reads these once, at load.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import pytest
 from hypothesis import strategies as st
@@ -18,7 +26,6 @@ from suspquiver import (
     Path,
     PreconditionError,
     SparseOperator,
-    hereditary_closure,
     higher_power,
 )
 from suspquiver.ktheory import HypothesisResult
@@ -131,6 +138,18 @@ def higher_power_hypothesis_check(g: Graph, m: int) -> HypothesisResult:
     return HypothesisResult(per_vertex, all(per_vertex.values()))
 
 
+def hereditary_closure(g: Graph, H: Iterable[str]) -> frozenset[str]:
+    """Smallest superset of H closed under v in H, r(e) = v  =>  s(e) in H."""
+    closed = set(H)
+    frontier = list(closed)
+    while frontier:
+        for e in g.received(frontier.pop()):
+            if e.src not in closed:
+                closed.add(e.src)
+                frontier.append(e.src)
+    return frozenset(closed)
+
+
 def higher_power_hypothesis_check_closure(g: Graph, m: int) -> bool:
     """The former hypothesis_check_closure, kept as a reference."""
     H = higher_power(g, m)
@@ -138,9 +157,10 @@ def higher_power_hypothesis_check_closure(g: Graph, m: int) -> bool:
     return hereditary_closure(H, seeds) == set(g.vertices)
 
 
-def recursive_simple_cycles(g: Graph) -> list[tuple[str, ...]]:
-    """The former recursive simple_cycles, kept as a reference: every simple
-    cycle grown from every start vertex, deduplicated by least rotation."""
+def brute_cycles(g: Graph) -> list[tuple[str, ...]]:
+    """Every simple cycle as an edge-id sequence, grown depth-first from every
+    start vertex and deduplicated by least rotation; recursive, so for small
+    graphs only."""
     found: set[tuple[str, ...]] = set()
 
     def canonical(seq: tuple[str, ...]) -> tuple[str, ...]:

