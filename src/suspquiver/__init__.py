@@ -73,7 +73,6 @@ from .flow import (
     theta_inf,
 )
 from .operators import (
-    QC,
     Basis,
     SparseOperator,
     TruncatedRep,

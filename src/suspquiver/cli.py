@@ -37,9 +37,14 @@ def parse_graph_file(path: str) -> Graph:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise StructuralError(f"cannot parse graph file: {exc}") from exc
+    # a string or an object would iterate as its characters or keys
     try:
-        vertices = list(doc["vertices"])
-        edges = [(e["id"], e["src"], e["dst"]) for e in doc["edges"]]
+        vertices, edges = doc["vertices"], doc["edges"]
+        if not (isinstance(vertices, list) and isinstance(edges, list)):
+            raise TypeError("vertices and edges must be JSON arrays")
+        if not all(isinstance(e, dict) for e in edges):
+            raise TypeError("each edge must be a JSON object")
+        edges = [(e["id"], e["src"], e["dst"]) for e in edges]
     except (KeyError, TypeError) as exc:
         raise StructuralError(f"bad graph document: {exc}") from exc
     if not all(isinstance(v, str) and v for v in vertices):
@@ -213,6 +218,8 @@ def cmd_flow(args) -> int:
     step = parse_rational(args.step)
     if step < 0:
         raise PreconditionError("step must be >= 0")
+    if args.count < 0:
+        raise PreconditionError("count must be >= 0")
     for line in flowmod.orbit_lines(p, step, args.count):
         print(line)
     return EXIT_OK

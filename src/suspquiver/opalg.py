@@ -12,15 +12,12 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Optional
 
 from .errors import GluingError, PreconditionError, StructuralError
 from .graph import Graph, Path, enumerate_paths, validate, vertex_path
 from .ktheory import hypothesis_check
 from .operators import (
-    QC,
-    QC_ONE,
-    QC_ZERO,
     SparseOperator,
     TruncatedRep,
     build_rep,
@@ -39,8 +36,6 @@ from .transform import (
     join_ids,
 )
 
-Evaluator = Callable[[Fraction], Union[int, Fraction, QC]]
-
 
 class FunctionOnVertices:
     """A function on SG{E}^0 given by per-edge evaluators a([e,t]).
@@ -54,31 +49,31 @@ class FunctionOnVertices:
         self.evals = dict(evals)
         for e in self.evals:
             g.edge(e)
-        self._base: dict[str, QC] = {}
+        self._base: dict[str, Fraction] = {}
         for v in g.vertices:
             vals = [self.at_edge(e.id, Fraction(0)) for e in g.received(v)]
             vals += [self.at_edge(e.id, Fraction(1)) for e in g.emitted(v)]
             if not vals:
-                self._base[v] = QC_ZERO
+                self._base[v] = Fraction(0)
                 continue
             if any(x != vals[0] for x in vals[1:]):
                 raise GluingError(f"vertex values disagree at [{v}]")
             self._base[v] = vals[0]
 
-    def at_edge(self, e: str, t) -> QC:
+    def at_edge(self, e: str, t) -> Fraction:
         t = Fraction(t)
         if not 0 <= t <= 1:
             raise PreconditionError("edge coordinate must lie in [0,1]")
         f = self.evals.get(e)
-        return QC.of(f(t)) if f is not None else QC_ZERO
+        return Fraction(f(t)) if f is not None else Fraction(0)
 
-    def at_base(self, v: str) -> QC:
+    def at_base(self, v: str) -> Fraction:
         return self._base[v]
 
 
 def vertex_fn_interpolated(g: Graph, values: dict) -> FunctionOnVertices:
     """The affine interpolation a([e,t]) = (1-t) values[r(e)] + t values[s(e)]."""
-    vals = {v: QC.of(values.get(v, 0)) for v in g.vertices}
+    vals = {v: Fraction(values.get(v, 0)) for v in g.vertices}
 
     def make(e):
         lo, hi = vals[g.r(e)], vals[g.s(e)]
@@ -112,7 +107,7 @@ class FunctionOnEdges:
                 for f in g.received(w.s)
             ]
             if not exts:
-                self._lattice[self._lkey(w)] = QC_ZERO
+                self._lattice[self._lkey(w)] = Fraction(0)
                 continue
             if any(x != exts[0] for x in exts[1:]):
                 raise GluingError(f"lattice values disagree at [{w!r}]")
@@ -126,14 +121,14 @@ class FunctionOnEdges:
     def _lkey(w: Path):
         return w.edge_ids if w.edge_ids else ("@", w.anchor)
 
-    def at_word(self, word: tuple, t) -> QC:
+    def at_word(self, word: tuple, t) -> Fraction:
         t = Fraction(t)
         if not 0 <= t <= 1:
             raise PreconditionError("word coordinate must lie in [0,1]")
         f = self.evals.get(tuple(word))
-        return QC.of(f(t)) if f is not None else QC_ZERO
+        return Fraction(f(t)) if f is not None else Fraction(0)
 
-    def at_lattice(self, w: Path) -> QC:
+    def at_lattice(self, w: Path) -> Fraction:
         return self._lattice[self._lkey(w)]
 
 
@@ -144,9 +139,9 @@ def edge_fn_interpolated(g: Graph, m: int, weights: dict) -> FunctionOnEdges:
     the interpolation satisfies the gluing constraints by construction.
     """
 
-    def weight(w: Path) -> QC:
+    def weight(w: Path) -> Fraction:
         key = w.edge_ids if w.edge_ids else w.anchor
-        return QC.of(weights.get(key, 0))
+        return Fraction(weights.get(key, 0))
 
     evals = {}
     for mu in enumerate_paths(g, m + 1):
@@ -178,7 +173,7 @@ def check_tck(
     okv = True
     for v in g.vertices:
         d = rep.delta(v)
-        if any(r != c or val not in (QC_ONE,) for (r, c), val in d.entries.items()):
+        if any(r != c or val != 1 for (r, c), val in d.entries.items()):
             ok2 = False
         unit = SparseOperator(rep.basis, {(rep.vertex_index(v), rep.vertex_index(v)): 1})
         if not d.equal_on_columns(unit, rep.L - 1):
@@ -697,7 +692,7 @@ def morita_combinatorics(g: Graph, m: int, n: int, L: int) -> RunReport:
         if not mid.is_zero():
             ok_ck = False
         short = d.restrict_columns(lambda c: rep.basis.lengths[c] < n)
-        if any(r != c or val != QC_ONE for (r, c), val in short.entries.items()):
+        if any(r != c or val != 1 for (r, c), val in short.entries.items()):
             ok_ideal = False
     out.add(
         "morita.PS_ck_at_V0",

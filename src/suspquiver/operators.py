@@ -1,10 +1,13 @@
-"""Sparse operators with exact rational-complex entries, and the truncated
-path-space representation.
+"""Sparse operators with exact rational entries, and the truncated path-space
+representation.
 
 An operator's entries are Python int numerators over one positive int
 denominator, so the kernel (linear combinations, products, adjoints, exact
-norms and comparisons) runs on ints alone; the exact scalar QC appears only
-at the boundary, in scalar arguments and in the {(r, c): QC} entries view.
+norms and comparisons) runs on ints alone; Fraction appears only at the
+boundary, in scalar arguments and in the {(r, c): Fraction} entries view.
+Scalars are real: every generator is a 0/1 partial isometry, and a complex
+coefficient enters each checked identity linearly, so its case is the real
+part's plus i times the imaginary part's.
 
 The basis of a truncated representation is the set of paths of length at most
 L, ordered by (length, lexicographic edge ids); T_e prepends an edge and
@@ -18,7 +21,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
@@ -28,79 +30,16 @@ from .graph import Graph, Path, _path_layers, validate, vertex_path
 if TYPE_CHECKING:
     import numpy as np
 
-RatLike = Union[int, Fraction, "QC"]
+RatLike = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class QC:
-    """An exact rational complex scalar re + im*i."""
-
-    re: Fraction
-    im: Fraction = Fraction(0)
-
-    @staticmethod
-    def of(x: RatLike) -> "QC":
-        if isinstance(x, QC):
-            return x
-        return QC(Fraction(x))
-
-    # Real operands (both imaginary parts 0) are the common case; they skip
-    # the complex formula, whose value would be the same.
-    def __add__(self, other: RatLike) -> "QC":
-        o = QC.of(other)
-        if not (self.im or o.im):
-            return QC(self.re + o.re)
-        return QC(self.re + o.re, self.im + o.im)
-
-    def __sub__(self, other: RatLike) -> "QC":
-        o = QC.of(other)
-        if not (self.im or o.im):
-            return QC(self.re - o.re)
-        return QC(self.re - o.re, self.im - o.im)
-
-    def __neg__(self) -> "QC":
-        return QC(-self.re, -self.im)
-
-    def __mul__(self, other: RatLike) -> "QC":
-        o = QC.of(other)
-        if not (self.im or o.im):
-            return QC(self.re * o.re)
-        return QC(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-
-    def __truediv__(self, other: RatLike) -> "QC":
-        o = QC.of(other)
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        return self * QC(o.re / d, -o.im / d)
-
-    def conj(self) -> "QC":
-        return QC(self.re, -self.im)
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
-    def __repr__(self) -> str:
-        return f"({self.re}+{self.im}i)"
-
-
-QC_ZERO = QC(Fraction(0))
-QC_ONE = QC(Fraction(1))
-
-
-def _parts(c: RatLike) -> tuple[int, int, int]:
-    """The ints (a, b, d) with c = (a + b i) / d and d > 0."""
+def _parts(c: RatLike) -> tuple[int, int]:
+    """The ints (a, d) with c = a / d and d > 0."""
     if type(c) is int:
-        return c, 0, 1
-    if type(c) is Fraction:
-        return c.numerator, 0, c.denominator
-    q = QC.of(c)
-    re, im = q.re, q.im
-    d = math.lcm(re.denominator, im.denominator)
-    return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
+        return c, 1
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator, c.denominator
 
 
 class Basis:
@@ -122,44 +61,36 @@ class Basis:
 class SparseOperator:
     """A linear operator stored as a sparse matrix over a shared path basis.
 
-    Entry (r, c) is (re[(r, c)] + im[(r, c)] i) / den: int numerators over one
-    positive int denominator.  Both dicts hold nonzero numerators only, and im
-    is empty for a real operator, so every loop below skips it at no cost.
-    Numerators are never reduced by a gcd; comparison cross-multiplies.
+    Entry (r, c) is num[(r, c)] / den: int numerators over one positive int
+    denominator.  num holds nonzero numerators only.  Numerators are never
+    reduced by a gcd; comparison cross-multiplies.
     """
 
-    __slots__ = ("basis", "re", "im", "den")
+    __slots__ = ("basis", "num", "den")
 
     def __init__(self, basis: Basis, entries: Optional[dict] = None):
         self.basis = basis
-        self.re: dict[tuple[int, int], int] = {}
-        self.im: dict[tuple[int, int], int] = {}
+        self.num: dict[tuple[int, int], int] = {}
         self.den = 1
         if entries:
             parts = {rc: _parts(val) for rc, val in entries.items()}
-            self.den = math.lcm(*(d for _, _, d in parts.values()))
-            for rc, (a, b, d) in parts.items():
-                k = self.den // d
+            self.den = math.lcm(*(d for _, d in parts.values()))
+            for rc, (a, d) in parts.items():
                 if a:
-                    self.re[rc] = a * k
-                if b:
-                    self.im[rc] = b * k
+                    self.num[rc] = a * (self.den // d)
 
     @classmethod
-    def _of(
-        cls, basis: Basis, re: dict, im: Optional[dict] = None, den: int = 1
-    ) -> "SparseOperator":
-        """An operator owning dicts of nonzero int numerators over den."""
+    def _of(cls, basis: Basis, num: dict, den: int = 1) -> "SparseOperator":
+        """An operator owning a dict of nonzero int numerators over den."""
         op = cls.__new__(cls)
         op.basis = basis
-        op.re = re
-        op.im = {} if im is None else im
+        op.num = num
         op.den = den
         return op
 
     @property
     def entries(self) -> "Entries":
-        """The entries as a read-only {(r, c): QC} mapping, each built on read."""
+        """The entries as a read-only {(r, c): Fraction} mapping, each built on read."""
         return Entries(self)
 
     def _same_basis(self, other: "SparseOperator") -> None:
@@ -176,33 +107,36 @@ class SparseOperator:
         return _lincomb(self.basis, ((c, self),))
 
     def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
-        # (A + iB)(C + iD) = (AC - BD) + i(AD + BC), over den(A) den(C)
         self._same_basis(other)
-        re: dict[tuple[int, int], int] = {}
-        im: dict[tuple[int, int], int] = {}
-        _add_product(re, self.re, other.re, 1)
-        _add_product(re, self.im, other.im, -1)
-        _add_product(im, self.re, other.im, 1)
-        _add_product(im, self.im, other.re, 1)
-        return SparseOperator._of(self.basis, re, im, self.den * other.den)
+        by_col_left: dict[int, list[tuple[int, int]]] = {}
+        for (r, k), v in self.num.items():
+            by_col_left.setdefault(k, []).append((r, v))
+        num: dict[tuple[int, int], int] = {}
+        get = num.get
+        for (k, c), bv in other.num.items():
+            for r, av in by_col_left.get(k, ()):
+                rc = (r, c)
+                s = get(rc, 0) + av * bv
+                if s:
+                    num[rc] = s
+                else:
+                    del num[rc]
+        return SparseOperator._of(self.basis, num, self.den * other.den)
 
     def adjoint(self) -> "SparseOperator":
         return SparseOperator._of(
-            self.basis,
-            {(c, r): v for (r, c), v in self.re.items()},
-            {(c, r): -v for (r, c), v in self.im.items()},
-            self.den,
+            self.basis, {(c, r): v for (r, c), v in self.num.items()}, self.den
         )
 
     def __eq__(self, other: object) -> bool:
         if not (isinstance(other, SparseOperator) and self.basis is other.basis):
             return False
         if self.den == other.den:
-            return self.re == other.re and self.im == other.im
+            return self.num == other.num
         return _agree(self, other, None)
 
     def is_zero(self) -> bool:
-        return not (self.re or self.im)
+        return not self.num
 
     def equal_on_columns(self, other: "SparseOperator", max_len: int) -> bool:
         """Exact equality restricted to columns of basis paths of length <= max_len."""
@@ -212,34 +146,30 @@ class SparseOperator:
     def restrict_columns(self, keep) -> "SparseOperator":
         """Zero out all columns whose index is not accepted by keep(col)."""
         return SparseOperator._of(
-            self.basis,
-            {rc: v for rc, v in self.re.items() if keep(rc[1])},
-            {rc: v for rc, v in self.im.items() if keep(rc[1])},
-            self.den,
+            self.basis, {rc: v for rc, v in self.num.items() if keep(rc[1])}, self.den
         )
 
-    def column(self, c: int) -> dict[int, QC]:
-        ent = self.entries
-        return {rc[0]: ent[rc] for rc in ent if rc[1] == c}
+    def column(self, c: int) -> dict[int, Fraction]:
+        return {r: Fraction(v, self.den) for (r, k), v in self.num.items() if k == c}
 
     def to_dense(self) -> np.ndarray:
         import numpy as np
 
         n = len(self.basis)
-        out = np.zeros((n, n), dtype=complex)
-        for (r, c), val in self.entries.items():
-            out[r, c] = complex(val)
+        out = np.zeros((n, n))
+        for (r, c), v in self.num.items():
+            out[r, c] = v / self.den  # int true division rounds correctly
         return out
 
     def __repr__(self) -> str:
-        return f"SparseOperator({len(self.entries)} entries on {len(self.basis)} basis paths)"
+        return f"SparseOperator({len(self.num)} entries on {len(self.basis)} basis paths)"
 
 
 class Entries(Mapping):
-    """The {(r, c): QC} view of an operator's entries.
+    """The {(r, c): Fraction} view of an operator's entries.
 
-    Only nonzero entries are present; len is the number of nonzero entries and
-    costs no QC.  A value is built as a QC when it is read.
+    Only nonzero entries are present; len and iteration cost no Fraction.
+    A value is built as a Fraction when it is read.
     """
 
     __slots__ = ("_op",)
@@ -248,74 +178,30 @@ class Entries(Mapping):
         self._op = op
 
     def __len__(self) -> int:
-        re, im = self._op.re, self._op.im
-        return len(re.keys() | im.keys()) if im else len(re)
+        return len(self._op.num)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        re, im = self._op.re, self._op.im
-        yield from re
-        yield from (rc for rc in im if rc not in re)
+        return iter(self._op.num)
 
     def __contains__(self, rc: object) -> bool:
-        return rc in self._op.re or rc in self._op.im
+        return rc in self._op.num
 
-    def __getitem__(self, rc: tuple[int, int]) -> QC:
-        op = self._op
-        a, b = op.re.get(rc, 0), op.im.get(rc, 0)
-        if not (a or b):
-            raise KeyError(rc)
-        return QC(Fraction(a, op.den), Fraction(b, op.den))
-
-
-def _add_scaled(acc: dict, src: dict, m: int) -> None:
-    """acc += m * src on int numerators; a sum that reaches zero leaves acc."""
-    if not (m and src):
-        return
-    get = acc.get
-    for rc, v in src.items():
-        if m != 1:
-            v *= m
-        old = get(rc)
-        if old is None:
-            acc[rc] = v
-        else:
-            s = old + v
-            if s:
-                acc[rc] = s
-            else:
-                del acc[rc]
-
-
-def _add_product(acc: dict, a: dict, b: dict, sign: int) -> None:
-    """acc += sign * (a @ b) on int numerators keyed by (row, col)."""
-    if not (a and b):
-        return
-    by_col_left: dict[int, list[tuple[int, int]]] = {}
-    for (r, k), v in a.items():
-        by_col_left.setdefault(k, []).append((r, v * sign))
-    get = acc.get
-    for (k, c), bv in b.items():
-        for r, av in by_col_left.get(k, ()):
-            rc = (r, c)
-            s = get(rc, 0) + av * bv
-            if s:
-                acc[rc] = s
-            else:
-                del acc[rc]
+    def __getitem__(self, rc: tuple[int, int]) -> Fraction:
+        return Fraction(self._op.num[rc], self._op.den)
 
 
 def _agree(x: SparseOperator, y: SparseOperator, max_len: Optional[int]) -> bool:
     """Whether x and y have equal entries in the columns of basis paths of
     length <= max_len (every column for None), by cross-multiplication."""
     lengths = x.basis.lengths
+    a, b = x.num, y.num
     dx, dy = x.den, y.den
-    for a, b in ((x.re, y.re), (x.im, y.im)):
-        for rc, v in a.items():
-            if (max_len is None or lengths[rc[1]] <= max_len) and b.get(rc, 0) * dx != v * dy:
-                return False
-        for rc in b:
-            if (max_len is None or lengths[rc[1]] <= max_len) and rc not in a:
-                return False
+    for rc, v in a.items():
+        if (max_len is None or lengths[rc[1]] <= max_len) and b.get(rc, 0) * dx != v * dy:
+            return False
+    for rc in b:
+        if (max_len is None or lengths[rc[1]] <= max_len) and rc not in a:
+            return False
     return True
 
 
@@ -323,18 +209,18 @@ def rank_on_columns(op: SparseOperator, cols: Iterable[int]) -> int:
     """Rank over the rationals of the submatrix with the given columns (all rows)."""
     cols = list(cols)
     wanted = set(cols)
-    by_col: dict[int, dict[int, QC]] = {}
+    by_col: dict[int, dict[int, Fraction]] = {}
     for (r, c), val in op.entries.items():
         if c in wanted:
             by_col.setdefault(c, {})[r] = val
-    pivots: list[tuple[int, dict[int, QC]]] = []  # (pivot row, reduced column)
+    pivots: list[tuple[int, dict[int, Fraction]]] = []  # (pivot row, reduced column)
     for c in cols:
         vec = dict(by_col.get(c, {}))
         for prow, pvec in pivots:
             coeff = vec.get(prow)
             if coeff:
                 for r, v in pvec.items():
-                    s = vec.get(r, QC_ZERO) - coeff * v
+                    s = vec.get(r, 0) - coeff * v
                     if s:
                         vec[r] = s
                     else:
@@ -429,8 +315,8 @@ def combo(
 ) -> SparseOperator:
     """The linear combination sum c X over the (c, X) in terms, on rep's basis.
 
-    All terms are added into one pair of numerator dicts, with no operator
-    built per term.  Entries that cancel to zero are dropped;
+    All terms are added into one numerator dict, with no operator built per
+    term.  Entries that cancel to zero are dropped;
     an empty terms gives the zero operator.  A term on another basis raises
     PreconditionError.
     """
@@ -442,51 +328,58 @@ def _lincomb(
 ) -> SparseOperator:
     """The one accumulation loop behind combo, +, - and scale.
 
-    With c = (a + b i) / d, each term c X adds k(a X.re - b X.im) to the real
-    and k(a X.im + b X.re) to the imaginary numerators, where k = den / (d
-    X.den) and den, the lcm of the terms' d X.den, is found once up front.
+    With c = a / d, each term c X adds k a X.num to the numerators, where
+    k = den / (d X.den) and den, the lcm of the terms' d X.den, is found once
+    up front.  A sum that reaches zero leaves the dict.
     """
     scaled = []
     den = 1
     for c, op in terms:
         if op.basis is not basis:
             raise PreconditionError("operators live on different bases")
-        a, b, d = _parts(c)
-        if a or b:
+        a, d = _parts(c)
+        if a:
             d *= op.den
-            scaled.append((a, b, d, op))
+            scaled.append((a, d, op))
             if den % d:
                 den = math.lcm(den, d)
-    re: dict[tuple[int, int], int] = {}
-    im: dict[tuple[int, int], int] = {}
-    for a, b, d, op in scaled:
-        k = den // d
-        _add_scaled(re, op.re, a * k)
-        _add_scaled(re, op.im, -b * k)
-        _add_scaled(im, op.im, a * k)
-        _add_scaled(im, op.re, b * k)
-    return SparseOperator._of(basis, re, im, den)
+    num: dict[tuple[int, int], int] = {}
+    get = num.get
+    for a, d, op in scaled:
+        m = a * (den // d)
+        for rc, v in op.num.items():
+            if m != 1:
+                v *= m
+            old = get(rc)
+            if old is None:
+                num[rc] = v
+            else:
+                s = old + v
+                if s:
+                    num[rc] = s
+                else:
+                    del num[rc]
+    return SparseOperator._of(basis, num, den)
 
 
 def norm_squared(op: SparseOperator) -> Fraction:
     """Exact squared operator 2-norm ||A||^2 = max diag(A*A) when A*A is diagonal.
 
     When no row of A holds two entries the columns have disjoint row supports,
-    so A*A is diagonal and its diagonal is the sum of |a_rc|^2 down each
+    so A*A is diagonal and its diagonal is the sum of a_rc^2 down each
     column.  Otherwise A*A is formed exactly; an operator whose A*A is not
     diagonal is refused rather than estimated.
     """
-    keys = op.re.keys() | op.im.keys() if op.im else op.re.keys()
-    if len({r for r, _ in keys}) == len(keys):
+    num = op.num
+    if len({r for r, _ in num}) == len(num):
         diag: dict[int, int] = {}
-        for part in (op.re, op.im):
-            for (_, c), v in part.items():
-                diag[c] = diag.get(c, 0) + v * v
+        for (_, c), v in num.items():
+            diag[c] = diag.get(c, 0) + v * v
         return Fraction(max(diag.values(), default=0), op.den * op.den)
     gram = op.adjoint() @ op
-    if gram.im or any(r != c for r, c in gram.re):
+    if any(r != c for r, c in gram.num):
         raise PreconditionError("norm_squared needs A*A diagonal")
-    return Fraction(max(gram.re.values(), default=0), gram.den)
+    return Fraction(max(gram.num.values(), default=0), gram.den)
 
 
 def operator_norm_est(op: SparseOperator, tol: float = 1e-9, restarts: int = 20) -> float:
@@ -497,12 +390,12 @@ def operator_norm_est(op: SparseOperator, tol: float = 1e-9, restarts: int = 20)
     if op.is_zero():
         return 0.0
     a = op.to_dense()
-    b = a.conj().T @ a
+    b = a.T @ a
     n = b.shape[0]
     rng = np.random.default_rng(0)
     best = 0.0
     for _ in range(restarts):
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v = rng.standard_normal(n)
         v /= np.linalg.norm(v)
         lam = 0.0
         for _ in range(1000):
@@ -511,7 +404,7 @@ def operator_norm_est(op: SparseOperator, tol: float = 1e-9, restarts: int = 20)
             if nw == 0:
                 break
             v = w / nw
-            new_lam = float(np.real(np.vdot(v, b @ v)))
+            new_lam = float(v @ (b @ v))
             if abs(new_lam - lam) <= tol * max(1.0, abs(new_lam)):
                 lam = new_lam
                 break

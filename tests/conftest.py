@@ -29,7 +29,6 @@ from suspquiver import (
     higher_power,
 )
 from suspquiver.ktheory import HypothesisResult
-from suspquiver.operators import QC, QC_ONE, QC_ZERO
 
 
 def make_single_loop() -> Graph:
@@ -186,7 +185,7 @@ def reference_add(a: SparseOperator, b: SparseOperator) -> SparseOperator:
         raise PreconditionError("operators live on different bases")
     out = dict(a.entries)
     for rc, val in b.entries.items():
-        s = out.get(rc, QC_ZERO) + val
+        s = out.get(rc, 0) + val
         if s:
             out[rc] = s
         else:
@@ -200,7 +199,7 @@ def reference_sub(a: SparseOperator, b: SparseOperator) -> SparseOperator:
         raise PreconditionError("operators live on different bases")
     out = dict(a.entries)
     for rc, val in b.entries.items():
-        s = out.get(rc, QC_ZERO) - val
+        s = out.get(rc, 0) - val
         if s:
             out[rc] = s
         else:
@@ -210,7 +209,7 @@ def reference_sub(a: SparseOperator, b: SparseOperator) -> SparseOperator:
 
 def reference_scale(a: SparseOperator, c) -> SparseOperator:
     """The former SparseOperator.scale, kept as a reference."""
-    cq = QC.of(c)
+    cq = Fraction(c)
     if not cq:
         return SparseOperator(a.basis)
     return SparseOperator(a.basis, {rc: val * cq for rc, val in a.entries.items()})
@@ -218,11 +217,11 @@ def reference_scale(a: SparseOperator, c) -> SparseOperator:
 
 class ReferenceOperator:
     """The former SparseOperator arithmetic, kept as a reference: one dict of
-    nonzero QC entries, every sum and product formed in QC/Fraction."""
+    nonzero Fraction entries, every sum and product formed in Fraction."""
 
     def __init__(self, basis, entries: dict):
         self.basis = basis
-        self.entries = {rc: QC.of(v) for rc, v in entries.items() if QC.of(v)}
+        self.entries = {rc: Fraction(v) for rc, v in entries.items() if v}
 
     @classmethod
     def of(cls, op: SparseOperator) -> "ReferenceOperator":
@@ -249,7 +248,7 @@ class ReferenceOperator:
         out: dict = {}
         for (k, c), bval in other.entries.items():
             for r, aval in by_col_left.get(k, ()):
-                s = out.get((r, c), QC_ZERO) + aval * bval
+                s = out.get((r, c), 0) + aval * bval
                 if s:
                     out[(r, c)] = s
                 else:
@@ -258,7 +257,7 @@ class ReferenceOperator:
 
     def adjoint(self):
         return ReferenceOperator(
-            self.basis, {(c, r): val.conj() for (r, c), val in self.entries.items()}
+            self.basis, {(c, r): val for (r, c), val in self.entries.items()}
         )
 
     def __eq__(self, other) -> bool:
@@ -272,7 +271,7 @@ class ReferenceOperator:
         self._same_basis(other)
         lengths = self.basis.lengths
         for rc, val in self.entries.items():
-            if lengths[rc[1]] <= max_len and other.entries.get(rc, QC_ZERO) != val:
+            if lengths[rc[1]] <= max_len and other.entries.get(rc, 0) != val:
                 return False
         for rc, val in other.entries.items():
             if lengths[rc[1]] <= max_len and rc not in self.entries:
@@ -281,16 +280,16 @@ class ReferenceOperator:
 
 
 def reference_lincomb(basis, terms) -> ReferenceOperator:
-    """The former accumulation loop: every c X summed entry by entry in QC."""
+    """The former accumulation loop: every c X summed entry by entry in Fraction."""
     acc: dict = {}
     for c, op in terms:
         if op.basis is not basis:
             raise PreconditionError("operators live on different bases")
-        cq = QC.of(c)
+        cq = Fraction(c)
         if not cq:
             continue
         for rc, val in op.entries.items():
-            s = acc.get(rc, QC_ZERO) + val * cq
+            s = acc.get(rc, 0) + val * cq
             if s:
                 acc[rc] = s
             else:
@@ -299,20 +298,20 @@ def reference_lincomb(basis, terms) -> ReferenceOperator:
 
 
 def reference_norm_squared(op: ReferenceOperator) -> Fraction:
-    """The former norm_squared: max diag(A*A) in QC/Fraction, A*A diagonal."""
+    """The former norm_squared: max diag(A*A) in Fraction, A*A diagonal."""
     rows: set = set()
     diag: dict = {}
     for (r, c), val in op.entries.items():
         if r in rows:
             break
         rows.add(r)
-        diag[c] = diag.get(c, Fraction(0)) + val.re * val.re + val.im * val.im
+        diag[c] = diag.get(c, Fraction(0)) + val * val
     else:
         return max(diag.values(), default=Fraction(0))
     gram = op.adjoint() @ op
     if any(r != c for r, c in gram.entries):
         raise PreconditionError("norm_squared needs A*A diagonal")
-    return max((val.re for val in gram.entries.values()), default=Fraction(0))
+    return max(gram.entries.values(), default=Fraction(0))
 
 
 def reference_creation(rep, mu: Path) -> SparseOperator:
@@ -324,7 +323,7 @@ def reference_creation(rep, mu: Path) -> SparseOperator:
     ent = {}
     for i, p in enumerate(rep.basis.labels):
         if p.r == mu.s and len(p) + len(mu) <= rep.L:
-            ent[(index[Path(rep.graph, mu.edge_ids + p.edge_ids)], i)] = QC_ONE
+            ent[(index[Path(rep.graph, mu.edge_ids + p.edge_ids)], i)] = 1
     return SparseOperator(rep.basis, ent)
 
 
@@ -335,7 +334,7 @@ def reference_generators(rep) -> tuple[dict, dict]:
     index = {p: i for i, p in enumerate(labels)}
     Q = {
         v: SparseOperator(
-            rep.basis, {(i, i): QC_ONE for i, p in enumerate(labels) if p.r == v}
+            rep.basis, {(i, i): 1 for i, p in enumerate(labels) if p.r == v}
         )
         for v in g.vertices
     }
@@ -344,7 +343,7 @@ def reference_generators(rep) -> tuple[dict, dict]:
         ent = {}
         for i, p in enumerate(labels):
             if p.r == e.src and len(p) + 1 <= rep.L:
-                ent[(index[Path(g, (e.id,) + p.edge_ids)], i)] = QC_ONE
+                ent[(index[Path(g, (e.id,) + p.edge_ids)], i)] = 1
         T[e.id] = SparseOperator(rep.basis, ent)
     return Q, T
 

@@ -85,6 +85,24 @@ def test_parse_failure_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+BAD_GRAPH_DOCUMENTS = [
+    {**SINGLE_LOOP, field: value}
+    for field in ("vertices", "edges")
+    for value in ("uv", {"u": 1, "v": 2}, 3)
+] + [{"vertices": ["v"], "edges": [edge]} for edge in ("e", ["e", "v", "v"], 3)]
+
+
+@pytest.mark.parametrize("doc", BAD_GRAPH_DOCUMENTS)
+def test_bad_graph_document_refused(tmp_path, capsys, doc):
+    # a string or an object is not read as its characters or keys
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["ktheory", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ERROR structural: bad graph document")
+
+
 def test_graph_roundtrip_is_canonical(tmp_path, capsys):
     # write(parse(f)) is the canonical form of f, and is idempotent
     path = tmp_path / "g.json"
@@ -235,6 +253,16 @@ def test_flow_precision_exhaustion(two_loop_file, capsys):
     rc = cli.main(["flow", two_loop_file, "--start", "e,f", "--step", "2", "--count", "3"])
     assert rc == 2
     capsys.readouterr()
+
+
+def test_flow_negative_count_refused(two_loop_file, capsys):
+    rc = cli.main(["flow", two_loop_file, "--start", "e,f", "--count", "-3"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ERROR precondition: count must be >= 0\n"
+    assert cli.main(["flow", two_loop_file, "--start", "e,f", "--count", "0"]) == 0
+    assert capsys.readouterr().out == "0\te,f\n"
 
 
 def test_quiver_long_single_loop_fibre(single_loop_file, capsys):

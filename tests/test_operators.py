@@ -1,4 +1,4 @@
-"""Exact scalars, sparse operators, and the truncated path-space representation."""
+"""Sparse operators over exact rationals, and the truncated path-space representation."""
 
 from fractions import Fraction
 
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from suspquiver import (
     Path,
     PreconditionError,
-    QC,
     SparseOperator,
     StructuralError,
     build_rep,
@@ -41,28 +40,6 @@ from conftest import (
 rationals = st.fractions(max_denominator=12, min_value=-3, max_value=3)
 
 
-@given(a=rationals, b=rationals, c=rationals, d=rationals)
-@settings(max_examples=50, deadline=None)
-def test_qc_field_arithmetic(a, b, c, d):
-    x, y = QC(a, b), QC(c, d)
-    assert (x + y) - y == x
-    assert x * y == y * x
-    assert (x * y).conj() == x.conj() * y.conj()
-    if y:
-        assert (x / y) * y == x
-    assert complex(x) == complex(float(a), float(b))
-
-
-@given(a=rationals, b=rationals, c=rationals, d=rationals)
-@settings(max_examples=50, deadline=None)
-def test_qc_real_fast_path_matches_complex_formula(a, b, c, d):
-    for x, y in ((QC(a), QC(c)), (QC(a, b), QC(c, d)), (QC(a), QC(c, d))):
-        assert x + y == QC(x.re + y.re, x.im + y.im)
-        assert x - y == QC(x.re - y.re, x.im - y.im)
-        assert x * y == QC(x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re)
-    assert QC(a) * 2 == QC(2 * a) and QC(a) + Fraction(1, 3) == QC(a + Fraction(1, 3))
-
-
 @given(
     seed=st.integers(0, 500),
     m=st.integers(1, 2),
@@ -74,18 +51,16 @@ def test_combo_matches_fold_of_add_and_scale(seed, m, data):
     rep = build_rep(higher_dual(g, 1, m + 1), 2)
     gens = [rep.T[k] for k in sorted(rep.T)] + [rep.Q[k] for k in sorted(rep.Q)]
     # a scaled generator too, so that terms carry entries other than the shared 1
-    gens.append(gens[0].scale(QC(Fraction(2, 3), Fraction(-1, 2))))
+    gens.append(gens[0].scale(Fraction(-2, 3)))
     drawn = data.draw(
-        st.lists(
-            st.tuples(st.integers(0, len(gens) - 1), rationals, rationals), max_size=6
-        )
+        st.lists(st.tuples(st.integers(0, len(gens) - 1), rationals), max_size=6)
     )
-    terms = [(QC(re, im), gens[i]) for i, re, im in drawn]
+    terms = [(c, gens[i]) for i, c in drawn]
     # repeat a prefix with negated coefficients, so that some entries cancel
     k = data.draw(st.integers(0, len(terms)))
     terms += [(-c, op) for c, op in terms[:k]]
     # and an int coefficient, as the callers in opalg pass
-    terms += [(int(re.numerator), gens[i]) for i, re, _ in drawn[:1]]
+    terms += [(c.numerator, gens[i]) for i, c in drawn[:1]]
     expected = rep.zero()
     for c, op in terms:
         expected = expected + op.scale(c)
@@ -98,7 +73,7 @@ def test_combo_cancellation_empty_and_foreign_basis(two_loop, cycle_plus_loop):
     rep = build_rep(two_loop, 2)
     t = rep.T["e"]
     assert combo(rep, []) == rep.zero()
-    assert combo(rep, [(QC(Fraction(1), Fraction(2)), t), (QC(-1, -2), t)]).is_zero()
+    assert combo(rep, [(Fraction(1, 2), t), (Fraction(-1, 2), t)]).is_zero()
     assert combo(rep, [(0, t)]).is_zero()
     f = rep.T["f"]
     assert rep.delta("v") == rep.Q["v"] - t @ t.adjoint() - f @ f.adjoint()
@@ -129,7 +104,7 @@ def test_creation_prepends(two_loop):
     mu = Path(g, ("e", "f"))
     T = rep.creation(mu)
     col = rep.basis_vector(vertex_path(g, "v"))
-    assert T.column(col) == {rep.basis_vector(mu): QC(Fraction(1))}
+    assert T.column(col) == {rep.basis_vector(mu): 1}
     # products of single-edge generators agree with the direct builder
     assert rep.T["e"] @ rep.T["f"] == T
     # annihilation past the cap
@@ -157,7 +132,7 @@ def test_delta_is_vacuum_projection(two_loop):
     interior = rep.interior_cols(1)
     assert rank_on_columns(d, interior) == 1
     vac = rep.vertex_index("v")
-    assert d.column(vac) == {vac: QC(Fraction(1))}
+    assert d.column(vac) == {vac: 1}
 
 
 def test_matrix_unit_exact(two_loop):
@@ -165,7 +140,7 @@ def test_matrix_unit_exact(two_loop):
     rep = build_rep(g, 4)
     mu, nu = Path(g, ("e", "f")), Path(g, ("f",))
     op = matrix_unit(rep, mu, nu)
-    assert op.entries == {(rep.basis_vector(mu), rep.basis_vector(nu)): QC(Fraction(1))}
+    assert op.entries == {(rep.basis_vector(mu), rep.basis_vector(nu)): 1}
 
 
 def test_matrix_unit_needs_matching_sources(cycle_plus_loop):
@@ -177,7 +152,7 @@ def test_matrix_unit_needs_matching_sources(cycle_plus_loop):
 
 def test_rank_on_columns_exact(two_loop):
     rep = build_rep(two_loop, 2)
-    third = QC(Fraction(1, 3))
+    third = Fraction(1, 3)
     op = SparseOperator(rep.basis, {(0, 0): 1, (0, 1): third, (1, 0): 2, (1, 1): third * 2})
     assert rank_on_columns(op, [0, 1]) == 1
     op2 = SparseOperator(rep.basis, {(0, 0): 1, (1, 1): 1})
@@ -186,7 +161,7 @@ def test_rank_on_columns_exact(two_loop):
 
 def test_norm_estimate_against_svd(cycle_plus_loop):
     rep = build_rep(cycle_plus_loop, 3)
-    op = rep.T["p"] + rep.T["l"].scale(QC(Fraction(1, 2), Fraction(1, 3)))
+    op = rep.T["p"] + rep.T["l"].scale(Fraction(-1, 2))
     est = operator_norm_est(op)
     svd = float(np.linalg.norm(op.to_dense(), 2))
     assert est == pytest.approx(svd, abs=1e-7)
@@ -211,14 +186,14 @@ def test_norm_squared_matches_svd(seed, m, kind, data):
     gens = rep.T if kind == "T" else rep.Q
     terms = data.draw(
         st.lists(
-            st.tuples(st.sampled_from(sorted(gens)), rationals, rationals),
+            st.tuples(st.sampled_from(sorted(gens)), rationals),
             min_size=1,
             max_size=6,
         )
     )
     op = rep.zero()
-    for key, re, im in terms:
-        op = op + gens[key].scale(QC(re, im))
+    for key, c in terms:
+        op = op + gens[key].scale(c)
     exact = norm_squared(op)
     assert isinstance(exact, Fraction)
     svd = float(np.linalg.norm(op.to_dense(), 2)) ** 2
@@ -272,13 +247,13 @@ def _small_rep(seed: int, m: int, L: int):
 def test_add_sub_scale_match_reference_loops(seed, m, L, data):
     rep = _small_rep(seed, m, L)
     gens = [rep.T[k] for k in sorted(rep.T)] + [rep.Q[k] for k in sorted(rep.Q)]
-    # complex-scaled sums, so that operands carry entries other than the shared 1
+    # scaled sums, so that operands carry entries other than the shared 1
     for _ in range(2):
         x, y = data.draw(st.sampled_from(gens)), data.draw(st.sampled_from(gens))
-        c = QC(data.draw(rationals), data.draw(rationals))
+        c = data.draw(rationals)
         gens.append(reference_add(x, reference_scale(y, c)))
     a, b = data.draw(st.sampled_from(gens)), data.draw(st.sampled_from(gens))
-    c = QC(data.draw(rationals), data.draw(rationals))
+    c = data.draw(rationals)
     before = (dict(a.entries), dict(b.entries))
     for got, want in (
         (a + b, reference_add(a, b)),
@@ -337,11 +312,10 @@ def test_generators_build_no_path_per_column(cycle_plus_loop, monkeypatch):
         assert mus[rep.vertex_index(v)] == vertex_path(rep.graph, v)
 
 
-# coprime denominators, units, plain rationals and complex values
+# coprime denominators, units and plain rationals
 coefficients = st.one_of(
     st.sampled_from([Fraction(1, 3), Fraction(5, 7), Fraction(-5, 7), 1, -1, 3]),
     rationals,
-    st.builds(QC, rationals, rationals),
 )
 
 
@@ -352,7 +326,7 @@ coefficients = st.one_of(
     data=st.data(),
 )
 @settings(max_examples=60, deadline=None)
-def test_integer_kernel_matches_qc_reference(seed, m, L, data):
+def test_integer_kernel_matches_fraction_reference(seed, m, L, data):
     rep = _small_rep(seed, m, L)
     gens = [rep.T[k] for k in sorted(rep.T)] + [rep.Q[k] for k in sorted(rep.Q)]
     pool = [(x, ReferenceOperator.of(x)) for x in gens]
@@ -372,10 +346,10 @@ def test_integer_kernel_matches_qc_reference(seed, m, L, data):
             got, want = x.scale(c).adjoint(), rx.scale(c).adjoint()
         else:  # c X - c X + Y cancels to Y, through one combo
             got = combo(rep, [(c, x), (1, y), (-c, x)])
-            want = reference_lincomb(rep.basis, [(c, rx), (1, ry), (-QC.of(c), rx)])
+            want = reference_lincomb(rep.basis, [(c, rx), (1, ry), (-c, rx)])
             assert got == y
         assert got.entries == want.entries and len(got.entries) == len(want.entries)
-        assert all(type(v) is int for v in (*got.re.values(), *got.im.values()))
+        assert all(type(v) is int for v in got.num.values())
         pool.append((got, want))
     for (x, rx), (y, ry) in data.draw(
         st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)), max_size=4)
@@ -395,14 +369,14 @@ def test_integer_kernel_matches_qc_reference(seed, m, L, data):
 
 def test_integer_kernel_denominators(two_loop):
     rep = build_rep(two_loop, 3)
-    x = rep.T["e"] + rep.T["f"].scale(QC(Fraction(2), Fraction(-1, 5)))
+    x = rep.T["e"] + rep.T["f"].scale(Fraction(-1, 5))
     third = x.scale(Fraction(1, 3))
     assert third.den == 15 and third != x
     assert third.scale(3) == x  # numerators over 15 against numerators over 5
     assert x.scale(Fraction(1, 3)) + x.scale(Fraction(2, 3)) == x
     assert (x.scale(Fraction(5, 7)) - x.scale(Fraction(5, 7))).is_zero()
     assert combo(rep, [(Fraction(1, 3), x), (Fraction(-5, 7), x), (Fraction(8, 21), x)]).is_zero()
-    c = QC(Fraction(1, 3), Fraction(5, 7))
+    c = Fraction(5, 21)
     assert combo(rep, [(c, x), (-c, x)]).is_zero()
     # equality and equal_on_columns compare values, not stored numerators
     y = rep.T["e"].scale(Fraction(1, 3)) @ rep.T["f"].scale(Fraction(5, 7))
@@ -411,13 +385,11 @@ def test_integer_kernel_denominators(two_loop):
     assert y.equal_on_columns(z.scale(Fraction(1, 3)).scale(3), 1)
     assert not y.equal_on_columns(z.scale(2), 1)
     assert norm_squared(y) == Fraction(25, 441)
-    # the QC view: nonzero entries only, in lowest terms, and a round trip
-    want = {QC(Fraction(1, 3)), QC(Fraction(2, 3), Fraction(-1, 15))}
+    # the Fraction view: nonzero entries only, in lowest terms, and a round trip
+    want = {Fraction(1, 3), Fraction(-1, 15)}
     assert set(third.entries.values()) == want
     assert SparseOperator(rep.basis, dict(third.entries)) == third
-    assert len(x.entries) == len(dict(x.entries)) == len(rep.T["e"].re) + len(rep.T["f"].re)
-    w = rep.T["e"].scale(QC(Fraction(0), Fraction(1, 2))) + rep.T["f"]  # T_e's imaginary only
-    assert len(w.entries) == len(dict(w.entries)) == len(x.entries) and len(w.re) < len(x.re)
+    assert len(x.entries) == len(dict(x.entries)) == len(rep.T["e"].num) + len(rep.T["f"].num)
 
 
 def test_real_combo_builds_no_fraction_per_entry(cycle_plus_loop, monkeypatch):
@@ -436,8 +408,11 @@ def test_real_combo_builds_no_fraction_per_entry(cycle_plus_loop, monkeypatch):
     gram = op.adjoint() @ op
     same = op == op.scale(Fraction(1, 3)).scale(3)
     n2 = norm_squared(combo(rep, terms[: len(rep.T)])), norm_squared(op - op)
+    # the entries view counts and lists its keys, as the benchmark's tracer does
+    sizes = len(op.entries), len(gram.entries), sum(1 for _ in op.entries)
     monkeypatch.undo()
-    assert len(rep.basis) > 1000 and len(op.re) > 2000 and len(gram.re) > 2000
+    assert len(rep.basis) > 1000 and sizes[0] == sizes[2] == len(op.num) > 2000
+    assert sizes[1] == len(gram.num) > 2000
     assert same and n2 == (Fraction(3, 9), 0)  # three edges leave each dual vertex
     assert len(built) < 10  # one per scalar argument and result at most, none per entry
 
@@ -452,23 +427,19 @@ def test_rank_on_columns_matches_sympy(seed, data):
     cols = data.draw(
         st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 6), unique=True)
     )
-    value = st.one_of(rationals, st.builds(QC, rationals, rationals))
     vecs = [
-        data.draw(st.dictionaries(st.integers(0, n - 1), value, max_size=4)) for _ in cols
+        data.draw(st.dictionaries(st.integers(0, n - 1), rationals, max_size=4)) for _ in cols
     ]
     if len(cols) >= 3:  # a combination of two columns, so that the rank drops
-        k = QC.of(data.draw(coefficients))
+        k = data.draw(coefficients)
         rows = {*vecs[0], *vecs[1]}
-        vecs[2] = {r: QC.of(vecs[0].get(r, 0)) * k + vecs[1].get(r, 0) for r in rows}
+        vecs[2] = {r: Fraction(vecs[0].get(r, 0)) * k + vecs[1].get(r, 0) for r in rows}
     ent = {(r, c): v for c, vec in zip(cols, vecs) for r, v in vec.items()}
     op = SparseOperator(rep.basis, ent)
     mat = sympy.zeros(n, len(cols))
     for j, vec in enumerate(vecs):
         for r, v in vec.items():
-            re, im = QC.of(v).re, QC.of(v).im
-            mat[r, j] = sympy.Rational(re.numerator, re.denominator) + sympy.I * sympy.Rational(
-                im.numerator, im.denominator
-            )
+            mat[r, j] = sympy.Rational(v.numerator, v.denominator)
     assert rank_on_columns(op, cols) == mat.rank(simplify=True)
 
 
