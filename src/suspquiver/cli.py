@@ -1,12 +1,11 @@
 """Command-line interface: file I/O, dispatch, and check reports.
 
 Exit codes: 0 all checks pass; 1 structural error (bad file, bad syntax) or a
-failed check; 2 precondition or hypothesis unmet.
+failed check; 2 precondition or hypothesis unmet, or a malformed command line.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -18,7 +17,7 @@ from .errors import PreconditionError, StructuralError, SuspensionError
 from . import flow as flowmod
 from . import ktheory as kt
 from . import opalg
-from .graph import Graph, Path
+from .graph import Graph, Path, enumerate_paths
 from .operators import build_rep
 from .quiver import fibre_paths, openness_report
 from .report import RunReport, rat_str
@@ -29,6 +28,7 @@ MAX_DENOMINATOR = 10**6
 EXIT_OK = 0
 EXIT_STRUCTURAL = 1
 EXIT_PRECONDITION = 2
+EXIT_USAGE = 2
 
 
 def parse_graph_file(path: str) -> Graph:
@@ -160,8 +160,6 @@ def _seeded_functions(g: Graph, m: int, seed: int):
     rng = random.Random(seed)
     vvals = {v: Fraction(rng.randint(0, 4), 8) for v in g.vertices}
     a = opalg.vertex_fn_interpolated(g, vvals)
-    from .graph import enumerate_paths
-
     if m >= 1:
         wvals = {w.edge_ids: Fraction(rng.randint(0, 4), 8) for w in enumerate_paths(g, m)}
     else:
@@ -175,6 +173,8 @@ def cmd_verify(args) -> int:
     if args.suite not in suites:
         raise StructuralError(f"unknown suite {args.suite!r}")
     g = parse_graph_file(args.input)
+    if not g.edges:
+        raise PreconditionError("verify needs a graph with at least one edge")
     L = capped_L(args.L)
     l = parse_rational(args.l)
     m, n = l.numerator, l.denominator
@@ -248,53 +248,128 @@ def cmd_quiver(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="suspend", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
+# command -> (handler, help, options).  An option is (names, dest, kind,
+# default, help): kind is str, int or bool (a flag, which takes no value),
+# and the default REQUIRED makes the option required.
+REQUIRED = object()
+COMMANDS = {
+    "transform": (cmd_transform, "graph-to-graph constructions", [
+        ("--op", "op", str, REQUIRED, "opposite | delay:n | dual:p,q | power:m"),
+        ("-o --output", "output", str, None, "write the graph here, not to stdout")]),
+    "ktheory": (cmd_ktheory, "K-theory of the suspension algebra", [
+        ("--l", "l", str, "1", 'parameter "m/n" (optional sign)'),
+        ("--json", "json", bool, False, "print a JSON document")]),
+    "verify": (cmd_verify, "operator-identity verification suites", [
+        ("--suite", "suite", str, "all", "tck|jmath|limits|eta|kappa|morita|flow|all"),
+        ("--L", "L", int, 4, "truncation length"),
+        ("--seed", "seed", int, 0, "seed of the spot checks and test functions"),
+        ("--l", "l", str, "1/2", "parameter for the l-dependent suites"),
+        ("--json", "json", bool, False, "print a JSON report")]),
+    "flow": (cmd_flow, "orbit traces of the suspension flow", [
+        ("--start", "start", str, REQUIRED, "comma-separated edge ids"),
+        ("--t", "t", str, "0", "start time"),
+        ("--step", "step", str, "1/2", "time step"),
+        ("--count", "count", int, 4, "number of steps")]),
+    "quiver": (cmd_quiver, "fibre enumeration and openness report", [
+        ("--m", "m", int, 1, "suspension parameter m"),
+        ("--t", "t", str, "1/3", "fibre coordinate"),
+        ("--n", "n", int, 1, "path length"),
+        ("--openness", "openness", bool, False, "report s/r openness, not a fibre")]),
+}
 
-    t = sub.add_parser("transform", help="graph-to-graph constructions")
-    t.add_argument("input")
-    t.add_argument("--op", required=True, help="opposite | delay:n | dual:p,q | power:m")
-    t.add_argument("-o", "--output")
-    t.set_defaults(fn=cmd_transform)
 
-    k = sub.add_parser("ktheory", help="K-theory of the suspension algebra")
-    k.add_argument("input")
-    k.add_argument("--l", default="1", help='parameter "m/n" (optional sign)')
-    k.add_argument("--json", action="store_true")
-    k.set_defaults(fn=cmd_ktheory)
+class _UsageError(Exception):
+    """args = (command or None, reason): argv does not fit COMMANDS."""
 
-    v = sub.add_parser("verify", help="operator-identity verification suites")
-    v.add_argument("input")
-    v.add_argument("--suite", default="all")
-    v.add_argument("--L", type=int, default=4)
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--l", default="1/2", help="parameter for the l-dependent suites")
-    v.add_argument("--json", action="store_true")
-    v.set_defaults(fn=cmd_verify)
 
-    f = sub.add_parser("flow", help="orbit traces of the suspension flow")
-    f.add_argument("input")
-    f.add_argument("--start", required=True, help="comma-separated edge ids")
-    f.add_argument("--t", default="0")
-    f.add_argument("--step", default="1/2")
-    f.add_argument("--count", type=int, default=4)
-    f.set_defaults(fn=cmd_flow)
+class _Args:
+    """A parsed command line: command, fn, input and each option's dest."""
 
-    q = sub.add_parser("quiver", help="fibre enumeration and openness report")
-    q.add_argument("input")
-    q.add_argument("--m", type=int, default=1)
-    q.add_argument("--t", default="1/3")
-    q.add_argument("--n", type=int, default=1)
-    q.add_argument("--openness", action="store_true")
-    q.set_defaults(fn=cmd_quiver)
-    return ap
+
+def _usage(command) -> str:
+    if command is None:
+        return "usage: suspend {" + ",".join(COMMANDS) + "} ..."
+    words = ["input"]
+    for names, dest, kind, default, _ in COMMANDS[command][2]:
+        word = names.split()[0] + ("" if kind is bool else " " + dest.upper())
+        words.append(word if default is REQUIRED else f"[{word}]")
+    return f"usage: suspend {command} " + " ".join(words)
+
+
+def _print_help(args) -> int:
+    if args.command is None:
+        rows = [(name, spec[1]) for name, spec in COMMANDS.items()]
+    else:
+        rows = [("input", "graph JSON file")]
+        for names, dest, kind, default, text in COMMANDS[args.command][2]:
+            left = names.replace(" ", ", ") + ("" if kind is bool else " " + dest.upper())
+            if default is REQUIRED:
+                text += " (required)"
+            elif kind is not bool and default is not None:
+                text += f" (default: {default})"
+            rows.append((left, text))
+    rows.append(("-h, --help", "print this help and exit"))
+    width = max(len(left) for left, _ in rows)
+    print(_usage(args.command), "", *(f"  {left:<{width}}  {text}" for left, text in rows), sep="\n")
+    return EXIT_OK
+
+
+def _parse(argv: list) -> _Args:
+    """argv as _Args, whose fn runs the command or, after -h, prints help.
+
+    Options and the input come in any order.  A value option takes the text
+    after "=", else the next token, whatever it starts with.
+    """
+    args = _Args()
+    args.command, args.fn, args.input = None, _print_help, None
+    if argv[:1] in (["-h"], ["--help"]):
+        return args
+    if not argv or argv[0] not in COMMANDS:
+        raise _UsageError(None, f"unknown command {argv[0]!r}" if argv else "missing command")
+    args.command, (args.fn, _, options) = argv[0], COMMANDS[argv[0]]
+    by_name = {name: option for option in options for name in option[0].split()}
+    for _, dest, _, default, _ in options:
+        setattr(args, dest, default)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            args.fn = _print_help
+            return args
+        name, eq, value = token.partition("=")
+        if not token.startswith("-"):
+            if args.input is not None:
+                raise _UsageError(args.command, f"unexpected argument {token!r}")
+            args.input = token
+            continue
+        if name not in by_name:
+            raise _UsageError(args.command, f"unknown option {name!r}")
+        _, dest, kind, _, _ = by_name[name]
+        if kind is bool and eq:
+            raise _UsageError(args.command, f"option {name} takes no value")
+        if kind is not bool and not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise _UsageError(args.command, f"option {name} needs a value")
+        try:
+            setattr(args, dest, True if kind is bool else kind(value))
+        except ValueError:
+            raise _UsageError(args.command, f"option {name} needs an integer, not {value!r}") from None
+    if args.input is None:
+        raise _UsageError(args.command, "missing input")
+    for names, dest, _, _, _ in options:
+        if getattr(args, dest) is REQUIRED:
+            raise _UsageError(args.command, f"missing option {names}")
+    return args
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+    except _UsageError as exc:
+        command, reason = exc.args
+        print(_usage(command), f"suspend: error: {reason}", sep="\n", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         return args.fn(args)
     except StructuralError as exc:
         print(f"ERROR structural: {exc}", file=sys.stderr)

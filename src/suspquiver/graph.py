@@ -280,12 +280,14 @@ def enumerate_paths(
         verts = [v for v in sorted(g.vertices) if src in (None, v) and rng in (None, v)]
         return [vertex_path(g, v) for v in verts]
     layer = next(itertools.islice(_path_layers(g, rng), n - 1, None))
-    return [Path(g, ids) for ids, tail in layer if src is None or tail == src]
+    return [Path._composed(g, ids) for ids, tail, _ in layer if src is None or tail == src]
 
 
 def _path_layers(g: Graph, rng: Optional[str] = None) -> Iterator[list]:
     """The paths of length 1, 2, ... with range rng (any range for None), one
-    lexicographically ordered list of (edge ids, source vertex) per length.
+    lexicographically ordered list of (edge ids, source vertex, parent) per
+    length, parent the position in the layer before of the path less its last
+    edge (None in the first layer).
 
     Each layer extends the last outward from the range end: the first edge
     has r(e) = rng, and each later edge f has r(f) = s of the edge before.
@@ -294,10 +296,14 @@ def _path_layers(g: Graph, rng: Optional[str] = None) -> Iterator[list]:
     if rng is not None and rng not in received:
         raise StructuralError(f"unknown vertex id {rng!r}")
     starts = [rng] if rng is not None else g.vertices
-    layer = sorted(((e.id,), e.src) for v in starts for e in received[v])
+    layer = sorted(((e.id,), e.src, None) for v in starts for e in received[v])
     while True:
         yield layer
-        layer = [(ids + (e.id,), e.src) for ids, tail in layer for e in received[tail]]
+        layer = [
+            (ids + (e.id,), e.src, i)
+            for i, (ids, tail, _) in enumerate(layer)
+            for e in received[tail]
+        ]
 
 
 def adjacency(g: Graph) -> IntMatrix:

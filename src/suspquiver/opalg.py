@@ -61,25 +61,34 @@ class FunctionOnVertices:
             self._base[v] = vals[0]
 
     def at_edge(self, e: str, t) -> Fraction:
-        t = Fraction(t)
-        if not 0 <= t <= 1:
-            raise PreconditionError("edge coordinate must lie in [0,1]")
-        f = self.evals.get(e)
-        return Fraction(f(t)) if f is not None else Fraction(0)
+        return _evaluate(self.evals.get(e), t, "edge")
 
     def at_base(self, v: str) -> Fraction:
         return self._base[v]
 
 
+def _evaluate(f, t, what: str) -> Fraction:
+    """f(t) as a Fraction for t in [0,1] (0 where f is None)."""
+    if type(t) is not Fraction:
+        t = Fraction(t)
+    if not 0 <= t <= 1:
+        raise PreconditionError(f"{what} coordinate must lie in [0,1]")
+    if f is None:
+        return Fraction(0)
+    value = f(t)
+    return value if type(value) is Fraction else Fraction(value)
+
+
+def _affine(lo: Fraction, hi: Fraction):
+    """t -> lo + (hi - lo) t, which is (1-t) lo + t hi."""
+    slope = hi - lo
+    return lambda t: lo + slope * t
+
+
 def vertex_fn_interpolated(g: Graph, values: dict) -> FunctionOnVertices:
     """The affine interpolation a([e,t]) = (1-t) values[r(e)] + t values[s(e)]."""
     vals = {v: Fraction(values.get(v, 0)) for v in g.vertices}
-
-    def make(e):
-        lo, hi = vals[g.r(e)], vals[g.s(e)]
-        return lambda t: lo * (1 - Fraction(t)) + hi * Fraction(t)
-
-    return FunctionOnVertices(g, {e.id: make(e.id) for e in g.edges})
+    return FunctionOnVertices(g, {e.id: _affine(vals[e.dst], vals[e.src]) for e in g.edges})
 
 
 class FunctionOnEdges:
@@ -122,11 +131,7 @@ class FunctionOnEdges:
         return w.edge_ids if w.edge_ids else ("@", w.anchor)
 
     def at_word(self, word: tuple, t) -> Fraction:
-        t = Fraction(t)
-        if not 0 <= t <= 1:
-            raise PreconditionError("word coordinate must lie in [0,1]")
-        f = self.evals.get(tuple(word))
-        return Fraction(f(t)) if f is not None else Fraction(0)
+        return _evaluate(self.evals.get(tuple(word)), t, "word")
 
     def at_lattice(self, w: Path) -> Fraction:
         return self._lattice[self._lkey(w)]
@@ -143,11 +148,10 @@ def edge_fn_interpolated(g: Graph, m: int, weights: dict) -> FunctionOnEdges:
         key = w.edge_ids if w.edge_ids else w.anchor
         return Fraction(weights.get(key, 0))
 
-    evals = {}
-    for mu in enumerate_paths(g, m + 1):
-        lo = weight(mu.window(0, m))
-        hi = weight(mu.window(1, m + 1))
-        evals[mu.edge_ids] = (lambda lo, hi: lambda t: lo * (1 - Fraction(t)) + hi * Fraction(t))(lo, hi)
+    evals = {
+        mu.edge_ids: _affine(weight(mu.window(0, m)), weight(mu.window(1, m + 1)))
+        for mu in enumerate_paths(g, m + 1)
+    }
     return FunctionOnEdges(g, m, evals)
 
 
@@ -361,14 +365,29 @@ def _loop_graph(symbols) -> Graph:
     return Graph(list(symbols), [(f"loop({s})", s, s) for s in symbols])
 
 
+def _on_generators(
+    rep: TruncatedRep, rho_coeffs: dict, psi_coeffs: dict
+) -> tuple[SparseOperator, SparseOperator]:
+    """(sum_e c_e Q_e, sum_mu c_mu T_mu) on E(1,m+1), the coefficients keyed
+    by edge id and by the edge ids of mu in E^{m+1}."""
+    rho = combo(rep, [(c, rep.Q[e]) for e, c in rho_coeffs.items()])
+    psi = combo(rep, [(c, rep.T[join_ids(mu)]) for mu, c in psi_coeffs.items()])
+    return rho, psi
+
+
+def _fibre_coeffs(
+    g: Graph, t: Fraction, a: FunctionOnVertices, xi: FunctionOnEdges, words: list
+) -> tuple[dict, dict]:
+    """The coefficients a([e,t]) of Q_e and xi([mu,t]) of T_mu, mu in words."""
+    return {e.id: a.at_edge(e.id, t) for e in g.edges}, {mu: xi.at_word(mu, t) for mu in words}
+
+
 def _fibre_rho_psi(
     rep: TruncatedRep, g: Graph, m: int, t: Fraction, a: FunctionOnVertices, xi: FunctionOnEdges
 ) -> tuple[SparseOperator, SparseOperator]:
     """rho = sum_e a([e,t]) Q_e, psi = sum_{mu in E^{m+1}} xi([mu,t]) T_mu on E(1,m+1)."""
-    rho = combo(rep, [(a.at_edge(e.id, t), rep.Q[e.id]) for e in g.edges])
-    words = enumerate_paths(g, m + 1)
-    psi = combo(rep, [(xi.at_word(mu.edge_ids, t), rep.T[join_ids(mu.edge_ids)]) for mu in words])
-    return rho, psi
+    words = [mu.edge_ids for mu in enumerate_paths(g, m + 1)]
+    return _on_generators(rep, *_fibre_coeffs(g, t, a, xi, words))
 
 
 def rho_psi(
@@ -419,21 +438,53 @@ class LimitReport:
     report: RunReport = field(default_factory=RunReport)
 
 
-def _limit_ops(
-    rep: TruncatedRep, g: Graph, m: int, a: FunctionOnVertices, xi: FunctionOnEdges, end: int
-) -> tuple[SparseOperator, SparseOperator]:
-    """The limits (rho, psi) of the fibre pair at t -> 0+ (end 0) or t -> 1- (end 1).
+def _limit_coeffs(
+    g: Graph, m: int, a: FunctionOnVertices, xi: FunctionOnEdges, end: int
+) -> tuple[dict, dict]:
+    """The coefficients of Q_e and T_mu in the limits of the fibre pair at
+    t -> 0+ (end 0) or t -> 1- (end 1), keyed as in _on_generators.
 
     At 0 each word w in E^m extends to we with r(e) = s(w), at 1 to ew with s(e) = r(w).
     """
+    words = enumerate_paths(g, m)
     if end == 0:
-        rho = combo(rep, [(a.at_base(e.dst), rep.Q[e.id]) for e in g.edges])
-        words = [(w, w.edge_ids + (e.id,)) for w in enumerate_paths(g, m) for e in g.received(w.s)]
+        rho = {e.id: a.at_base(e.dst) for e in g.edges}
+        psi = {w.edge_ids + (e.id,): xi.at_lattice(w) for w in words for e in g.received(w.s)}
     else:
-        rho = combo(rep, [(a.at_base(e.src), rep.Q[e.id]) for e in g.edges])
-        words = [(w, (e.id,) + w.edge_ids) for w in enumerate_paths(g, m) for e in g.emitted(w.r)]
-    psi = combo(rep, [(xi.at_lattice(w), rep.T[join_ids(ids)]) for w, ids in words])
+        rho = {e.id: a.at_base(e.src) for e in g.edges}
+        psi = {(e.id,) + w.edge_ids: xi.at_lattice(w) for w in words for e in g.emitted(w.r)}
     return rho, psi
+
+
+def _limit_ops(
+    rep: TruncatedRep, g: Graph, m: int, a: FunctionOnVertices, xi: FunctionOnEdges, end: int
+) -> tuple[SparseOperator, SparseOperator]:
+    """The limits (rho, psi) of the fibre pair at t -> 0+ (end 0) or t -> 1- (end 1)."""
+    return _on_generators(rep, *_limit_coeffs(g, m, a, xi, end))
+
+
+def _limit_errors(
+    rep: TruncatedRep, g: Graph, m: int, a: FunctionOnVertices, xi: FunctionOnEdges
+):
+    """err(t, end) = (rho(t) - eps_rho, psi(t) - eps_psi), the limit at end 0 or 1.
+
+    The generator tables are built once, keyed by every generator of the
+    fibre pair or of a limit; each error operator is then one combo of the
+    coefficient differences c_g(t) - eps_g.
+    """
+    words = [mu.edge_ids for mu in enumerate_paths(g, m + 1)]
+    limits = [_limit_coeffs(g, m, a, xi, end) for end in (0, 1)]
+    psi_keys = dict.fromkeys(words + [mu for _, psi in limits for mu in psi])
+    gens = ({e.id: rep.Q[e.id] for e in g.edges}, {mu: rep.T[join_ids(mu)] for mu in psi_keys})
+
+    def err(t: Fraction, end: int) -> tuple[SparseOperator, SparseOperator]:
+        at_t = _fibre_coeffs(g, t, a, xi, words)
+        return tuple(
+            combo(rep, [(at.get(k, 0) - lim.get(k, 0), op) for k, op in table.items()])
+            for at, lim, table in zip(at_t, limits[end], gens)
+        )
+
+    return err
 
 
 def _jmath_image(
@@ -480,13 +531,12 @@ def limit_formulas(
         "rho_at_1": [],
         "psi_at_1": [],
     }
+    err = _limit_errors(rep, g, m, a, xi)
     for d in dists:
-        rho0, psi0 = _fibre_rho_psi(rep, g, m, d, a, xi)
-        sq["rho_at_0"].append(norm_squared(rho0 - eps0_rho))
-        sq["psi_at_0"].append(norm_squared(psi0 - eps0_psi))
-        rho1, psi1 = _fibre_rho_psi(rep, g, m, 1 - d, a, xi)
-        sq["rho_at_1"].append(norm_squared(rho1 - eps1_rho))
-        sq["psi_at_1"].append(norm_squared(psi1 - eps1_psi))
+        for end, t in ((0, d), (1, 1 - d)):
+            rho_err, psi_err = err(t, end)
+            sq[f"rho_at_{end}"].append(norm_squared(rho_err))
+            sq[f"psi_at_{end}"].append(norm_squared(psi_err))
     constants = {name: seq[0] / (dists[0] * dists[0]) for name, seq in sq.items()}
     closed_form = all(
         e2 == constants[name] * d * d

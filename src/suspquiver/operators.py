@@ -247,10 +247,22 @@ class TruncatedRep:
         self.graph = graph
         self.L = L
         # one pass over the lengths, each layer extending the last, so every
-        # label composes by construction and is not walked again
+        # label composes by construction and is not walked again; each path
+        # of length n >= 1 is its parent of length n - 1 (a vertex for n = 1)
+        # followed by its last edge, and _child maps (parent, edge) to it
         labels = [vertex_path(graph, v) for v in sorted(graph.vertices)]
+        column = {p.anchor: i for i, p in enumerate(labels)}
+        self._parent: list[int] = [-1] * len(labels)
+        self._child: dict[tuple[int, str], int] = {}
+        before = 0  # the column where the layer before this one starts
         for _, layer in zip(range(L), _path_layers(graph)):
-            labels.extend(Path._composed(graph, ids) for ids, _ in layer)
+            start = len(labels)
+            for ids, _, up in layer:
+                parent = column[graph.r(ids[0])] if up is None else before + up
+                self._parent.append(parent)
+                self._child[(parent, ids[-1])] = len(labels)
+                labels.append(Path._composed(graph, ids))
+            before = start
         self.basis = Basis(labels)
         # basis columns grouped by range vertex, in basis (so length) order
         self._by_range: dict[str, list[int]] = {v: [] for v in graph.vertices}
@@ -278,15 +290,23 @@ class TruncatedRep:
 
     def _prepend(self, word: tuple[str, ...], src: str) -> SparseOperator:
         """The operator sending each path p with r(p) = src and |word p| <= L to
-        word p, found by its edge ids; every other column is annihilated."""
-        labels, lengths, index = self.basis.labels, self.basis.lengths, self.basis.index
+        word p; every other column is annihilated.
+
+        In basis order a parent p' comes before p = p' f, and word p is the
+        child of word p' by f, so each row is one lookup from the row before.
+        """
+        labels, lengths = self.basis.labels, self.basis.lengths
+        parent, child = self._parent, self._child
         cap = self.L - len(word)
-        ent = {}
+        row: dict[int, int] = {}
         for i in self._by_range.get(src, ()):
             if lengths[i] > cap:
                 break
-            ent[(index[(word + labels[i].edge_ids, None)], i)] = 1
-        return SparseOperator._of(self.basis, ent)
+            if lengths[i]:
+                row[i] = child[(row[parent[i]], labels[i].edge_ids[-1])]
+            else:
+                row[i] = self.basis.index[(word, None)]
+        return SparseOperator._of(self.basis, {(r, i): 1 for i, r in row.items()})
 
     def delta(self, v: str) -> SparseOperator:
         """Defect projection Q_v - sum_{e in vE1} T_e T_e*."""

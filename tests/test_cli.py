@@ -279,3 +279,109 @@ def test_quiver_fibre_and_openness(two_loop_file, capsys):
     assert cli.main(["quiver", two_loop_file, "--openness"]) == 0
     out = capsys.readouterr().out
     assert "OPEN_ALL s=False r=False" in out
+
+
+def test_negative_rational_after_a_space(two_loop_file, capsys):
+    # the token after a value option is its value, even when it starts with -
+    assert cli.main(["ktheory", two_loop_file, "--l", "-1/2"]) == 0
+    spaced = capsys.readouterr()
+    assert spaced.out.startswith("L = -1/2\n")
+    assert cli.main(["ktheory", two_loop_file, "--l=-1/2"]) == 0
+    assert capsys.readouterr() == spaced
+    assert cli.main(["quiver", two_loop_file, "--t", "-1/3"]) == 0
+    spaced = capsys.readouterr()
+    assert cli.main(["quiver", two_loop_file, "--t=-1/3"]) == 0
+    assert capsys.readouterr() == spaced and spaced.out.startswith("FIBRE m=1 t=2/3")
+
+
+USAGE_ERRORS = {
+    "no command": [],
+    "unknown command": ["frob", "{g}"],
+    "unknown option": ["ktheory", "{g}", "--bogus"],
+    "abbreviated option": ["ktheory", "{g}", "--js"],
+    "option with no value": ["ktheory", "{g}", "--l"],
+    "flag with a value": ["ktheory", "{g}", "--json=yes"],
+    "missing input": ["verify", "--L", "3"],
+    "missing --op": ["transform", "{g}"],
+    "missing --start": ["flow", "{g}"],
+    "second positional": ["ktheory", "{g}", "{g}"],
+    "non-integer --L": ["verify", "{g}", "--L", "4.5"],
+    "non-integer --seed": ["verify", "{g}", "--seed", "x"],
+    "non-integer --count": ["flow", "{g}", "--start", "e", "--count=three"],
+    "non-integer --m": ["quiver", "{g}", "--m", "1/2"],
+    "non-integer --n": ["quiver", "{g}", "--n", ""],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_errors_exit_2(two_loop_file, capsys, argv):
+    assert cli.main([a.format(g=two_loop_file) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: suspend ") and error.startswith("suspend: error: ")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"]] + [[c, "-h"] for c in cli.COMMANDS])
+def test_help_exits_0(capsys, argv):
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: suspend ")
+    if len(argv) == 1:
+        assert all(f"  {c} " in out for c in cli.COMMANDS)
+        return
+    for names, _, kind, default, text in cli.COMMANDS[argv[0]][2]:
+        line = next(x for x in out.splitlines() if x.startswith("  " + names.split()[0]))
+        assert text in line
+        if default is cli.REQUIRED:
+            assert "(required)" in line
+        elif kind is not bool and default is not None:
+            assert f"(default: {default})" in line
+
+
+@pytest.mark.parametrize(
+    "spaced",
+    [
+        ["ktheory", "{g}", "--l", "2/3"],
+        ["verify", "{g}", "--suite", "tck", "--L", "3", "--seed", "2"],
+        ["flow", "{g}", "--start", "e,f", "--t", "1/2", "--step", "1/3", "--count", "2"],
+        ["quiver", "{g}", "--m", "2", "--t", "1/2", "--n", "2"],
+        ["transform", "{g}", "--op", "dual:1,2"],
+    ],
+)
+def test_equals_form_and_option_order(two_loop_file, capsys, spaced):
+    spaced = [a.format(g=two_loop_file) for a in spaced]
+    assert cli.main(spaced) == 0
+    want = capsys.readouterr()
+    pairs = [spaced[i : i + 2] for i in range(2, len(spaced), 2)]
+    joined = spaced[:2] + [f"{name}={value}" for name, value in pairs]
+    first = [spaced[0]] + [a for pair in pairs for a in pair] + [spaced[1]]
+    for argv in (joined, first):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == want
+
+
+def test_cli_import_leaves_out_argparse():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys\nimport suspquiver.cli\nprint('argparse' in sys.modules)\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "doc,suite",
+    [({"vertices": [], "edges": []}, "all"), ({"vertices": ["u"], "edges": []}, "limits")],
+)
+def test_verify_refuses_edgeless_graph(tmp_path, capsys, doc, suite):
+    # every check on an edgeless graph would pass vacuously
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", str(path), "--suite", suite]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ERROR precondition: verify needs a graph with at least one edge\n"

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from suspquiver import (
     GluingError,
@@ -195,6 +197,27 @@ def test_limit_formulas(m, two_loop):
     assert lim.report.ok, lim.report.to_text()
     for seq in lim.errors.values():
         assert seq[-1] < 1e-2
+
+
+@given(seed=st.integers(0, 500), m=st.integers(1, 2), k=st.integers(1, 6), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_limit_errors_match_fibre_minus_limit(seed, m, k, data):
+    # each error operator, one combo of coefficient differences over the
+    # generator table, is the fibre pair at t less the limit at that end
+    from suspquiver.opalg import _fibre_rho_psi, _limit_errors, _limit_ops
+
+    g = random_no_sink_source_graph(seed, max_vertices=3, max_edges=3)
+    rep = build_rep(higher_dual(g, 1, m + 1), 2)
+    value = st.fractions(min_value=-2, max_value=2, max_denominator=8)
+    a = vertex_fn_interpolated(g, {v: data.draw(value) for v in g.vertices})
+    weights = {w.edge_ids: data.draw(value) for w in enumerate_paths(g, m)}
+    xi = edge_fn_interpolated(g, m, weights)
+    err = _limit_errors(rep, g, m, a, xi)
+    d = Fraction(1, 2**k)
+    for end, t in ((0, d), (1, 1 - d)):
+        rho, psi = _fibre_rho_psi(rep, g, m, t, a, xi)
+        eps_rho, eps_psi = _limit_ops(rep, g, m, a, xi, end)
+        assert err(t, end) == (rho - eps_rho, psi - eps_psi)
 
 
 def test_limit_constants_pinned(cycle_plus_loop):

@@ -295,6 +295,16 @@ def test_generators_match_path_built_reference(seed, m, L):
         assert rep.basis_vector(mu) == rep.basis.labels.index(mu)
 
 
+def test_generators_match_reference_on_a_long_single_loop(single_loop):
+    # at L=200 each row of T_e and T_mu is found from the row of its parent
+    rep = build_rep(single_loop, 200)
+    Q, T = reference_generators(rep)
+    assert rep.Q == Q and rep.T == T
+    for n in (1, 2, 100, 199, 200):
+        mu = Path(single_loop, ("e",) * n)
+        assert rep.creation(mu) == reference_creation(rep, mu)
+
+
 def test_generators_build_no_path_per_column(cycle_plus_loop, monkeypatch):
     dual = higher_dual(cycle_plus_loop, 1, 3)
     built = []
