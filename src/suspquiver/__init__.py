@@ -7,7 +7,6 @@ generator-level identity checking, and K-theoretic invariants.
 
 from .errors import (
     CompositionError,
-    GluingError,
     PrecisionError,
     PreconditionError,
     StructuralError,

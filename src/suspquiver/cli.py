@@ -157,13 +157,15 @@ def cmd_ktheory(args) -> int:
 
 
 def _seeded_functions(g: Graph, m: int, seed: int):
+    """Seeded vertex values and lattice weights for m >= 1.  The vertex values
+    are redrawn while two or more vertices all share one, which would leave
+    the rho half of the limit check vacuous."""
     rng = random.Random(seed)
-    vvals = {v: Fraction(rng.randint(0, 4), 8) for v in g.vertices}
+    vvals: dict = {}
+    while len(set(vvals.values())) < min(2, len(g.vertices)):
+        vvals = {v: Fraction(rng.randint(0, 4), 8) for v in g.vertices}
     a = opalg.vertex_fn_interpolated(g, vvals)
-    if m >= 1:
-        wvals = {w.edge_ids: Fraction(rng.randint(0, 4), 8) for w in enumerate_paths(g, m)}
-    else:
-        wvals = {v: Fraction(rng.randint(0, 4), 8) for v in g.vertices}
+    wvals = {w.edge_ids: Fraction(rng.randint(0, 4), 8) for w in enumerate_paths(g, m)}
     xi = opalg.edge_fn_interpolated(g, m, wvals)
     return a, xi
 

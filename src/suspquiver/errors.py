@@ -23,7 +23,3 @@ class CompositionError(PreconditionError):
 
 class PrecisionError(PreconditionError):
     """A finite-prefix flow computation ran out of precision."""
-
-
-class GluingError(PreconditionError):
-    """Function data violating the endpoint gluing constraints."""

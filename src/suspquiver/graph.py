@@ -44,11 +44,13 @@ class Graph:
             if e.src not in vset or e.dst not in vset:
                 raise StructuralError(f"edge {e.id!r} has a dangling endpoint")
         self._by_id = {e.id: e for e in self.edges}
-        self._received: dict[str, tuple[Edge, ...]] = {v: () for v in self.vertices}
-        self._emitted: dict[str, tuple[Edge, ...]] = {v: () for v in self.vertices}
+        received: dict[str, list[Edge]] = {v: [] for v in self.vertices}
+        emitted: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         for e in self.edges:
-            self._received[e.dst] += (e,)
-            self._emitted[e.src] += (e,)
+            received[e.dst].append(e)
+            emitted[e.src].append(e)
+        self._received = {v: tuple(es) for v, es in received.items()}
+        self._emitted = {v: tuple(es) for v, es in emitted.items()}
 
     def edge(self, edge_id: str) -> Edge:
         try:
@@ -138,7 +140,7 @@ class Path:
             raise PreconditionError(f"bad window ({a},{b}) for length {len(self)}")
         if a == b:
             return Path(self.graph, (), self.vertex_at(a))
-        return Path(self.graph, self.edge_ids[a:b])
+        return Path._composed(self.graph, self.edge_ids[a:b])
 
     def __repr__(self) -> str:
         if self.edge_ids:
@@ -152,11 +154,13 @@ def vertex_path(g: Graph, v: str) -> Path:
 
 def concatenate(mu: Path, nu: Path) -> Path:
     """mu nu, defined when s(mu) = r(nu); vertex operands act as identities."""
+    if nu.graph is not mu.graph:
+        raise StructuralError("paths belong to different graphs")
     if mu.s != nu.r:
         raise CompositionError(f"s(mu)={mu.s!r} != r(nu)={nu.r!r}")
     if not mu.edge_ids and not nu.edge_ids:
         return mu
-    return Path(mu.graph, mu.edge_ids + nu.edge_ids)
+    return Path._composed(mu.graph, mu.edge_ids + nu.edge_ids)
 
 
 class IntMatrix:

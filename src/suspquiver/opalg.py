@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import GluingError, PreconditionError, StructuralError
+from .errors import PreconditionError, StructuralError
 from .graph import Graph, Path, enumerate_paths, validate, vertex_path
 from .ktheory import hypothesis_check
 from .operators import (
@@ -38,121 +38,75 @@ from .transform import (
 
 
 class FunctionOnVertices:
-    """A function on SG{E}^0 given by per-edge evaluators a([e,t]).
+    """A function on SG{E}^0: vertex values, interpolated affinely along each edge.
 
-    Gluing constraints ([e,0] = [r(e)], [e,1] = [s(e)]) are validated eagerly
-    at the endpoints; missing edges evaluate to 0.
+    a([e,t]) = (1-t) a([r(e)]) + t a([s(e)]), so the gluing [e,0] = [r(e)],
+    [e,1] = [s(e)] holds by construction.  Vertices missing from values read 0.
     """
 
-    def __init__(self, g: Graph, evals: dict):
+    def __init__(self, g: Graph, values: dict):
         self.graph = g
-        self.evals = dict(evals)
-        for e in self.evals:
-            g.edge(e)
-        self._base: dict[str, Fraction] = {}
-        for v in g.vertices:
-            vals = [self.at_edge(e.id, Fraction(0)) for e in g.received(v)]
-            vals += [self.at_edge(e.id, Fraction(1)) for e in g.emitted(v)]
-            if not vals:
-                self._base[v] = Fraction(0)
-                continue
-            if any(x != vals[0] for x in vals[1:]):
-                raise GluingError(f"vertex values disagree at [{v}]")
-            self._base[v] = vals[0]
+        vals = self.values = {v: Fraction(values.get(v, 0)) for v in g.vertices}
+        # (lo, slope) per edge: a([e,t]) = lo + slope t
+        self._lines = {e.id: (vals[e.dst], vals[e.src] - vals[e.dst]) for e in g.edges}
 
     def at_edge(self, e: str, t) -> Fraction:
-        return _evaluate(self.evals.get(e), t, "edge")
+        return _on_line(self._lines, e, t, "edge")
 
     def at_base(self, v: str) -> Fraction:
-        return self._base[v]
+        return self.values[v]
 
 
-def _evaluate(f, t, what: str) -> Fraction:
-    """f(t) as a Fraction for t in [0,1] (0 where f is None)."""
+def _on_line(lines: dict, key, t, what: str) -> Fraction:
+    """lo + slope t for the (lo, slope) of key, t in [0,1]."""
     if type(t) is not Fraction:
         t = Fraction(t)
     if not 0 <= t <= 1:
         raise PreconditionError(f"{what} coordinate must lie in [0,1]")
-    if f is None:
-        return Fraction(0)
-    value = f(t)
-    return value if type(value) is Fraction else Fraction(value)
-
-
-def _affine(lo: Fraction, hi: Fraction):
-    """t -> lo + (hi - lo) t, which is (1-t) lo + t hi."""
-    slope = hi - lo
-    return lambda t: lo + slope * t
+    try:
+        lo, slope = lines[key]
+    except KeyError:
+        raise StructuralError(f"unknown {what} {key!r}") from None
+    return lo + slope * t
 
 
 def vertex_fn_interpolated(g: Graph, values: dict) -> FunctionOnVertices:
-    """The affine interpolation a([e,t]) = (1-t) values[r(e)] + t values[s(e)]."""
-    vals = {v: Fraction(values.get(v, 0)) for v in g.vertices}
-    return FunctionOnVertices(g, {e.id: _affine(vals[e.dst], vals[e.src]) for e in g.edges})
+    """The FunctionOnVertices of these vertex values, affine along each edge."""
+    return FunctionOnVertices(g, values)
 
 
 class FunctionOnEdges:
-    """A function on SG[m]E^1 given by per-word evaluators xi([mu,t]), mu in E^{m+1}.
+    """A function on SG[m]E^1: lattice weights, interpolated affinely along each word.
 
-    The lattice value xi([w]) (w in E^m) is the common value at t = 0 of all
-    extensions wf; the gluing xi([mu,1]) = xi([mu(1,m+1) f, 0]) is validated
-    eagerly.  Missing words evaluate to 0.
+    weights is keyed by m-tuples of edge ids (by vertex ids when m = 0); words
+    missing from it weigh 0.  xi([w]) = weights[w] for w in E^m and
+    xi([mu,t]) = (1-t) xi([mu(0,m)]) + t xi([mu(1,m+1)]) for mu in E^{m+1},
+    so the gluing xi([mu,1]) = xi([mu(1,m+1) f, 0]) holds by construction.
     """
 
-    def __init__(self, g: Graph, m: int, evals: dict):
+    def __init__(self, g: Graph, m: int, weights: dict):
         if m < 0:
             raise PreconditionError("parameter m must be >= 0")
         self.graph = g
         self.m = m
-        self.evals = dict(evals)
-        for word in self.evals:
-            if len(word) != m + 1:
-                raise StructuralError(f"word {word!r} does not have length {m + 1}")
-            Path(g, tuple(word))
-        self._lattice: dict = {}
-        for w in enumerate_paths(g, m):
-            exts = [
-                self.at_word(w.edge_ids + (f.id,), Fraction(0))
-                for f in g.received(w.s)
-            ]
-            if not exts:
-                self._lattice[self._lkey(w)] = Fraction(0)
-                continue
-            if any(x != exts[0] for x in exts[1:]):
-                raise GluingError(f"lattice values disagree at [{w!r}]")
-            self._lattice[self._lkey(w)] = exts[0]
+        keys = [w.edge_ids if m else w.anchor for w in enumerate_paths(g, m)]
+        wts = self.weights = {k: Fraction(weights.get(k, 0)) for k in keys}
+        # (lo, slope) per word mu: xi([mu,t]) = lo + slope t
+        self._lines = {}
         for mu in enumerate_paths(g, m + 1):
-            tail = mu.window(1, m + 1)
-            if self.at_word(mu.edge_ids, Fraction(1)) != self._lattice[self._lkey(tail)]:
-                raise GluingError(f"gluing violated at [{mu!r}, 1]")
-
-    @staticmethod
-    def _lkey(w: Path):
-        return w.edge_ids if w.edge_ids else ("@", w.anchor)
+            lo, hi = (mu.edge_ids[:m], mu.edge_ids[1:]) if m else (mu.r, mu.s)
+            self._lines[mu.edge_ids] = (wts[lo], wts[hi] - wts[lo])
 
     def at_word(self, word: tuple, t) -> Fraction:
-        return _evaluate(self.evals.get(tuple(word)), t, "word")
+        return _on_line(self._lines, tuple(word), t, "word")
 
     def at_lattice(self, w: Path) -> Fraction:
-        return self._lattice[self._lkey(w)]
+        return self.weights[w.edge_ids if self.m else w.anchor]
 
 
 def edge_fn_interpolated(g: Graph, m: int, weights: dict) -> FunctionOnEdges:
-    """xi([mu,t]) = (1-t) weights[mu(0,m)] + t weights[mu(1,m+1)].
-
-    weights is keyed by m-tuples of edge ids (by vertex ids when m = 0);
-    the interpolation satisfies the gluing constraints by construction.
-    """
-
-    def weight(w: Path) -> Fraction:
-        key = w.edge_ids if w.edge_ids else w.anchor
-        return Fraction(weights.get(key, 0))
-
-    evals = {
-        mu.edge_ids: _affine(weight(mu.window(0, m)), weight(mu.window(1, m + 1)))
-        for mu in enumerate_paths(g, m + 1)
-    }
-    return FunctionOnEdges(g, m, evals)
+    """The FunctionOnEdges of these lattice weights, affine along each word."""
+    return FunctionOnEdges(g, m, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +458,9 @@ def limit_formulas(
     """Closed-form limit operators at t -> 0+ and t -> 1-, with exact error decay.
 
     The errors ||rho(t) - eps0_rho|| etc. are taken at t = 1/2^k and 1 - 1/2^k,
-    k = 1..K.  For the affine a and xi built by vertex_fn_interpolated and
-    edge_fn_interpolated each squared error is C d^2 with d the distance to the
-    endpoint; the check asserts that closed form exactly and reports each C.
+    k = 1..K.  Since a and xi are affine in t, each squared error is C d^2 with
+    d the distance to the endpoint; the check asserts that closed form exactly
+    and reports each C.
     ``errors`` holds the float norms, ``constants`` the exact C per sequence.
     A representation of E(1,m+1) truncated at L may be passed in as rep, as in jmath.
     """

@@ -144,20 +144,21 @@ def delay_embed_path(g: Graph, n: int, mu: Path, D: Optional[LabeledGraph] = Non
     """D_n^*(e_1...e_k) = f_{e_1,1}...f_{e_1,n} ... f_{e_k,1}...f_{e_k,n}.
 
     Range- and source-preserving under the vertex inclusion E^0 into D_n(E)^0.
-    A prebuilt delay graph may be passed to avoid rebuilding it.
+    A prebuilt delay graph D = delay(g, n) may be passed to avoid rebuilding it.
+    The image of a path of g composes in D, so it is not walked again.
     """
     if mu.graph is not g:
         raise StructuralError("path does not belong to the given graph")
     if D is None:
         D = delay(g, n)
-    if n == 1:
-        return Path(D, mu.edge_ids) if mu.edge_ids else Path(D, (), mu.anchor)
     if not mu.edge_ids:
         return Path(D, (), mu.anchor)
+    if n == 1:
+        return Path._composed(D, mu.edge_ids)
     ids = tuple(
         delay_edge_id(e, j) for e in mu.edge_ids for j in range(1, n + 1)
     )
-    return Path(D, ids)
+    return Path._composed(D, ids)
 
 
 def dual_word_to_path(g: Graph, dual: LabeledGraph, mu: Path) -> Path:

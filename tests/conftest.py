@@ -348,6 +348,93 @@ def reference_generators(rep) -> tuple[dict, dict]:
     return Q, T
 
 
+def _reference_affine(lo: Fraction, hi: Fraction):
+    """t -> lo + (hi - lo) t, which is (1-t) lo + t hi."""
+    slope = hi - lo
+    return lambda t: lo + slope * t
+
+
+def _reference_evaluate(f, t) -> Fraction:
+    """f(t) as a Fraction for t in [0,1] (0 where f is None)."""
+    t = Fraction(t)
+    if not 0 <= t <= 1:
+        raise PreconditionError("coordinate must lie in [0,1]")
+    return Fraction(0) if f is None else Fraction(f(t))
+
+
+class ReferenceFunctionOnVertices:
+    """The former FunctionOnVertices, kept as a reference: per-edge callables
+    a([e,t]), the vertex value [v] read off the edge ends, whose gluing
+    ([e,0] = [r(e)], [e,1] = [s(e)]) is asserted; missing edges read 0."""
+
+    def __init__(self, g: Graph, evals: dict):
+        self.evals = dict(evals)
+        self._base = {}
+        for v in g.vertices:
+            vals = [self.at_edge(e.id, 0) for e in g.received(v)]
+            vals += [self.at_edge(e.id, 1) for e in g.emitted(v)]
+            assert all(x == vals[0] for x in vals), f"vertex values disagree at [{v}]"
+            self._base[v] = vals[0] if vals else Fraction(0)
+
+    def at_edge(self, e: str, t) -> Fraction:
+        return _reference_evaluate(self.evals.get(e), t)
+
+    def at_base(self, v: str) -> Fraction:
+        return self._base[v]
+
+
+def reference_vertex_fn(g: Graph, values: dict) -> ReferenceFunctionOnVertices:
+    """The former vertex_fn_interpolated: one affine callable per edge."""
+    vals = {v: Fraction(values.get(v, 0)) for v in g.vertices}
+    evals = {e.id: _reference_affine(vals[e.dst], vals[e.src]) for e in g.edges}
+    return ReferenceFunctionOnVertices(g, evals)
+
+
+class ReferenceFunctionOnEdges:
+    """The former FunctionOnEdges, kept as a reference: per-word callables
+    xi([mu,t]), mu in E^{m+1}; the lattice value [w] (w in E^m) is the common
+    value at t = 0 of the extensions wf, and the gluing
+    xi([mu,1]) = xi([mu(1,m+1)]) is asserted; missing words read 0."""
+
+    def __init__(self, g: Graph, m: int, evals: dict):
+        from suspquiver import enumerate_paths
+
+        self.evals = dict(evals)
+        self._lattice = {}
+        for w in enumerate_paths(g, m):
+            exts = [self.at_word(w.edge_ids + (f.id,), 0) for f in g.received(w.s)]
+            assert all(x == exts[0] for x in exts), f"lattice values disagree at [{w!r}]"
+            self._lattice[self._lkey(w)] = exts[0] if exts else Fraction(0)
+        for mu in enumerate_paths(g, m + 1):
+            tail = self._lkey(mu.window(1, m + 1))
+            assert self.at_word(mu.edge_ids, 1) == self._lattice[tail], f"gluing at [{mu!r}, 1]"
+
+    @staticmethod
+    def _lkey(w: Path):
+        return w.edge_ids if w.edge_ids else ("@", w.anchor)
+
+    def at_word(self, word: tuple, t) -> Fraction:
+        return _reference_evaluate(self.evals.get(tuple(word)), t)
+
+    def at_lattice(self, w: Path) -> Fraction:
+        return self._lattice[self._lkey(w)]
+
+
+def reference_edge_fn(g: Graph, m: int, weights: dict) -> ReferenceFunctionOnEdges:
+    """The former edge_fn_interpolated: one affine callable per word mu of
+    E^{m+1}, from the weights of its windows mu(0,m) and mu(1,m+1)."""
+    from suspquiver import enumerate_paths
+
+    def weight(w: Path) -> Fraction:
+        return Fraction(weights.get(w.edge_ids if w.edge_ids else w.anchor, 0))
+
+    evals = {
+        mu.edge_ids: _reference_affine(weight(mu.window(0, m)), weight(mu.window(1, m + 1)))
+        for mu in enumerate_paths(g, m + 1)
+    }
+    return ReferenceFunctionOnEdges(g, m, evals)
+
+
 @st.composite
 def small_graphs(draw):
     """Any small graph, sinks and sources allowed, edges drawn in any order."""

@@ -176,6 +176,16 @@ def test_verify_limits_non_vacuous_at_seed_1(tmp_path, capsys):
     assert "vacuous" not in out and "FAIL" not in out
 
 
+def test_verify_limits_non_vacuous_at_default_seed(tmp_path, capsys):
+    # seed 0 first draws 3/8 for both vertices; the seeded values are redrawn
+    # until two vertices differ, so rho is not vacuous at the default seed
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(CYCLE_PLUS_LOOP))
+    assert cli.main(["verify", str(path), "--suite", "limits", "--l", "1/2"]) == 0
+    out = capsys.readouterr().out
+    assert "vacuous" not in out and "FAIL" not in out
+
+
 def test_comma_edge_ids_transform_and_verify(tmp_path, capsys):
     path = tmp_path / "comma.json"
     path.write_text(json.dumps(COMMA_LOOPS))

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from suspquiver import (
@@ -11,9 +11,12 @@ from suspquiver import (
     Graph,
     IntMatrix,
     Path,
+    PreconditionError,
     StructuralError,
     adjacency,
     concatenate,
+    delay,
+    delay_embed_path,
     enumerate_paths,
     every_cycle_has_entrance,
     is_strongly_connected,
@@ -76,6 +79,56 @@ def test_concatenate(three_cycle):
     assert concatenate(mu, vertex_path(g, "u")) == mu
     with pytest.raises(CompositionError):
         concatenate(mu, Path(g, ("b",)))
+
+
+def test_received_emitted_in_edge_order_with_many_loops():
+    # thousands of edges at one vertex: the adjacency tuples keep edge order
+    edges = [(f"l{i}", "v", "v") for i in range(3000)]
+    edges[1000:1000] = [("p", "u", "v")]
+    edges[2000:2000] = [("q", "v", "u")]
+    g = Graph(["u", "v"], edges)
+    for v in g.vertices:
+        assert g.received(v) == tuple(e for e in g.edges if e.dst == v)
+        assert g.emitted(v) == tuple(e for e in g.edges if e.src == v)
+    assert len(g.received("v")) == 3001 and len(g.emitted("u")) == 1
+
+
+@given(g=small_graphs(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_derived_paths_equal_checked_paths(g, data):
+    # windows, concatenations and delay images are built unchecked from paths
+    # that compose; each equals the validated Path of the same ids
+    paths = [p for n in (1, 2, 3) for p in enumerate_paths(g, n)]
+    assume(paths)
+    mu = data.draw(st.sampled_from(paths))
+    a = data.draw(st.integers(0, len(mu)))
+    b = data.draw(st.integers(a, len(mu)))
+    checked = Path(g, mu.edge_ids[a:b]) if a < b else vertex_path(g, mu.vertex_at(a))
+    window = mu.window(a, b)
+    assert window == checked and window.graph is g
+    for bad in ((b + 1, b), (a, len(mu) + 1), (-1, b)):
+        if not 0 <= bad[0] <= bad[1] <= len(mu):
+            with pytest.raises(PreconditionError):
+                mu.window(*bad)
+    nu = data.draw(st.sampled_from(paths))
+    if mu.s == nu.r:
+        joined = concatenate(mu, nu)
+        assert joined == Path(g, mu.edge_ids + nu.edge_ids) and joined.graph is g
+    else:
+        with pytest.raises(CompositionError):
+            concatenate(mu, nu)
+    copy = Graph(g.vertices, [(e.id, e.src, e.dst) for e in g.edges])
+    with pytest.raises(StructuralError):
+        concatenate(mu, Path(copy, nu.edge_ids))
+    n = data.draw(st.integers(1, 3))
+    D = delay(g, n)
+    ids = mu.edge_ids if n == 1 else tuple(
+        f"f({e},{j})" for e in mu.edge_ids for j in range(1, n + 1)
+    )
+    image = delay_embed_path(g, n, mu, D)
+    assert image == Path(D, ids) and image.graph is D
+    with pytest.raises(StructuralError):
+        delay_embed_path(g, n, Path(copy, mu.edge_ids), D)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from suspquiver import (
-    GluingError,
+    FunctionOnEdges,
+    FunctionOnVertices,
+    Graph,
     Path,
     PreconditionError,
+    StructuralError,
     build_rep,
     check_tck,
     edge_fn_interpolated,
@@ -33,6 +36,8 @@ from conftest import (
     make_three_cycle,
     make_two_loop,
     random_no_sink_source_graph,
+    reference_edge_fn,
+    reference_vertex_fn,
 )
 
 def test_vertex_fn_interpolation(cycle_plus_loop):
@@ -45,15 +50,6 @@ def test_vertex_fn_interpolation(cycle_plus_loop):
     assert a.at_edge("p", 1) == a.at_base("u")
 
 
-def test_vertex_fn_gluing_violation(two_loop):
-    from suspquiver import FunctionOnVertices
-
-    g = two_loop
-    # e and f both glue to [v] at both ends; give them different endpoint values
-    with pytest.raises(GluingError):
-        FunctionOnVertices(g, {"e": lambda t: 1, "f": lambda t: 2})
-
-
 def test_edge_fn_interpolation(two_loop):
     g = two_loop
     xi = edge_fn_interpolated(g, 1, {("e",): Fraction(1), ("f",): Fraction(0)})
@@ -63,15 +59,64 @@ def test_edge_fn_interpolation(two_loop):
     assert xi.at_word(("e", "f"), 1) == xi.at_lattice(Path(g, ("f",)))
 
 
-def test_edge_fn_gluing_violation(two_loop):
-    from suspquiver import FunctionOnEdges
+@given(seed=st.integers(0, 500), m=st.integers(0, 2), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_functions_match_callable_references(seed, m, data):
+    # vertex values and lattice weights, read at both ends and inside [0,1],
+    # agree with the former per-edge and per-word affine callables
+    g = random_no_sink_source_graph(seed, max_vertices=4, max_edges=5)
+    value = st.fractions(min_value=-2, max_value=2, max_denominator=8)
+    values = {v: data.draw(value) for v in g.vertices}
+    keys = [w.edge_ids if m else w.anchor for w in enumerate_paths(g, m)]
+    weights = {k: data.draw(value) for k in keys}
+    a, xi = vertex_fn_interpolated(g, values), edge_fn_interpolated(g, m, weights)
+    a_ref, xi_ref = reference_vertex_fn(g, values), reference_edge_fn(g, m, weights)
+    ts = [Fraction(0), Fraction(1), data.draw(st.fractions(min_value=0, max_value=1))]
+    for t in ts:
+        assert all(a.at_edge(e.id, t) == a_ref.at_edge(e.id, t) for e in g.edges)
+        for mu in enumerate_paths(g, m + 1):
+            assert xi.at_word(mu.edge_ids, t) == xi_ref.at_word(mu.edge_ids, t)
+    assert all(a.at_base(v) == a_ref.at_base(v) for v in g.vertices)
+    for w in enumerate_paths(g, m):
+        assert xi.at_lattice(w) == xi_ref.at_lattice(w)
 
-    g = two_loop
-    # extensions ee and ef must agree at t = 0 (both restrict to the word e)
-    evals = {("e", "e"): lambda t: 1, ("e", "f"): lambda t: 0,
-             ("f", "e"): lambda t: 0, ("f", "f"): lambda t: 0}
-    with pytest.raises(GluingError):
-        FunctionOnEdges(g, 1, evals)
+
+def test_unknown_edge_or_word_refused(two_loop, cycle_plus_loop):
+    a = vertex_fn_interpolated(two_loop, {"v": 1})
+    with pytest.raises(StructuralError):
+        a.at_edge("p", Fraction(1, 2))
+    xi = edge_fn_interpolated(cycle_plus_loop, 1, {("p",): 1})
+    # pp does not compose (s(p) = u, r(p) = v), and p is a word of length 1
+    with pytest.raises(StructuralError):
+        xi.at_word(("p", "p"), Fraction(1, 2))
+    with pytest.raises(StructuralError):
+        xi.at_word(("p",), 0)
+    with pytest.raises(StructuralError):
+        edge_fn_interpolated(two_loop, 0, {"v": 1}).at_word(("g",), 1)
+
+
+@pytest.mark.parametrize("t", [-1, Fraction(-1, 8), Fraction(9, 8), 2])
+def test_coordinate_outside_unit_interval_refused(t, two_loop):
+    a = vertex_fn_interpolated(two_loop, {"v": 1})
+    xi = edge_fn_interpolated(two_loop, 1, {("e",): 1})
+    with pytest.raises(PreconditionError):
+        a.at_edge("e", t)
+    with pytest.raises(PreconditionError):
+        xi.at_word(("e", "f"), t)
+
+
+def test_values_without_edges_read_as_given():
+    # w is isolated, and u receives no edge, so the lattice word e (s(e) = u)
+    # has no extension ef; each still reads the value it was given
+    g = Graph(["u", "v", "w"], [("e", "u", "v")])
+    a = FunctionOnVertices(g, {"u": Fraction(1, 2), "w": Fraction(3, 4)})
+    assert a.at_base("w") == Fraction(3, 4) and a.at_base("v") == 0
+    assert a.at_edge("e", 1) == a.at_base("u") == Fraction(1, 2)
+    xi = FunctionOnEdges(g, 1, {("e",): Fraction(2, 3)})
+    assert xi.at_lattice(Path(g, ("e",))) == Fraction(2, 3)
+    xi0 = FunctionOnEdges(g, 0, {"w": Fraction(1, 5), "u": 1})
+    assert xi0.at_lattice(vertex_path(g, "w")) == Fraction(1, 5)
+    assert xi0.at_word(("e",), 0) == 0 and xi0.at_word(("e",), 1) == 1
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -218,6 +263,9 @@ def test_limit_errors_match_fibre_minus_limit(seed, m, k, data):
         rho, psi = _fibre_rho_psi(rep, g, m, t, a, xi)
         eps_rho, eps_psi = _limit_ops(rep, g, m, a, xi, end)
         assert err(t, end) == (rho - eps_rho, psi - eps_psi)
+    # every a and xi is affine, so the closed form ||err||^2 = C d^2 holds
+    lim = limit_formulas(g, m, 2, a, xi, K=3, rep=rep)
+    assert lim.report.ok, lim.report.to_text()
 
 
 def test_limit_constants_pinned(cycle_plus_loop):
