@@ -12,6 +12,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .errors import PreconditionError, StructuralError, SuspensionError
 from . import flow as flowmod
@@ -55,11 +56,24 @@ def parse_graph_file(path: str) -> Graph:
 
 
 def graph_to_json(g: Graph) -> str:
-    doc = {
-        "vertices": list(g.vertices),
-        "edges": [{"id": e.id, "src": e.src, "dst": e.dst} for e in g.edges],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The canonical form of g: json.dumps(doc, indent=2, sort_keys=True) and a
+    newline, for doc = {"vertices": [...], "edges": [{"id", "src", "dst"}]}.
+
+    The layout is written directly, since with indent json.dumps runs its
+    pure-Python encoder; each string goes through the same ASCII escaping.
+    """
+    enc = encode_basestring_ascii
+    edges = ",\n".join(
+        f'    {{\n      "dst": {enc(e.dst)},\n      "id": {enc(e.id)},\n'
+        f'      "src": {enc(e.src)}\n    }}'
+        for e in g.edges
+    )
+    vertices = ",\n".join("    " + enc(v) for v in g.vertices)
+    return (
+        '{\n  "edges": ' + (f"[\n{edges}\n  ]" if edges else "[]")
+        + ',\n  "vertices": ' + (f"[\n{vertices}\n  ]" if vertices else "[]")
+        + "\n}\n"
+    )
 
 
 def parse_rational(s: str) -> Fraction:
@@ -242,7 +256,7 @@ def cmd_quiver(args) -> int:
         lines.append(f"FIBRE m={args.m} t={rat_str(t % 1)} n={args.n} count={len(paths)}")
         for qp in paths:
             if qp.edges:
-                words = ["".join(f"({w})" for w in e.word.edge_ids) for e in qp.edges]
+                words = ["(" + ")(".join(e.word.edge_ids) + ")" for e in qp.edges]
                 lines.append("PATH " + " ".join(words))
             else:
                 lines.append(f"VERTEX {qp.anchor}")

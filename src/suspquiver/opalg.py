@@ -54,7 +54,10 @@ class FunctionOnVertices:
         return _on_line(self._lines, e, t, "edge")
 
     def at_base(self, v: str) -> Fraction:
-        return self.values[v]
+        try:
+            return self.values[v]
+        except KeyError:
+            raise StructuralError(f"unknown vertex {v!r}") from None
 
 
 def _on_line(lines: dict, key, t, what: str) -> Fraction:
@@ -101,7 +104,11 @@ class FunctionOnEdges:
         return _on_line(self._lines, tuple(word), t, "word")
 
     def at_lattice(self, w: Path) -> Fraction:
-        return self.weights[w.edge_ids if self.m else w.anchor]
+        key = w.edge_ids if self.m else w.anchor
+        try:
+            return self.weights[key]
+        except KeyError:
+            raise StructuralError(f"unknown lattice word {key!r}") from None
 
 
 def edge_fn_interpolated(g: Graph, m: int, weights: dict) -> FunctionOnEdges:

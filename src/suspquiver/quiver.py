@@ -136,6 +136,17 @@ class QuiverPath:
         elif self.anchor is None:
             raise StructuralError("length-0 quiver path needs an anchor vertex")
 
+    @classmethod
+    def _composed(cls, m: int, t: Fraction, edges: tuple[QuiverEdge, ...]) -> "QuiverPath":
+        """A nonempty quiver path whose edges the caller built composable, with
+        parameter m and time t, unchecked."""
+        qp = object.__new__(cls)
+        object.__setattr__(qp, "m", m)
+        object.__setattr__(qp, "t", t)
+        object.__setattr__(qp, "edges", edges)
+        object.__setattr__(qp, "anchor", None)
+        return qp
+
     def __len__(self) -> int:
         return len(self.edges)
 
@@ -206,19 +217,17 @@ def fibre_paths(g: Graph, m: int, t, n: int) -> list[QuiverPath]:
             QuiverPath(m, t, (), SuspensionVertex("interior", edge=e.id, t=t))
             for e in sorted(g.edges, key=lambda e: e.id)
         ]
+    # edge i of the fibre path is the window mu(im, (i+1)m + k) of one path
+    # mu: windows of one path compose, so neither they nor the path are checked
+    k = 0 if t == 0 else 1
     out = []
-    if t == 0:
-        for mu in enumerate_paths(g, n * m):
-            edges = tuple(
-                QuiverEdge(m, mu.window(i * m, (i + 1) * m), t) for i in range(n)
-            )
-            out.append(QuiverPath(m, t, edges))
-    else:
-        for mu in enumerate_paths(g, n * m + 1):
-            edges = tuple(
-                QuiverEdge(m, mu.window(i * m, (i + 1) * m + 1), t) for i in range(n)
-            )
-            out.append(QuiverPath(m, t, edges))
+    for mu in enumerate_paths(g, n * m + k):
+        ids = mu.edge_ids
+        edges = tuple(
+            QuiverEdge(m, Path._composed(g, ids[i * m : (i + 1) * m + k]), t)
+            for i in range(n)
+        )
+        out.append(QuiverPath._composed(m, t, edges))
     return out
 
 

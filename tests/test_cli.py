@@ -6,8 +6,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from suspquiver import cli
+from suspquiver import Graph, cli
+
+from conftest import small_graphs
 
 TWO_LOOP = {
     "vertices": ["v"],
@@ -113,6 +117,41 @@ def test_graph_roundtrip_is_canonical(tmp_path, capsys):
     assert cli.graph_to_json(cli.parse_graph_file(str(path))) == once
 
 
+def _dumps_graph(g: Graph) -> str:
+    """The oracle of graph_to_json: the same document through json.dumps."""
+    doc = {
+        "vertices": list(g.vertices),
+        "edges": [{"id": e.id, "src": e.src, "dst": e.dst} for e in g.edges],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph([], []),
+        Graph(["u", "v"], []),
+        Graph(["é", "v"], [("é→v", "é", "v"), ("𝔼", "v", "v")]),
+        Graph(['a"b', "c\\d"], [("x\ty", 'a"b', "c\\d"), ("\x00\x1f\x7f", "c\\d", 'a"b')]),
+    ],
+    ids=["empty", "no_edges", "non_ascii", "escapes"],
+)
+def test_graph_to_json_matches_json_dumps(g):
+    assert cli.graph_to_json(g) == _dumps_graph(g)
+
+
+@given(g=small_graphs())
+def test_graph_to_json_matches_json_dumps_on_small_graphs(g):
+    assert cli.graph_to_json(g) == _dumps_graph(g)
+
+
+@given(ids=st.lists(st.text(min_size=1), max_size=4, unique=True))
+def test_graph_to_json_matches_json_dumps_on_any_ids(ids):
+    # each id names a vertex and the loop at it
+    g = Graph(ids, [(i, i, i) for i in ids])
+    assert cli.graph_to_json(g) == _dumps_graph(g)
+
+
 def test_ktheory_pinned(two_loop_file, capsys):
     assert cli.main(["ktheory", two_loop_file, "--l", "2/3"]) == 0
     out = capsys.readouterr().out
@@ -166,7 +205,9 @@ def test_verify_all_stdout_pinned(tmp_path, capsys, graph, l, golden):
 
 
 def test_verify_limits_non_vacuous_at_seed_1(tmp_path, capsys):
-    # at the default seed both vertices get 3/8 and every rho error is 0
+    # at seed 1 the seeded vertex values and lattice weights make every limit
+    # error nonzero: the four constants C of ||err||^2 = C d^2 are pinned, and
+    # no sequence reads "vacuous"
     path = tmp_path / "g.json"
     path.write_text(json.dumps(CYCLE_PLUS_LOOP))
     args = ["verify", str(path), "--suite", "limits", "--l", "1/2", "--seed", "1"]

@@ -95,6 +95,22 @@ def test_unknown_edge_or_word_refused(two_loop, cycle_plus_loop):
         edge_fn_interpolated(two_loop, 0, {"v": 1}).at_word(("g",), 1)
 
 
+def test_unknown_vertex_refused_at_base(cycle_plus_loop):
+    a = vertex_fn_interpolated(cycle_plus_loop, {"u": 1})
+    with pytest.raises(StructuralError):
+        a.at_base("x")
+
+
+def test_uncovered_word_refused_at_lattice(two_loop):
+    # at m = 1 the lattice words are the edges: a vertex path or a longer word
+    # has no weight
+    xi = edge_fn_interpolated(two_loop, 1, {("e",): 1})
+    with pytest.raises(StructuralError):
+        xi.at_lattice(vertex_path(two_loop, "v"))
+    with pytest.raises(StructuralError):
+        xi.at_lattice(Path(two_loop, ("e", "f")))
+
+
 @pytest.mark.parametrize("t", [-1, Fraction(-1, 8), Fraction(9, 8), 2])
 def test_coordinate_outside_unit_interval_refused(t, two_loop):
     a = vertex_fn_interpolated(two_loop, {"v": 1})

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from suspquiver import (
     CompositionError,
+    Graph,
     Path,
     PreconditionError,
+    QuiverPath,
     SuspensionVertex,
     base_vertex,
     compose,
@@ -31,6 +33,7 @@ from suspquiver import (
 
 from conftest import (
     make_cycle_plus_loop,
+    make_three_cycle,
     make_two_loop,
     normal_form_closure,
     random_no_sink_source_graph,
@@ -113,6 +116,48 @@ def test_fibre_counts(t, n, cycle_plus_loop):
         else (len(g.vertices) if t == 0 else len(g.edges))
     )
     assert len(fibre_paths(g, m, t, n)) == expected
+
+
+def make_with_source() -> Graph:
+    """u -> v and a loop at v; u is a source."""
+    return Graph(["u", "v"], [("e", "u", "v"), ("f", "v", "v")])
+
+
+@pytest.mark.parametrize("make", [make_cycle_plus_loop, make_three_cycle, make_with_source])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("t", [0, Fraction(1, 3)])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_fibre_paths_match_checked_construction(make, m, t, n):
+    # the unchecked windows equal the normalised edges of each path of E^{nm+k},
+    # put together by the checking constructor (a length-0 fibre path is the
+    # vertex at t along a path of length k)
+    g = make()
+    k = 0 if t == 0 else 1
+    want = [
+        QuiverPath(
+            m,
+            t,
+            tuple(normalize_edge(mu, i * m + t, m) for i in range(n)),
+            None if n else vertex_along(mu, t),
+        )
+        for mu in enumerate_paths(g, n * m + k)
+    ]
+    got = fibre_paths(g, m, t, n)
+    assert got == want
+    assert [(qp.r, qp.s) for qp in got] == [(qp.r, qp.s) for qp in want]
+
+
+def test_quiver_path_refuses_non_composable_edges(two_loop, cycle_plus_loop):
+    t = Fraction(1, 3)
+    # [ef, 1/3] has source [f, 1/3], [ee, 1/3] has range [e, 1/3]
+    a = normalize_edge(Path(two_loop, ("e", "f")), t, 1)
+    b = normalize_edge(Path(two_loop, ("e", "e")), t, 1)
+    with pytest.raises(CompositionError):
+        QuiverPath(1, t, (a, b))
+    # on the lattice: s(p) = u but r(p) = v
+    p = normalize_edge(Path(cycle_plus_loop, ("p",)), 0, 1)
+    with pytest.raises(CompositionError):
+        QuiverPath(1, Fraction(0), (p, p))
 
 
 @pytest.mark.parametrize("t", [0, Fraction(2, 5)])
