@@ -22,6 +22,7 @@ from .graph import (
     enumerate_paths,
     every_cycle_has_entrance,
     is_strongly_connected,
+    path_count,
     period,
     validate,
     vertex_path,
@@ -49,6 +50,7 @@ from .quiver import (
     edge_source,
     fibre_dual,
     fibre_paths,
+    fibre_words,
     from_dual_word,
     normalize_edge,
     normalize_vertex,

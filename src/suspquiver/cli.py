@@ -18,9 +18,9 @@ from .errors import PreconditionError, StructuralError, SuspensionError
 from . import flow as flowmod
 from . import ktheory as kt
 from . import opalg
-from .graph import Graph, Path, enumerate_paths
+from .graph import Graph, Path, check_layer_ids, enumerate_paths
 from .operators import build_rep
-from .quiver import fibre_paths, openness_report
+from .quiver import fibre_paths, fibre_words, openness_report
 from .report import RunReport, rat_str
 from .transform import delay, higher_dual, higher_power, opposite
 
@@ -116,12 +116,16 @@ def cmd_transform(args) -> int:
     elif op.startswith("delay:"):
         out = delay(g, _int_param(op[6:]))
     elif op.startswith("power:"):
-        out = higher_power(g, _int_param(op[6:]))
+        m = _int_param(op[6:])
+        check_layer_ids(g, m)
+        out = higher_power(g, m)
     elif op.startswith("dual:"):
         parts = op[5:].split(",")
         if len(parts) != 2:
             raise StructuralError("dual op needs two parameters p,q")
-        out = higher_dual(g, _int_param(parts[0]), _int_param(parts[1]))
+        p, q = _int_param(parts[0]), _int_param(parts[1])
+        check_layer_ids(g, q if 0 <= p < q else 0)  # else higher_dual refuses p,q
+        out = higher_dual(g, p, q)
     else:
         raise StructuralError(f"unknown op {op!r}")
     text = graph_to_json(out)
@@ -252,14 +256,19 @@ def cmd_quiver(args) -> int:
         lines.append(f"OPEN_ALL s={rep['s_open_everywhere']} r={rep['r_open_everywhere']}")
     else:
         t = parse_rational(args.t)
-        paths = fibre_paths(g, args.m, t, args.n)
-        lines.append(f"FIBRE m={args.m} t={rat_str(t % 1)} n={args.n} count={len(paths)}")
-        for qp in paths:
-            if qp.edges:
-                words = ["(" + ")(".join(e.word.edge_ids) + ")" for e in qp.edges]
-                lines.append("PATH " + " ".join(words))
-            else:
-                lines.append(f"VERTEX {qp.anchor}")
+        head = f"FIBRE m={args.m} t={rat_str(t % 1)} n={args.n} count="
+        if args.n < 1:  # the VERTEX anchors, or refused by fibre_paths
+            anchors = fibre_paths(g, args.m, t, args.n)
+            lines.append(f"{head}{len(anchors)}")
+            lines.extend(f"VERTEX {qp.anchor}" for qp in anchors)
+        else:
+            check_layer_ids(g, args.n * args.m + (t % 1 != 0))
+            paths = fibre_words(g, args.m, t, args.n)
+            lines.append(f"{head}{len(paths)}")
+            lines.extend(
+                "PATH " + " ".join("(" + ")(".join(w) + ")" for w in words)
+                for words in paths
+            )
     print("\n".join(lines))
     return EXIT_OK
 

@@ -283,8 +283,16 @@ def enumerate_paths(
     if n == 0:
         verts = [v for v in sorted(g.vertices) if src in (None, v) and rng in (None, v)]
         return [vertex_path(g, v) for v in verts]
-    layer = next(itertools.islice(_path_layers(g, rng), n - 1, None))
-    return [Path._composed(g, ids) for ids, tail, _ in layer if src is None or tail == src]
+    return [
+        Path._composed(g, ids)
+        for ids, tail, _ in _path_layer(g, n, rng)
+        if src is None or tail == src
+    ]
+
+
+def _path_layer(g: Graph, n: int, rng: Optional[str] = None) -> list:
+    """Layer n >= 1 of _path_layers(g, rng)."""
+    return next(itertools.islice(_path_layers(g, rng), n - 1, None), [])
 
 
 def _path_layers(g: Graph, rng: Optional[str] = None) -> Iterator[list]:
@@ -295,19 +303,65 @@ def _path_layers(g: Graph, rng: Optional[str] = None) -> Iterator[list]:
 
     Each layer extends the last outward from the range end: the first edge
     has r(e) = rng, and each later edge f has r(f) = s of the edge before.
+    The layers stop before the first empty one, as every longer one is empty.
     """
     received = {v: sorted(g.received(v), key=lambda e: e.id) for v in g.vertices}
     if rng is not None and rng not in received:
         raise StructuralError(f"unknown vertex id {rng!r}")
     starts = [rng] if rng is not None else g.vertices
     layer = sorted(((e.id,), e.src, None) for v in starts for e in received[v])
-    while True:
+    while layer:
         yield layer
         layer = [
             (ids + (e.id,), e.src, i)
             for i, (ids, tail, _) in enumerate(layer)
             for e in received[tail]
         ]
+
+
+def _layer_sizes(g: Graph) -> Iterator[int]:
+    """|E^1|, |E^2|, ... up to the last nonzero one, as _path_layers stops:
+    ways[v] counts the paths of the current length with source v, and each
+    received edge f at v extends them to source s(f)."""
+    ways = {v: len(g.emitted(v)) for v in g.vertices}
+    while any(ways.values()):
+        yield sum(ways.values())
+        nxt = dict.fromkeys(g.vertices, 0)
+        for v, c in ways.items():
+            if c:
+                for e in g.received(v):
+                    nxt[e.src] += c
+        ways = nxt
+
+
+def path_count(g: Graph, n: int) -> int:
+    """|E^n|, the number of paths of length n (of vertices for n = 0), by
+    dynamic programming over the received-edge lists: O(n |E|)."""
+    if n < 0:
+        raise PreconditionError("n must be >= 0")
+    if n == 0:
+        return len(g.vertices)
+    return next(itertools.islice(_layer_sizes(g), n - 1, None), 0)
+
+
+# The most edge ids that layers 1..n of _path_layers may hold, summed as
+# k |E^k| over k <= n, before a command enumerates them.  Two loops at one
+# vertex hold 4,194,306 ids up to n = 17, which `transform --op power:17`
+# enumerates and writes in 1.2 s and 145 MB on a 2-CPU machine.
+MAX_LAYER_IDS = 2**23
+
+
+def check_layer_ids(g: Graph, n: int) -> None:
+    """Refuse, before any path is built, to enumerate layers 1..n when they
+    hold more than MAX_LAYER_IDS edge ids; the sum stops once it passes."""
+    total = 0
+    for k, size in zip(range(1, n + 1), _layer_sizes(g)):
+        total += k * size
+        if total > MAX_LAYER_IDS:
+            raise PreconditionError(
+                f"paths of length <= {n} hold over {MAX_LAYER_IDS} edge ids "
+                f"({total} up to length {k}); refusing to enumerate them"
+            )
 
 
 def adjacency(g: Graph) -> IntMatrix:

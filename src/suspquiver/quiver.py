@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .errors import CompositionError, PreconditionError, StructuralError
-from .graph import Graph, Path, enumerate_paths
+from .graph import Graph, Path, _path_layer
 from .transform import (
     LabeledGraph,
     delay,
@@ -217,18 +217,29 @@ def fibre_paths(g: Graph, m: int, t, n: int) -> list[QuiverPath]:
             QuiverPath(m, t, (), SuspensionVertex("interior", edge=e.id, t=t))
             for e in sorted(g.edges, key=lambda e: e.id)
         ]
-    # edge i of the fibre path is the window mu(im, (i+1)m + k) of one path
-    # mu: windows of one path compose, so neither they nor the path are checked
-    k = 0 if t == 0 else 1
-    out = []
-    for mu in enumerate_paths(g, n * m + k):
-        ids = mu.edge_ids
-        edges = tuple(
-            QuiverEdge(m, Path._composed(g, ids[i * m : (i + 1) * m + k]), t)
-            for i in range(n)
+    return [
+        QuiverPath._composed(
+            m, t, tuple(QuiverEdge(m, Path._composed(g, w), t) for w in words)
         )
-        out.append(QuiverPath._composed(m, t, edges))
-    return out
+        for words in fibre_words(g, m, t, n)
+    ]
+
+
+def fibre_words(g: Graph, m: int, t, n: int) -> list[tuple[tuple[str, ...], ...]]:
+    """For n >= 1, the edge-id words of the n edges of each path of
+    SG[m]E^n_t, in the order of fibre_paths.
+
+    Edge i of a fibre path is the window mu(im, (i+1)m + k) of one path mu of
+    E^{nm+k}, k = 0 for t = 0 and 1 otherwise: windows of one path compose,
+    so they are sliced from its edge ids and not checked.
+    """
+    if m < 1 or n < 1:
+        raise PreconditionError("fibre_words requires m >= 1 and n >= 1")
+    k = 0 if as_circle(Fraction(t)) == 0 else 1
+    return [
+        tuple(ids[i * m : (i + 1) * m + k] for i in range(n))
+        for ids, _, _ in _path_layer(g, n * m + k)
+    ]
 
 
 def to_dual_word(qp: QuiverPath, dual: LabeledGraph) -> Path:

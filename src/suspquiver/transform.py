@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import PreconditionError, StructuralError
-from .graph import Graph, Path, enumerate_paths
+from .graph import Graph, Path, _path_layer
 
 Label = tuple
 
@@ -106,30 +106,26 @@ def higher_dual(g: Graph, p: int, q: int) -> LabeledGraph:
     """E(p,q): vertices are p-paths, edges are q-paths, range/source by windowing.
 
     For p >= 1 the range of the edge e_1...e_q is e_1...e_p and its source is
-    e_{q-p+1}...e_q; for p = 0 they are r(e_1) and s(e_q).
+    e_{q-p+1}...e_q; for p = 0 they are r(e_1) and s(e_q).  Both are read off
+    the edge-id words of the layers of g, with no Path built.
     """
     if p < 0 or q <= p:
         raise PreconditionError("higher_dual requires 0 <= p < q")
+    layer = _path_layer(g, q)
+    eids = [join_ids(ids) for ids, _, _ in layer]
     if p == 0:
         vertices = list(g.vertices)
         vertex_labels: dict[str, Label] = {v: ("vertex", v) for v in g.vertices}
+        dst = {e.id: e.dst for e in g.edges}
+        edges = [(eid, tail, dst[ids[0]]) for eid, (ids, tail, _) in zip(eids, layer)]
     else:
-        vpaths = enumerate_paths(g, p)
-        vertices = [join_ids(mu.edge_ids) for mu in vpaths]
-        vertex_labels = {
-            join_ids(mu.edge_ids): ("path", mu.edge_ids) for mu in vpaths
-        }
-    edges = []
-    edge_labels: dict[str, Label] = {}
-    for mu in enumerate_paths(g, q):
-        eid = join_ids(mu.edge_ids)
-        if p == 0:
-            dst, src = mu.r, mu.s
-        else:
-            dst = join_ids(mu.edge_ids[:p])
-            src = join_ids(mu.edge_ids[q - p :])
-        edges.append((eid, src, dst))
-        edge_labels[eid] = ("path", mu.edge_ids)
+        vid = {ids: join_ids(ids) for ids, _, _ in _path_layer(g, p)}
+        vertices = list(vid.values())
+        vertex_labels = {v: ("path", ids) for ids, v in vid.items()}
+        edges = [
+            (eid, vid[ids[q - p :]], vid[ids[:p]]) for eid, (ids, _, _) in zip(eids, layer)
+        ]
+    edge_labels = {eid: ("path", ids) for eid, (ids, _, _) in zip(eids, layer)}
     return LabeledGraph(vertices, edges, vertex_labels, edge_labels)
 
 

@@ -23,10 +23,13 @@ from hypothesis import strategies as st
 
 from suspquiver import (
     Graph,
+    LabeledGraph,
     Path,
     PreconditionError,
     SparseOperator,
+    enumerate_paths,
     higher_power,
+    join_ids,
 )
 from suspquiver.ktheory import HypothesisResult
 
@@ -118,6 +121,32 @@ def recursive_paths(g: Graph, n: int, src=None, rng=None) -> list[tuple[str, ...
             extend((e.id,), e.src)
     out.sort()
     return out
+
+
+def reference_higher_dual(g: Graph, p: int, q: int) -> LabeledGraph:
+    """The former higher_dual, kept as a reference: E(p,q) built from a Path
+    per enumerated p- and q-path, range and source read off each Path."""
+    if p < 0 or q <= p:
+        raise PreconditionError("higher_dual requires 0 <= p < q")
+    if p == 0:
+        vertices = list(g.vertices)
+        vertex_labels = {v: ("vertex", v) for v in g.vertices}
+    else:
+        vpaths = enumerate_paths(g, p)
+        vertices = [join_ids(mu.edge_ids) for mu in vpaths]
+        vertex_labels = {join_ids(mu.edge_ids): ("path", mu.edge_ids) for mu in vpaths}
+    edges = []
+    edge_labels = {}
+    for mu in enumerate_paths(g, q):
+        eid = join_ids(mu.edge_ids)
+        if p == 0:
+            dst, src = mu.r, mu.s
+        else:
+            dst = join_ids(mu.edge_ids[:p])
+            src = join_ids(mu.edge_ids[q - p :])
+        edges.append((eid, src, dst))
+        edge_labels[eid] = ("path", mu.edge_ids)
+    return LabeledGraph(vertices, edges, vertex_labels, edge_labels)
 
 
 def higher_power_hypothesis_check(g: Graph, m: int) -> HypothesisResult:

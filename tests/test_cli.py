@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from suspquiver import Graph, cli
+from suspquiver import Graph, cli, fibre_paths
+from suspquiver.report import rat_str
 
 from conftest import small_graphs
 
@@ -330,6 +331,53 @@ def test_quiver_fibre_and_openness(two_loop_file, capsys):
     assert cli.main(["quiver", two_loop_file, "--openness"]) == 0
     out = capsys.readouterr().out
     assert "OPEN_ALL s=False r=False" in out
+
+
+def _fibre_path_lines(g, m, t, n) -> str:
+    """The quiver line format, written from the QuiverPaths of fibre_paths."""
+    paths = fibre_paths(g, m, t, n)
+    lines = [f"FIBRE m={m} t={rat_str(t % 1)} n={n} count={len(paths)}"]
+    for qp in paths:
+        if qp.edges:
+            words = ["(" + ")(".join(e.word.edge_ids) + ")" for e in qp.edges]
+            lines.append("PATH " + " ".join(words))
+        else:
+            lines.append(f"VERTEX {qp.anchor}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("t", ["0", "1/3", "-2/3"])
+@pytest.mark.parametrize("m,n", [(1, 0), (2, 0), (1, 1), (2, 3), (1, 5)])
+def test_quiver_lines_match_fibre_paths(tmp_path, capsys, t, m, n):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(CYCLE_PLUS_LOOP))
+    assert cli.main(["quiver", str(path), "--m", str(m), "--t", t, "--n", str(n)]) == 0
+    g = cli.parse_graph_file(str(path))
+    assert capsys.readouterr().out == _fibre_path_lines(g, m, cli.parse_rational(t), n)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quiver", "--m", "1", "--n", "40"],
+        ["quiver", "--m", "2", "--t", "1/3", "--n", "9"],
+        ["transform", "--op", "power:40"],
+        ["transform", "--op", "dual:1,40"],
+    ],
+)
+def test_enumeration_over_the_cap_is_refused(two_loop_file, capsys, argv):
+    assert cli.main([argv[0], two_loop_file, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ERROR precondition: paths of length <= ")
+    assert f"hold over {2**23} edge ids" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_transform_power_16_runs_under_the_cap(two_loop_file, capsys):
+    assert cli.main(["transform", two_loop_file, "--op", "power:16"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["edges"]) == 2**16 and doc["vertices"] == ["v"]
 
 
 def test_negative_rational_after_a_space(two_loop_file, capsys):

@@ -20,10 +20,12 @@ from suspquiver import (
     enumerate_paths,
     every_cycle_has_entrance,
     is_strongly_connected,
+    path_count,
     period,
     validate,
     vertex_path,
 )
+from suspquiver.graph import MAX_LAYER_IDS, check_layer_ids
 
 from conftest import (
     brute_cycles,
@@ -156,6 +158,33 @@ def test_enumerate_paths_deep_single_loop():
     # the recursive version exceeded the interpreter's recursion limit here
     (path,) = enumerate_paths(make_single_loop(), 3000)
     assert path.edge_ids == ("e",) * 3000
+
+
+@given(g=small_graphs(), n=st.integers(0, 6))
+@settings(max_examples=80, deadline=None)
+def test_path_count_matches_brute_force(g, n):
+    assert path_count(g, n) == len(brute_paths(g, n))
+
+
+def test_check_layer_ids_stops_at_the_cap(two_loop, single_loop, single_edge):
+    # two loops: layers 1..17 hold sum k 2^k = 4,194,306 ids, 1..18 hold 8,912,898
+    check_layer_ids(two_loop, 17)
+    with pytest.raises(PreconditionError, match="8912898 up to length 18"):
+        check_layer_ids(two_loop, 18)
+    with pytest.raises(PreconditionError, match="up to length 18"):
+        check_layer_ids(two_loop, 10**9)
+    assert sum(range(4097)) > MAX_LAYER_IDS >= sum(range(4096))
+    with pytest.raises(PreconditionError, match="up to length 4096"):
+        check_layer_ids(single_loop, 10**9)
+    # one edge: every layer past the first is empty, so nothing is summed
+    check_layer_ids(single_edge, 10**9)
+
+
+def test_enumerate_paths_past_the_last_nonempty_layer(single_edge):
+    # the layers stop at the first empty one rather than walk 10^9 empty ones
+    assert enumerate_paths(single_edge, 10**9) == []
+    assert path_count(single_edge, 10**9) == 0
+    assert [p.edge_ids for p in enumerate_paths(single_edge, 1)] == [("e",)]
 
 
 def test_enumerate_paths_unknown_range_vertex(two_loop):

@@ -21,6 +21,7 @@ from suspquiver import (
     enumerate_paths,
     fibre_dual,
     fibre_paths,
+    fibre_words,
     from_dual_word,
     normalize_edge,
     normalize_vertex,
@@ -145,6 +146,23 @@ def test_fibre_paths_match_checked_construction(make, m, t, n):
     got = fibre_paths(g, m, t, n)
     assert got == want
     assert [(qp.r, qp.s) for qp in got] == [(qp.r, qp.s) for qp in want]
+
+
+@pytest.mark.parametrize("make", [make_cycle_plus_loop, make_three_cycle, make_with_source])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("t", [0, Fraction(1, 3)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fibre_words_are_the_words_of_fibre_paths(make, m, t, n):
+    g = make()
+    assert fibre_words(g, m, t, n) == [
+        tuple(e.word.edge_ids for e in qp.edges) for qp in fibre_paths(g, m, t, n)
+    ]
+
+
+@pytest.mark.parametrize("m,n", [(0, 2), (1, 0), (2, -1)])
+def test_fibre_words_refuses_bad_parameters(cycle_plus_loop, m, n):
+    with pytest.raises(PreconditionError):
+        fibre_words(cycle_plus_loop, m, Fraction(1, 3), n)
 
 
 def test_quiver_path_refuses_non_composable_edges(two_loop, cycle_plus_loop):

@@ -21,6 +21,8 @@ from suspquiver import (
     opposite,
 )
 
+from conftest import reference_higher_dual, small_graphs
+
 def test_opposite_swaps_range_and_source(cycle_plus_loop):
     g = cycle_plus_loop
     op = opposite(g)
@@ -121,6 +123,30 @@ def test_join_ids_is_injective_on_words_of_one_length(ids):
     plain = tuple(i for i in ids if "," not in i)
     if len(plain) >= 2:
         assert join_ids(plain) == ",".join(plain)
+
+
+def _dual_data(d):
+    return (
+        d.vertices,
+        [(e.id, e.src, e.dst) for e in d.edges],
+        list(d.vertex_labels.items()),
+        list(d.edge_labels.items()),
+    )
+
+
+DUAL_PARAMS = [(p, q) for p in (0, 1, 2) for q in range(p + 1, 5)]
+
+
+@given(g=small_graphs(), pq=st.sampled_from(DUAL_PARAMS))
+@settings(max_examples=150, deadline=None)
+def test_higher_dual_matches_path_reference(g, pq):
+    assert _dual_data(higher_dual(g, *pq)) == _dual_data(reference_higher_dual(g, *pq))
+
+
+@pytest.mark.parametrize("p,q", DUAL_PARAMS)
+def test_higher_dual_matches_path_reference_on_comma_ids(p, q):
+    g = Graph(["v"], [("a", "v", "v"), ("a,a", "v", "v")])
+    assert _dual_data(higher_dual(g, p, q)) == _dual_data(reference_higher_dual(g, p, q))
 
 
 def test_higher_dual_of_comma_ids_is_a_graph():
