@@ -210,7 +210,9 @@ def cmd_verify(args) -> int:
         for p, q in ((1, 2), (1, 3), (2, 3)):
             out.extend(opalg.jmath(g, p, q, min(L, 3)).report)
     if run("limits") or run("eta") or run("kappa"):
-        # one E(1,m+1) representation serves the limits, eta and kappa suites
+        # one E(1,m+1) representation serves the limits, eta and kappa suites;
+        # refused before E^1..E^{m+1} are enumerated when they are too large
+        check_layer_ids(g, m + 1)
         dual_rep = build_rep(higher_dual(g, 1, m + 1), min(L, 4))
         a, xi = _seeded_functions(g, m, args.seed)
     if run("limits"):

@@ -1,9 +1,12 @@
 """Integer linear algebra and the K-theoretic / homological invariants.
 
-Everything reduces to one integer elimination on row lists: Smith normal form
-with unimodular transformation witnesses, or, for cokernels and kernels, the
-diagonal alone. Groups are reported as free rank plus invariant factors
-d_1 | d_2 | ... (no factors 1 stored).
+Cokernels and kernels (the K-groups of ``1 - (A^T)^m`` and the homology of
+the boundary map) come from one core on sparse rows: every +-1 pivot is
+eliminated in place, and only the rows left without a unit entry are
+densified for the Euclidean elimination. ``smith_normal_form`` runs that
+dense elimination on the whole matrix, with unimodular witnesses. Groups are
+reported as free rank plus invariant factors d_1 | d_2 | ... (no factors 1
+stored).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import PreconditionError
-from .graph import Graph, IntMatrix, adjacency, validate
+from .graph import Graph, IntMatrix, validate
 from .transform import higher_dual, opposite
 
 
@@ -175,13 +178,104 @@ def smith_normal_form(M: IntMatrix) -> SNFResult:
     )
 
 
+def _coker_ker_rows(
+    rows: list[dict[int, int]], ncols: int
+) -> tuple[AbelianGroup, AbelianGroup]:
+    """Cokernel and kernel of the map Z^ncols -> Z^len(rows) whose i-th row
+    holds the nonzero entries ``rows[i]`` as {column: value}; an empty row
+    is a zero row and still counts. The rows are consumed.
+
+    Every +-1 entry is a pivot that splits off a trivial factor: clear its
+    column with row operations, then drop its row and column. Passes visit
+    the rows shortest first and take, in each, the unit entry whose column
+    holds the fewest rows, which keeps the fill-in low; they repeat until no
+    unit is left. What remains is densified for ``_eliminate``.
+    """
+    holders: dict[int, set[int]] = {}  # column -> the rows with an entry there
+    for i, row in enumerate(rows):
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+    live = list(range(len(rows)))
+    units = 0
+    while True:
+        kept = []
+        for i in sorted(live, key=lambda i: len(rows[i])):
+            row = rows[i]
+            unit = [j for j, x in row.items() if x == 1 or x == -1]
+            if not unit:
+                kept.append(i)
+                continue
+            j = min(unit, key=lambda j: len(holders[j]))
+            p = row.pop(j)  # a unit is its own inverse
+            for k in holders.pop(j):
+                if k == i:
+                    continue
+                other = rows[k]
+                f = other.pop(j) * p
+                for c, x in row.items():
+                    y = other.get(c, 0) - f * x
+                    if y:
+                        if c not in other:
+                            holders[c].add(k)
+                        other[c] = y
+                    else:
+                        del other[c]
+                        holders[c].discard(k)
+            for c in row:
+                holders[c].discard(i)
+            units += 1
+        if len(kept) == len(live):
+            break
+        live = kept
+    rest = [rows[i] for i in live if rows[i]]
+    cols = sorted({c for row in rest for c in row})
+    diag = _eliminate([[row.get(c, 0) for c in cols] for row in rest])
+    rank = units + len(diag)
+    return AbelianGroup(len(rows) - rank, _divisor_chain(diag)), AbelianGroup(ncols - rank)
+
+
 def coker_ker(M: IntMatrix) -> tuple[AbelianGroup, AbelianGroup]:
     """Cokernel and kernel of the map Z^cols -> Z^rows given by M."""
-    diag = _eliminate(M.row_lists())
-    rank = len(diag)
-    coker = AbelianGroup(M.rows - rank, _divisor_chain(diag))
-    ker = AbelianGroup(M.cols - rank)
-    return coker, ker
+    rows = [{j: x for j, x in enumerate(row) if x} for row in M.row_lists()]
+    return _coker_ker_rows(rows, M.cols)
+
+
+def _times(X: list[dict[int, int]], Y: list[dict[int, int]]) -> list[dict[int, int]]:
+    """The product of two square row-dict matrices with nonnegative entries,
+    so that no sum cancels to zero."""
+    out = []
+    for row in X:
+        acc: dict[int, int] = {}
+        for k, a in row.items():
+            for j, b in Y[k].items():
+                acc[j] = acc.get(j, 0) + a * b
+        out.append(acc)
+    return out
+
+
+def _shift_rows(g: Graph, m: int) -> list[dict[int, int]]:
+    """The rows of 1 - (A^T)^m, m >= 1, as {column: nonzero value} in vertex
+    order: row s(e), column r(e) of A^T counts the edge e."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    at: list[dict[int, int]] = [{} for _ in g.vertices]
+    for e in g.edges:
+        row, col = at[index[e.src]], index[e.dst]
+        row[col] = row.get(col, 0) + 1
+    power = None  # (A^T)^m by repeated squaring
+    while m:
+        if m & 1:
+            power = at if power is None else _times(power, at)
+        m >>= 1
+        if m:
+            at = _times(at, at)
+    rows = []
+    for i, row in enumerate(power):
+        row = {j: -x for j, x in row.items()}
+        row[i] = row.get(i, 0) + 1
+        if not row[i]:
+            del row[i]
+        rows.append(row)
+    return rows
 
 
 def graph_K(g: Graph, m: int) -> tuple[AbelianGroup, AbelianGroup]:
@@ -191,21 +285,15 @@ def graph_K(g: Graph, m: int) -> tuple[AbelianGroup, AbelianGroup]:
     diag = validate(g)
     if diag.sinks:
         raise PreconditionError(f"graph has sinks {sorted(diag.sinks)}")
-    at = adjacency(g).transpose().pow(m)
-    B = IntMatrix.identity(at.rows) - at
-    return coker_ker(B)
+    return _coker_ker_rows(_shift_rows(g, m), len(g.vertices))
 
 
 def homology(g: Graph) -> tuple[AbelianGroup, AbelianGroup]:
     """H0 = ker, H1 = coker of the boundary map ZE0 -> ZE1, a |-> a(r(.)) - a(s(.))."""
     vi = {v: i for i, v in enumerate(g.vertices)}
-    rows = []
-    for e in g.edges:
-        row = [0] * len(g.vertices)
-        row[vi[e.dst]] += 1
-        row[vi[e.src]] -= 1
-        rows.append(row)
-    H1, H0 = coker_ker(_from_rows(rows, len(g.vertices)))
+    # a loop's row is zero, and still a row of the cokernel
+    rows = [{} if e.src == e.dst else {vi[e.dst]: 1, vi[e.src]: -1} for e in g.edges]
+    H1, H0 = _coker_ker_rows(rows, len(g.vertices))
     return H0, H1
 
 
@@ -301,9 +389,10 @@ def suspension_K(g: Graph, m: int, n: int) -> SuspensionKReport:
         k0, k1 = graph_K(g, m)
         route = f"coker/ker(1 - (A^T)^{m}) via the delay and higher-power identifications"
     elif m < 0:
-        hyp = hypothesis_check(opposite(g), -m)
+        op = opposite(g)
+        hyp = hypothesis_check(op, -m)
         # 1 - A^{|m|} of g is 1 - (A^T)^{|m|} of the opposite graph
-        k0, k1 = graph_K(opposite(g), -m)
+        k0, k1 = graph_K(op, -m)
         route = (
             f"opposite-graph reduction: coker/ker(1 - A^{-m}) "
             "via the delay and higher-power identifications"

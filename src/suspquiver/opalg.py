@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import PreconditionError, StructuralError
-from .graph import Graph, Path, enumerate_paths, validate, vertex_path
+from .graph import Graph, Path, check_layer_ids, enumerate_paths, validate, vertex_path
 from .ktheory import hypothesis_check
 from .operators import (
     SparseOperator,
@@ -669,6 +669,9 @@ def morita_combinatorics(g: Graph, m: int, n: int, L: int) -> RunReport:
             witnesses += 1
     out.add("morita.fullness_reachability", ok_full, f"{witnesses} vertices witnessed")
     # (iii) alpha words and the (P,S) family in the D_n(E)(0,m) representation
+    # E^m and D_n(E)^m are enumerated below: refuse layers too large first
+    check_layer_ids(g, m)
+    check_layer_ids(D, m)
     Dm = higher_power(D, m)
     rep = build_rep(Dm, L)
     ok_alpha = True

@@ -22,16 +22,20 @@ import pytest
 from hypothesis import strategies as st
 
 from suspquiver import (
+    AbelianGroup,
     Graph,
+    IntMatrix,
     LabeledGraph,
     Path,
     PreconditionError,
     SparseOperator,
+    adjacency,
     enumerate_paths,
     higher_power,
     join_ids,
+    validate,
 )
-from suspquiver.ktheory import HypothesisResult
+from suspquiver.ktheory import HypothesisResult, _divisor_chain, _eliminate
 
 
 def make_single_loop() -> Graph:
@@ -164,6 +168,38 @@ def higher_power_hypothesis_check(g: Graph, m: int) -> HypothesisResult:
                 frontier.append(e.src)
     per_vertex = {v: v in reached for v in g.vertices}
     return HypothesisResult(per_vertex, all(per_vertex.values()))
+
+
+def reference_coker_ker(M: IntMatrix) -> tuple[AbelianGroup, AbelianGroup]:
+    """The former coker_ker, kept as a reference: one dense elimination of
+    the whole matrix, its diagonal merged into a divisor chain."""
+    diag = _eliminate(M.row_lists())
+    rank = len(diag)
+    return AbelianGroup(M.rows - rank, _divisor_chain(diag)), AbelianGroup(M.cols - rank)
+
+
+def reference_graph_K(g: Graph, m: int) -> tuple[AbelianGroup, AbelianGroup]:
+    """The former graph_K, kept as a reference: 1 - (A^T)^m built densely
+    from adjacency, transpose and IntMatrix.pow."""
+    if m < 1:
+        raise PreconditionError("graph_K requires m >= 1")
+    if validate(g).sinks:
+        raise PreconditionError("graph has sinks")
+    at = adjacency(g).transpose().pow(m)
+    return reference_coker_ker(IntMatrix.identity(at.rows) - at)
+
+
+def reference_homology(g: Graph) -> tuple[AbelianGroup, AbelianGroup]:
+    """The former homology, kept as a reference: one dense row per edge."""
+    vi = {v: i for i, v in enumerate(g.vertices)}
+    entries = []
+    for e in g.edges:
+        row = [0] * len(g.vertices)
+        row[vi[e.dst]] += 1
+        row[vi[e.src]] -= 1
+        entries.extend(row)
+    H1, H0 = reference_coker_ker(IntMatrix(len(g.edges), len(g.vertices), entries))
+    return H0, H1
 
 
 def hereditary_closure(g: Graph, H: Iterable[str]) -> frozenset[str]:

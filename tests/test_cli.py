@@ -374,6 +374,27 @@ def test_enumeration_over_the_cap_is_refused(two_loop_file, capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "suite,l",
+    [("limits", "22"), ("eta", "22"), ("kappa", "22"), ("morita", "22"),
+     ("morita", "22/3"), ("all", "22")],
+)
+def test_verify_over_the_cap_is_refused(two_loop_file, capsys, suite, l):
+    # E(1,23), the weights on E^22 and D_n(E)(0,22) hold 2^22 paths and more
+    assert cli.main(["verify", two_loop_file, "--suite", suite, "--l", l, "--L", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ERROR precondition: paths of length <= ")
+    assert f"hold over {2**23} edge ids" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_verify_tck_runs_at_a_large_l(two_loop_file, capsys):
+    # tck does not depend on l, so nothing is enumerated at m = 22
+    assert cli.main(["verify", two_loop_file, "--suite", "tck", "--l", "22"]) == 0
+    assert "CHECK" in capsys.readouterr().out
+
+
 def test_transform_power_16_runs_under_the_cap(two_loop_file, capsys):
     assert cli.main(["transform", two_loop_file, "--op", "power:16"]) == 0
     doc = json.loads(capsys.readouterr().out)

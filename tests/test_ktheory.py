@@ -27,7 +27,9 @@ from suspquiver import (
     opposite,
     smith_normal_form,
     suspension_K,
+    validate,
 )
+from suspquiver.ktheory import _shift_rows
 
 from conftest import (
     higher_power_hypothesis_check,
@@ -36,6 +38,8 @@ from conftest import (
     make_three_cycle,
     make_two_loop,
     random_no_sink_source_graph,
+    reference_graph_K,
+    reference_homology,
     small_graphs,
 )
 
@@ -140,6 +144,70 @@ def test_coker_ker_and_snf_on_sparse_rectangular(seed):
     nonzero = [d for d in diag if d]
     assert diag[: len(nonzero)] == nonzero and all(d > 0 for d in nonzero)
     assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_coker_ker_matches_sympy_with_non_unit_entries(seed):
+    # few units, so that most of the matrix is left to the dense elimination
+    rng = random.Random(900 + seed)
+    rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+    values = [0] * 8 + [1, -1, 2, -2, 3, -3, 4, -6, 9, 12]
+    grid = [[rng.choice(values) for _ in range(cols)] for _ in range(rows)]
+    if rng.random() < 0.5:
+        grid[rng.randrange(rows)] = [0] * cols
+    if rng.random() < 0.5:
+        j = rng.randrange(cols)
+        for row in grid:
+            row[j] = 0
+    m = IntMatrix(rows, cols, [x for row in grid for x in row])
+    assert coker_ker(m) == _sympy_coker_ker(m)
+
+
+def test_coker_ker_non_unit_pinned():
+    # a +-2 is no unit: Z/2 (+) Z/6, not 0
+    assert coker_ker(IntMatrix(2, 2, [2, 0, 0, 6])) == (AbelianGroup(0, (2, 6)), AbelianGroup(0))
+    assert coker_ker(IntMatrix(2, 2, [2, 4, 4, 2])) == (AbelianGroup(0, (2, 6)), AbelianGroup(0))
+    assert coker_ker(IntMatrix(1, 2, [-2, 0])) == (AbelianGroup(0, (2,)), AbelianGroup(1))
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0)])
+def test_coker_ker_empty_shapes(rows, cols):
+    assert coker_ker(IntMatrix(rows, cols, [])) == (AbelianGroup(rows), AbelianGroup(cols))
+
+
+@given(g=small_graphs(), m=st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_shift_rows_are_one_minus_the_transposed_power(g, m):
+    at = adjacency(g).transpose().pow(m)
+    dense = (IntMatrix.identity(at.rows) - at).row_lists()
+    assert _shift_rows(g, m) == [{j: x for j, x in enumerate(row) if x} for row in dense]
+
+
+@given(g=small_graphs(), m=st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_graph_K_and_homology_match_dense_reference(g, m):
+    assert homology(g) == reference_homology(g)
+    if validate(g).sinks:
+        with pytest.raises(PreconditionError):
+            graph_K(g, m)
+    else:
+        assert graph_K(g, m) == reference_graph_K(g, m)
+
+
+# draws of 40-100 vertices with about 0.5 extra edges per vertex, as the
+# benchmark's wide graphs
+_WIDE_SEEDS = [
+    s for s in range(40)
+    if len(random_no_sink_source_graph(s, 100, 150).vertices) >= 40
+][:6]
+
+
+@pytest.mark.parametrize("seed", _WIDE_SEEDS)
+@pytest.mark.parametrize("m", [1, 3])
+def test_graph_K_and_homology_match_dense_reference_on_wide_graphs(seed, m):
+    g = random_no_sink_source_graph(seed, 100, 150)
+    assert graph_K(g, m) == reference_graph_K(g, m)
+    assert homology(g) == reference_homology(g)
 
 
 def test_coker_ker_pinned():
