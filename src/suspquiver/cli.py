@@ -18,13 +18,23 @@ from .errors import PreconditionError, StructuralError, SuspensionError
 from . import flow as flowmod
 from . import ktheory as kt
 from . import opalg
-from .graph import Graph, Path, check_layer_ids, enumerate_paths
+from .graph import Graph, Path, check_layer_ids, enumerate_paths, path_count
 from .operators import build_rep
 from .quiver import fibre_paths, fibre_words, openness_report
 from .report import RunReport, rat_str
 from .transform import delay, higher_dual, higher_power, opposite
 
 MAX_DENOMINATOR = 10**6
+
+# Caps on the work of the delay-graph suites at l = m/n, counted before
+# D_n(E) is built: flow checks n phases of each path of E^L (its cases),
+# about 30 us each, and morita's fullness walks take m |E| n (n - 1) / 2
+# steps in all, about 0.1 us each.  On two loops at one vertex (one fresh
+# interpreter, 2-CPU machine) flow at --l 1/3000 --L 4 checks 48,000 cases
+# in 1.6-1.7 s and morita at --l 1/3000 walks 9.0 million steps in 1.3 s;
+# each cap is about 3 s of such work.
+MAX_FLOW_CASES = 10**5
+MAX_MORITA_STEPS = 2 * 10**7
 
 EXIT_OK = 0
 EXIT_STRUCTURAL = 1
@@ -200,12 +210,23 @@ def cmd_verify(args) -> int:
     m, n = l.numerator, l.denominator
     if m < 1:
         raise PreconditionError("verify suites need a positive l")
+    run = lambda name: args.suite in (name, "all")  # noqa: E731
+    steps = m * len(g.edges) * n * (n - 1) // 2 if run("morita") else 0
+    if steps > MAX_MORITA_STEPS:
+        raise PreconditionError(
+            f"morita walks {steps} steps in D_{n}(E), over {MAX_MORITA_STEPS}; "
+            "refusing to build it"
+        )
+    cases = path_count(g, min(L, 5)) * n if run("flow") else 0
+    if cases > MAX_FLOW_CASES:
+        raise PreconditionError(
+            f"flow checks {cases} cases, over {MAX_FLOW_CASES}; refusing to build D_{n}(E)"
+        )
     rng = random.Random(args.seed)
     out = RunReport()
-    run = lambda name: args.suite in (name, "all")  # noqa: E731
     if run("tck"):
         rep = build_rep(g, L)
-        out.extend(opalg.check_tck(rep, "CuntzKrieger", rng))
+        out.extend(opalg.check_tck(rep, rng))
     if run("jmath"):
         for p, q in ((1, 2), (1, 3), (2, 3)):
             out.extend(opalg.jmath(g, p, q, min(L, 3)).report)

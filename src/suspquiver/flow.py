@@ -197,22 +197,25 @@ def lattice_decomposition_check(g: Graph, m: int, n: int, L: int) -> RunReport:
     if m < 1 or n < 1 or math.gcd(m, n) != 1:
         raise PreconditionError("need coprime m/n > 0")
     D = delay(g, n)
+    step = Fraction(m, n)
     cases = 0
     mismatch = None
     for x in enumerate_paths(g, L):
-        y = delay_embed_path(g, n, x, D)
+        y = delay_embed_path(g, n, x, D).edge_ids
+        # k -> whether the embedding of the suffix x(k,|x|) is y(kn,|y|): then
+        # for every phase j with (j+m) div n = k, y(j,|y|) shifted by m delay
+        # edges is that embedding less its first (j+m) mod n delay edges
+        embeds: dict[int, bool] = {}
         for j in range(n):
-            p = FlowPoint(x, Fraction(j, n))
-            q = apply_flow(p, Fraction(m, n))
+            q = apply_flow(FlowPoint(x, Fraction(j, n)), step)
             k = (j + m) // n
-            y_p = y.window(j, len(y))
-            y_q = delay_embed_path(g, n, q.prefix, D).window((j + m) % n, n * len(q.prefix))
-            shifted = y_p.window(m, len(y_p))
+            if k not in embeds:
+                embeds[k] = delay_embed_path(g, n, q.prefix, D).edge_ids == y[k * n :]
             cases += 1
             if (
                 q.t != Fraction((j + m) % n, n)
                 or q.prefix.edge_ids != x.edge_ids[k:]
-                or y_q.edge_ids != shifted.edge_ids
+                or not embeds[k]
             ):
                 mismatch = mismatch or (x, j)
     rep.add(

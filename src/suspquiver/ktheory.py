@@ -349,24 +349,6 @@ def hypothesis_check_closure(g: Graph, m: int) -> bool:
     return seeds | reached == set(g.vertices)
 
 
-def is_connected(g: Graph) -> bool:
-    """Weak connectivity of the underlying undirected graph."""
-    if not g.vertices:
-        return False
-    adj: dict[str, set[str]] = {v: set() for v in g.vertices}
-    for e in g.edges:
-        adj[e.src].add(e.dst)
-        adj[e.dst].add(e.src)
-    seen = {g.vertices[0]}
-    stack = [g.vertices[0]]
-    while stack:
-        for u in adj[stack.pop()]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(g.vertices)
-
-
 @dataclass
 class SuspensionKReport:
     l_num: int
@@ -400,11 +382,11 @@ def suspension_K(g: Graph, m: int, n: int) -> SuspensionKReport:
     else:
         hyp = HypothesisResult({v: True for v in g.vertices}, True)
         H0, H1 = homology(g)
-        if is_connected(g):
-            k0 = k1 = direct_sum(AbelianGroup(1), H1)
+        k0 = k1 = direct_sum(H0, H1)
+        # H0 is free of rank the number of weak components: Z when connected
+        if H0.free_rank == 1:
             route = "Z (+) H1(E) for the connected CW realisation"
         else:
-            k0 = k1 = direct_sum(H0, H1)
             route = "homology groups H0 (+) H1 reported symbolically"
             flags.append("formula outside proven scope")
     if not hyp.ok:

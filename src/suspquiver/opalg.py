@@ -121,12 +121,9 @@ def edge_fn_interpolated(g: Graph, m: int, weights: dict) -> FunctionOnEdges:
 # ---------------------------------------------------------------------------
 
 
-def check_tck(
-    rep: TruncatedRep, mode: str = "Toeplitz", rng: Optional[random.Random] = None
-) -> RunReport:
-    """TCK1/TCK2 on interior depth 1; in CuntzKrieger mode also the defect ranks."""
-    if mode not in ("Toeplitz", "CuntzKrieger"):
-        raise PreconditionError(f"unknown mode {mode!r}")
+def check_tck(rep: TruncatedRep, rng: random.Random) -> RunReport:
+    """TCK1/TCK2 on interior depth 1, the Cuntz-Krieger defect ranks, and a
+    spot check of the product formula."""
     out = RunReport()
     g = rep.graph
     ok1 = all(
@@ -145,14 +142,11 @@ def check_tck(
             okv = False
     out.add("tck.defect_diagonal_01", ok2, "TCK2 positivity: defects are 0/1 diagonal")
     out.add("tck.defect_is_vacuum", okv, "Delta_v = |h_v><h_v| on interior depth 1")
-    if mode == "CuntzKrieger":
-        ranks_ok = all(
-            rank_on_columns(rep.delta(v), rep.interior_cols(1)) == 1
-            for v in g.vertices
-        )
-        out.add("ck.defect_interior_rank_1", ranks_ok, "one vacuum vector per vertex")
-    if rng is not None:
-        out.extend(_product_formula_spot_check(rep, rng))
+    ranks_ok = all(
+        rank_on_columns(rep.delta(v), rep.interior_cols(1)) == 1 for v in g.vertices
+    )
+    out.add("ck.defect_interior_rank_1", ranks_ok, "one vacuum vector per vertex")
+    out.extend(_product_formula_spot_check(rep, rng))
     return out
 
 
@@ -645,28 +639,18 @@ def morita_combinatorics(g: Graph, m: int, n: int, L: int) -> RunReport:
         ok_shift,
         f"r in V_j iff s in V_(j+|lambda|) mod {n}, paths <= {L}",
     )
-    # (ii) fullness: from every vertex a path of length km (km = layer mod n)
-    # leads back to V_0 at its range
-    ok_full = True
-    witnesses = 0
+    # (ii) fullness: from every vertex u, k m steps along least emitted edges
+    # (k m = layer of u mod n) end at a range in V_0; the steps follow emitted
+    # edges from u, so they compose into a path with source u
+    succ = {v: min(D.emitted(v), key=lambda e: e.id).dst for v in D.vertices}
     m_inv = pow(m, -1, n)
+    witnesses = 0
     for u in D.vertices:
-        j = _delay_layer(D, u)
-        k = (j * m_inv) % n
-        if j != 0 and k == 0:
-            k = n
-        lam_ids: list[str] = []
         here = u
-        for _ in range(k * m):
-            e = min(D.emitted(here), key=lambda e: e.id)
-            lam_ids.append(e.id)
-            here = e.dst
-        lam_ids.reverse()
-        lam = Path(D, tuple(lam_ids)) if lam_ids else vertex_path(D, u)
-        if lam.s != u or _delay_layer(D, lam.r) != 0:
-            ok_full = False
-        else:
-            witnesses += 1
+        for _ in range((_delay_layer(D, u) * m_inv) % n * m):
+            here = succ[here]
+        witnesses += _delay_layer(D, here) == 0
+    ok_full = witnesses == len(D.vertices)
     out.add("morita.fullness_reachability", ok_full, f"{witnesses} vertices witnessed")
     # (iii) alpha words and the (P,S) family in the D_n(E)(0,m) representation
     # E^m and D_n(E)^m are enumerated below: refuse layers too large first
@@ -675,7 +659,7 @@ def morita_combinatorics(g: Graph, m: int, n: int, L: int) -> RunReport:
     Dm = higher_power(D, m)
     rep = build_rep(Dm, L)
     ok_alpha = True
-    S_table = {}
+    family = []  # (r(mu), s(mu), S_mu) for each mu in E^m
     for mu in enumerate_paths(g, m):
         emb = delay_embed_path(g, n, mu, D)
         blocks = tuple(
@@ -684,21 +668,20 @@ def morita_combinatorics(g: Graph, m: int, n: int, L: int) -> RunReport:
         alpha = Path(Dm, blocks)
         if alpha.r != mu.r or alpha.s != mu.s:
             ok_alpha = False
-        S_table[mu.edge_ids] = rep.creation(alpha)
+        family.append((mu.r, mu.s, rep.creation(alpha)))
     out.add(
         "morita.alpha_words",
         ok_alpha,
-        f"alpha(mu) in D_n(E)(0,{m})^{n} with r,s matching, {len(S_table)} words",
+        f"alpha(mu) in D_n(E)(0,{m})^{n} with r,s matching, {len(family)} words",
     )
     ok_tck1 = all(
-        (S.adjoint() @ S).equal_on_columns(rep.Q[Path(g, mu).s], L - n)
-        for mu, S in S_table.items()
+        (S.adjoint() @ S).equal_on_columns(rep.Q[s], L - n) for _, s, S in family
     )
     out.add("morita.PS_tck1", ok_tck1, f"S*S = P_s(mu), interior depth {n}")
     ok_ck = True
     ok_ideal = True
     for v in g.vertices:
-        ss = [S @ S.adjoint() for mu, S in S_table.items() if Path(g, mu).r == v]
+        ss = [S @ S.adjoint() for r, _, S in family if r == v]
         d = combo(rep, [(1, rep.Q[v])] + [(-1, x) for x in ss])
         mid = d.restrict_columns(
             lambda c: n <= rep.basis.lengths[c] <= rep.L - n

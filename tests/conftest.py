@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from suspquiver import (
     AbelianGroup,
+    FlowPoint,
     Graph,
     IntMatrix,
     LabeledGraph,
@@ -30,12 +31,17 @@ from suspquiver import (
     PreconditionError,
     SparseOperator,
     adjacency,
+    apply_flow,
+    delay,
+    delay_embed_path,
     enumerate_paths,
     higher_power,
     join_ids,
     validate,
+    vertex_path,
 )
 from suspquiver.ktheory import HypothesisResult, _divisor_chain, _eliminate
+from suspquiver.opalg import _delay_layer
 
 
 def make_single_loop() -> Graph:
@@ -507,6 +513,71 @@ def small_graphs(draw):
     pairs = draw(st.lists(st.tuples(st.sampled_from(vs), st.sampled_from(vs)), max_size=7))
     ids = draw(st.permutations([f"e{i}" for i in range(len(pairs))]))
     return Graph(vs, [(i, s, d) for i, (s, d) in zip(ids, pairs)])
+
+
+@st.composite
+def no_sink_source_graphs(draw):
+    """1-3 vertices; each emits and receives an edge, plus up to two more."""
+    vs = [f"v{i}" for i in range(draw(st.integers(1, 3)))]
+    ends = st.sampled_from(vs)
+    pairs = [(v, draw(ends)) for v in vs] + [(draw(ends), v) for v in vs]
+    pairs += draw(st.lists(st.tuples(ends, ends), max_size=2))
+    return Graph(vs, [(f"e{i}", s, d) for i, (s, d) in enumerate(pairs)])
+
+
+def reference_lattice_decomposition(g: Graph, m: int, n: int, L: int):
+    """The former loop of flow.lattice_decomposition_check, kept as a
+    reference: for every x in E^L and phase j, both delay embeddings and the
+    three windows y(j,|y|), its shift by m and the flowed image.  Returns
+    (cases, first mismatch or None)."""
+    D = delay(g, n)
+    cases = 0
+    mismatch = None
+    for x in enumerate_paths(g, L):
+        y = delay_embed_path(g, n, x, D)
+        for j in range(n):
+            p = FlowPoint(x, Fraction(j, n))
+            q = apply_flow(p, Fraction(m, n))
+            k = (j + m) // n
+            y_p = y.window(j, len(y))
+            y_q = delay_embed_path(g, n, q.prefix, D).window((j + m) % n, n * len(q.prefix))
+            shifted = y_p.window(m, len(y_p))
+            cases += 1
+            if (
+                q.t != Fraction((j + m) % n, n)
+                or q.prefix.edge_ids != x.edge_ids[k:]
+                or y_q.edge_ids != shifted.edge_ids
+            ):
+                mismatch = mismatch or (x, j)
+    return cases, mismatch
+
+
+def reference_fullness(D: LabeledGraph, m: int, n: int):
+    """The former fullness walk of opalg.morita_combinatorics, kept as a
+    reference: per vertex u of D = D_n(E), k m least emitted edges (k m =
+    layer of u mod n) and a validated witness path from u.  Returns
+    (passed, witnesses)."""
+    ok_full = True
+    witnesses = 0
+    m_inv = pow(m, -1, n)
+    for u in D.vertices:
+        j = _delay_layer(D, u)
+        k = (j * m_inv) % n
+        if j != 0 and k == 0:
+            k = n
+        lam_ids: list[str] = []
+        here = u
+        for _ in range(k * m):
+            e = min(D.emitted(here), key=lambda e: e.id)
+            lam_ids.append(e.id)
+            here = e.dst
+        lam_ids.reverse()
+        lam = Path(D, tuple(lam_ids)) if lam_ids else vertex_path(D, u)
+        if lam.s != u or _delay_layer(D, lam.r) != 0:
+            ok_full = False
+        else:
+            witnesses += 1
+    return ok_full, witnesses
 
 
 def normal_form_closure(g: Graph, m: int, denominator: int = 6, max_len: int = 4):

@@ -106,7 +106,7 @@ def test_criterion_03_tck_exactness():
     rng = random.Random(0)
     for seed in SEEDS:
         g = random_no_sink_source_graph(seed)
-        rep = check_tck(build_rep(g, 5), "CuntzKrieger", rng)
+        rep = check_tck(build_rep(g, 5), rng)
         assert rep.ok, rep.to_text()
     _report(3, True, "L = 5, TCK1/TCK2 + rank-1 vacuum defects on 20 graphs")
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from suspquiver import Graph, cli, fibre_paths
+from suspquiver import Graph, cli, fibre_paths, flow, opalg
 from suspquiver.report import rat_str
 
 from conftest import small_graphs
@@ -165,10 +165,21 @@ def test_ktheory_hypotheses_unmet(single_loop_file, capsys):
     assert "rotation-algebra" in out
 
 
-def test_ktheory_homology_at_zero(two_loop_file, capsys):
+def test_ktheory_homology_at_zero(two_loop_file, tmp_path, capsys):
+    # Z (+) H1 on a connected graph; two disjoint loops report H0 (+) H1, flagged
     assert cli.main(["ktheory", two_loop_file, "--l", "0"]) == 0
-    out = capsys.readouterr().out
-    assert "K0 = Z^3" in out and "K1 = Z^3" in out
+    out = capsys.readouterr().out.splitlines()
+    assert "ROUTE Z (+) H1(E) for the connected CW realisation" in out
+    assert not any(line.startswith("FLAG") for line in out)
+    assert out[-2:] == ["K0 = Z^3", "K1 = Z^3"]
+    path = tmp_path / "two_components.json"
+    path.write_text(json.dumps({"vertices": ["u", "v"], "edges": [
+        {"id": "a", "src": "u", "dst": "u"}, {"id": "b", "src": "v", "dst": "v"}]}))
+    assert cli.main(["ktheory", str(path), "--l", "0"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "ROUTE homology groups H0 (+) H1 reported symbolically" in out
+    assert "FLAG formula outside proven scope" in out
+    assert out[-2:] == ["K0 = Z^4", "K1 = Z^4"]
 
 
 def test_ktheory_bad_rationals(two_loop_file, capsys):
@@ -387,6 +398,83 @@ def test_verify_over_the_cap_is_refused(two_loop_file, capsys, suite, l):
     assert captured.err.startswith("ERROR precondition: paths of length <= ")
     assert f"hold over {2**23} edge ids" in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "suite,l,L,message",
+    [("flow", "1/6251", "4", "flow checks 100016 cases, over 100000; refusing to build D_6251(E)"),
+     ("morita", "1/4473", "4",
+      "morita walks 20003256 steps in D_4473(E), over 20000000; refusing to build it"),
+     ("all", "1/1000000", "1",
+      "morita walks 999999000000 steps in D_1000000(E), over 20000000; refusing to build it")],
+)
+def test_verify_delay_suites_over_the_cap_are_refused(two_loop_file, capsys, suite, l, L, message):
+    # on two loops: 16 paths of length 4 at 6251 phases each; m |E| n (n-1)/2
+    # steps of the fullness walks
+    assert cli.main(["verify", two_loop_file, "--suite", suite, "--l", l, "--L", L]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ERROR precondition: {message}\n"
+
+
+def test_verify_delay_suites_run_at_the_cap(two_loop_file, capsys, monkeypatch):
+    # two loops at --L 4: 16 paths of length 4, so 32 flow cases at --l 1/2;
+    # 2 |E| = 4 walk steps at --l 1/2, 6 at 1/3
+    monkeypatch.setattr(cli, "MAX_FLOW_CASES", 32)
+    monkeypatch.setattr(cli, "MAX_MORITA_STEPS", 4)
+    assert cli.main(["verify", two_loop_file, "--suite", "flow", "--l", "1/2"]) == 0
+    assert cli.main(["verify", two_loop_file, "--suite", "morita", "--l", "1/2"]) == 0
+    assert cli.main(["verify", two_loop_file, "--suite", "flow", "--l", "1/3"]) == 2
+    assert cli.main(["verify", two_loop_file, "--suite", "morita", "--l", "1/3"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "ERROR precondition: flow checks 48 cases, over 32; refusing to build D_3(E)",
+        "ERROR precondition: morita walks 6 steps in D_3(E), over 4; refusing to build it",
+    ]
+
+
+def test_flow_short_suffix_embedding_fails_the_check(two_loop_file, capsys, monkeypatch):
+    # at the default --L 4 the flow checks paths of length 4: the embedding of
+    # every proper suffix comes one delay edge short
+    real = flow.delay_embed_path
+
+    def short(g, n, mu, D=None):
+        image = real(g, n, mu, D)
+        return image.window(0, len(image) - 1) if len(mu) < 4 else image
+
+    monkeypatch.setattr(flow, "delay_embed_path", short)
+    assert cli.main(["verify", two_loop_file, "--suite", "flow", "--l", "1/2"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("CHECK flow.lattice_decomposition FAIL ")
+    assert out.count("\n") == 1 and "first_mismatch=(Path(e e e e), 1)" in out
+
+
+def test_morita_misreported_endpoint_layer_fails_only_fullness(two_loop_file, capsys, monkeypatch):
+    argv = ["verify", two_loop_file, "--suite", "morita", "--l", "2/3"]
+    real = opalg._delay_layer
+    calls = []
+
+    def counted(D, v):
+        calls.append(v)
+        return real(D, v)
+
+    monkeypatch.setattr(opalg, "_delay_layer", counted)
+    assert cli.main(argv) == 0
+    passing = capsys.readouterr().out.splitlines()
+    # the last layer read is that of the range of the last fullness walk
+    last = len(calls)
+    calls.clear()
+
+    def misreported(D, v):
+        calls.append(v)
+        return (real(D, v) + (len(calls) == last)) % 3
+
+    monkeypatch.setattr(opalg, "_delay_layer", misreported)
+    assert cli.main(argv) == 1
+    failing = capsys.readouterr().out.splitlines()
+    assert [line.split()[:3] for line in failing] == [
+        line.split()[:2] + ["FAIL" if "fullness" in line else "PASS"] for line in passing
+    ]
+    assert "CHECK morita.fullness_reachability FAIL 4 vertices witnessed" in failing
 
 
 def test_verify_tck_runs_at_a_large_l(two_loop_file, capsys):

@@ -1,5 +1,6 @@
 """Suspension flow: gluing, semigroup law, cylinders, lattice decomposition."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,13 @@ from suspquiver import (
     theta_inf,
 )
 
-from conftest import make_cycle_plus_loop, make_single_loop, make_two_loop
+from conftest import (
+    make_cycle_plus_loop,
+    make_single_loop,
+    make_two_loop,
+    no_sink_source_graphs,
+    reference_lattice_decomposition,
+)
 
 
 def test_make_flow_point_glues(two_loop):
@@ -143,6 +150,30 @@ def test_lattice_decomposition(m, n):
     for g in (make_single_loop(), make_two_loop()):
         rep = lattice_decomposition_check(g, m, n, 5)
         assert rep.ok, rep.to_text()
+
+
+# m up to 12 reaches past n L, where apply_flow runs out of prefix
+_COPRIME_N_UP_TO_6 = [(m, n) for m in range(1, 13) for n in range(1, 7) if math.gcd(m, n) == 1]
+
+
+@given(g=no_sink_source_graphs(), mn=st.sampled_from(_COPRIME_N_UP_TO_6), L=st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_lattice_decomposition_matches_reference(g, mn, L):
+    m, n = mn
+    try:
+        cases, mismatch = reference_lattice_decomposition(g, m, n, L)
+    except PrecisionError as exc:
+        with pytest.raises(PrecisionError) as got:
+            lattice_decomposition_check(g, m, n, L)
+        assert str(got.value) == str(exc)
+        return
+    detail = f"graph={len(g.vertices)}v/{len(g.edges)}e l={m}/{n} L={L} cases={cases}"
+    if mismatch is not None:
+        detail += f" first_mismatch={mismatch}"
+    (check,) = lattice_decomposition_check(g, m, n, L).checks
+    assert (check.name, check.passed, check.detail) == (
+        "flow.lattice_decomposition", mismatch is None, detail
+    )
 
 
 def test_lattice_decomposition_rejects_non_coprime(two_loop):

@@ -37,6 +37,7 @@ from conftest import (
     make_single_loop,
     make_three_cycle,
     make_two_loop,
+    no_sink_source_graphs,
     random_no_sink_source_graph,
     reference_graph_K,
     reference_homology,
@@ -299,22 +300,12 @@ def test_suspension_K_negative_parameter():
     assert (rep.k0, rep.k1) == graph_K(opposite(g), 2)
 
 
-@st.composite
-def _no_sink_source_graphs(draw):
-    """1-3 vertices; each emits and receives an edge, plus up to two more."""
-    vs = [f"v{i}" for i in range(draw(st.integers(1, 3)))]
-    ends = st.sampled_from(vs)
-    pairs = [(v, draw(ends)) for v in vs] + [(draw(ends), v) for v in vs]
-    pairs += draw(st.lists(st.tuples(ends, ends), max_size=2))
-    return Graph(vs, [(f"e{i}", s, d) for i, (s, d) in enumerate(pairs)])
-
-
 _COPRIME_UP_TO_6 = [
     (m, n) for m in range(1, 7) for n in range(1, 7) if m * n <= 6 and math.gcd(m, n) == 1
 ]
 
 
-@given(g=_no_sink_source_graphs(), mn=st.sampled_from(_COPRIME_UP_TO_6), negative=st.booleans())
+@given(g=no_sink_source_graphs(), mn=st.sampled_from(_COPRIME_UP_TO_6), negative=st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_suspension_K_matches_long_route(g, mn, negative):
     # l = m/n reduces to integer parameter |m| over D_n(E), or D_n(E^op) for m < 0,

@@ -1,5 +1,6 @@
 """Operator identities: TCK, jmath, rho/psi fibres, limits, eta, kappa, Morita."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from suspquiver import (
     StructuralError,
     build_rep,
     check_tck,
+    delay,
     edge_fn_interpolated,
     enumerate_paths,
     eta_generators,
@@ -35,8 +37,10 @@ from conftest import (
     make_single_loop,
     make_three_cycle,
     make_two_loop,
+    no_sink_source_graphs,
     random_no_sink_source_graph,
     reference_edge_fn,
+    reference_fullness,
     reference_vertex_fn,
 )
 
@@ -138,7 +142,7 @@ def test_values_without_edges_read_as_given():
 @pytest.mark.parametrize("seed", range(4))
 def test_tck_on_random_graphs(seed):
     g = random_no_sink_source_graph(400 + seed, max_edges=5)
-    rep = check_tck(build_rep(g, 4), "CuntzKrieger", random.Random(seed))
+    rep = check_tck(build_rep(g, 4), random.Random(seed))
     assert rep.ok, rep.to_text()
 
 
@@ -395,6 +399,23 @@ def test_morita_suites(graph_name, m, n):
     }[graph_name]()
     rep = morita_combinatorics(g, m, n, 4)
     assert rep.ok, rep.to_text()
+
+
+# m L <= 6: the (P,S) part builds the representation of D_n(E)(0,m) on paths
+# of length <= L, which are paths of length <= m L of the delay graph
+_MORITA_PARAMETERS = st.sampled_from(
+    [(m, n) for m in range(1, 6) for n in range(1, 7) if math.gcd(m, n) == 1]
+).flatmap(lambda mn: st.tuples(st.just(mn), st.integers(1, max(1, min(4, 6 // mn[0])))))
+
+
+@given(g=no_sink_source_graphs(), mnL=_MORITA_PARAMETERS)
+@settings(max_examples=150, deadline=None)
+def test_morita_fullness_matches_reference(g, mnL):
+    (m, n), L = mnL
+    ok, witnesses = reference_fullness(delay(g, n), m, n)
+    checks = {c.name: c for c in morita_combinatorics(g, m, n, L).checks}
+    full = checks["morita.fullness_reachability"]
+    assert (full.passed, full.detail) == (ok, f"{witnesses} vertices witnessed")
 
 
 def test_morita_rejects_non_coprime(two_loop):
