@@ -20,10 +20,7 @@ from .graph import (
     adjacency,
     concatenate,
     enumerate_paths,
-    every_cycle_has_entrance,
-    is_strongly_connected,
     path_count,
-    period,
     validate,
     vertex_path,
 )
@@ -31,7 +28,6 @@ from .transform import (
     LabeledGraph,
     delay,
     delay_embed_path,
-    dual_word_to_path,
     higher_dual,
     higher_power,
     join_ids,
@@ -40,38 +36,22 @@ from .transform import (
 from .quiver import (
     QuiverEdge,
     QuiverPath,
-    ReduceResult,
     SuspensionVertex,
     as_circle,
     base_vertex,
-    compose,
-    edge_path,
     edge_range,
     edge_source,
-    fibre_dual,
     fibre_paths,
     fibre_words,
-    from_dual_word,
     normalize_edge,
-    normalize_vertex,
     openness_report,
-    reduce_parameter,
-    to_dual_word,
-    varpi,
-    vertex_along,
 )
 from .flow import (
-    CylinderSpec,
     FlowPoint,
     apply_flow,
-    cylinder_intersection,
-    in_cylinder,
-    in_cylinder_list,
     lattice_decomposition_check,
     make_flow_point,
-    mu_vee,
     orbit_lines,
-    theta_inf,
 )
 from .operators import (
     Basis,
@@ -92,9 +72,7 @@ from .opalg import (
     jmath,
     kappa_eval,
     limit_formulas,
-    matrix_unit,
     morita_combinatorics,
-    rho_psi,
     vertex_fn_interpolated,
 )
 from .ktheory import (
@@ -105,7 +83,6 @@ from .ktheory import (
     graph_K,
     homology,
     hypothesis_check,
-    hypothesis_check_closure,
     smith_normal_form,
     suspension_K,
 )

@@ -1,4 +1,4 @@
-"""Finite directed graphs, paths, and structural predicates.
+"""Finite directed graphs, paths, path counts and sink/source diagnostics.
 
 Conventions are fixed once and used literally everywhere:
 
@@ -14,7 +14,6 @@ Conventions are fixed once and used literally everywhere:
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -242,9 +241,6 @@ class IntMatrix:
         c = self.cols
         return [self.entries[i * c : (i + 1) * c] for i in range(self.rows)]
 
-    def trace(self) -> int:
-        return sum(self[i, i] for i in range(min(self.rows, self.cols)))
-
     def copy(self) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, list(self.entries))
 
@@ -373,67 +369,3 @@ def adjacency(g: Graph) -> IntMatrix:
         entries[index[e.dst] * n + index[e.src]] += 1
     return IntMatrix(n, n, entries)
 
-
-def is_strongly_connected(g: Graph) -> bool:
-    """True iff every ordered vertex pair is joined by a nonempty path.
-
-    A single vertex with no edges is not strongly connected under this
-    definition (it has no nonempty path to itself). It suffices that one
-    vertex reaches every vertex, itself included, by a nonempty path and
-    that every vertex reaches it: two searches, O(|V| + |E|).
-    """
-    if not g.vertices:
-        return False
-    root = g.vertices[0]
-    for step in (
-        lambda v: [e.src for e in g.received(v)],
-        lambda v: [e.dst for e in g.emitted(v)],
-    ):
-        seen: set[str] = set()
-        frontier = step(root)
-        while frontier:
-            u = frontier.pop()
-            if u not in seen:
-                seen.add(u)
-                frontier.extend(step(u))
-        if len(seen) != len(g.vertices):
-            return False
-    return True
-
-
-def period(g: Graph) -> int:
-    """gcd of the lengths of all cycles of a strongly connected graph.
-
-    With BFS levels from one vertex, it is the gcd over all edges of
-    level(u) + 1 - level(v) for an edge walked from u to v.
-    """
-    if not is_strongly_connected(g):
-        raise PreconditionError("period requires a strongly connected graph")
-    level = {g.vertices[0]: 0}
-    frontier = [g.vertices[0]]
-    for u in frontier:  # grows while it is walked
-        for e in g.received(u):
-            if e.src not in level:
-                level[e.src] = level[u] + 1
-                frontier.append(e.src)
-    return math.gcd(*(level[e.dst] + 1 - level[e.src] for e in g.edges))
-
-
-def every_cycle_has_entrance(g: Graph) -> bool:
-    """True iff every cycle mu has some i with |r(mu_i)E1| >= 2.
-
-    A cycle without an entrance runs through vertices that each receive
-    exactly one edge, along those edges. Such vertices have one predecessor
-    each, so it is a cycle of that functional graph, found in O(|V| + |E|).
-    """
-    pred = {v: g.received(v)[0].src for v in g.vertices if len(g.received(v)) == 1}
-    done: set[str] = set()
-    for v in pred:
-        walk: set[str] = set()
-        while v in pred and v not in done:
-            if v in walk:
-                return False
-            walk.add(v)
-            v = pred[v]
-        done |= walk
-    return True

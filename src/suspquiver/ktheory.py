@@ -342,13 +342,6 @@ def hypothesis_check(g: Graph, m: int) -> HypothesisResult:
     return HypothesisResult(per_vertex, all(per_vertex.values()))
 
 
-def hypothesis_check_closure(g: Graph, m: int) -> bool:
-    """The introduction's variant: the set of vertices emitting >= 2 edges has
-    hereditary closure all of E(0,m)^0."""
-    seeds, reached = _hypothesis_reach(g, m)
-    return seeds | reached == set(g.vertices)
-
-
 @dataclass
 class SuspensionKReport:
     l_num: int

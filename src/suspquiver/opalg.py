@@ -8,6 +8,7 @@ are exact squared operator norms.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -15,7 +16,15 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import PreconditionError, StructuralError
-from .graph import Graph, Path, check_layer_ids, enumerate_paths, validate, vertex_path
+from .graph import (
+    Graph,
+    Path,
+    _layer_sizes,
+    check_layer_ids,
+    enumerate_paths,
+    validate,
+    vertex_path,
+)
 from .ktheory import hypothesis_check
 from .operators import (
     SparseOperator,
@@ -25,7 +34,6 @@ from .operators import (
     norm_squared,
     rank_on_columns,
 )
-from .quiver import as_circle
 from .report import RunReport, rat_str
 from .transform import (
     LabeledGraph,
@@ -117,7 +125,7 @@ def edge_fn_interpolated(g: Graph, m: int, weights: dict) -> FunctionOnEdges:
 
 
 # ---------------------------------------------------------------------------
-# TCK / matrix-unit checks
+# TCK checks
 # ---------------------------------------------------------------------------
 
 
@@ -202,17 +210,6 @@ def _product_formula_spot_check(rep: TruncatedRep, rng: random.Random, trials: i
             ok = False
     out.add("tck.product_formula", ok, f"{tried} random (mu,nu,eta,zeta) spot checks")
     return out
-
-
-def matrix_unit(rep: TruncatedRep, mu: Path, nu: Path) -> SparseOperator:
-    """T_mu Delta_{s(mu)} T_nu*, verified to be the matrix unit theta_{mu,nu}."""
-    if mu.s != nu.s:
-        raise PreconditionError("matrix_unit needs s(mu) = s(nu)")
-    op = rep.creation(mu) @ rep.delta(mu.s) @ rep.creation(nu).adjoint()
-    expected = SparseOperator(rep.basis, {(rep.basis_vector(mu), rep.basis_vector(nu)): 1})
-    if op != expected:
-        raise StructuralError("matrix unit identity failed on the truncation")
-    return op
 
 
 # ---------------------------------------------------------------------------
@@ -308,18 +305,6 @@ def _jmath_tables(g: Graph, p: int, q: int, rep: TruncatedRep):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RhoPsi:
-    rep: TruncatedRep
-    rho: SparseOperator
-    psi: SparseOperator
-    basis_kind: str  # "dual-interior" | "power-lattice" | "loops"
-
-
-def _loop_graph(symbols) -> Graph:
-    return Graph(list(symbols), [(f"loop({s})", s, s) for s in symbols])
-
-
 def _on_generators(
     rep: TruncatedRep, rho_coeffs: dict, psi_coeffs: dict
 ) -> tuple[SparseOperator, SparseOperator]:
@@ -343,37 +328,6 @@ def _fibre_rho_psi(
     """rho = sum_e a([e,t]) Q_e, psi = sum_{mu in E^{m+1}} xi([mu,t]) T_mu on E(1,m+1)."""
     words = [mu.edge_ids for mu in enumerate_paths(g, m + 1)]
     return _on_generators(rep, *_fibre_coeffs(g, t, a, xi, words))
-
-
-def rho_psi(
-    g: Graph, m: int, t, L: int, a: FunctionOnVertices, xi: FunctionOnEdges
-) -> RhoPsi:
-    """The fibre pair (rho(a), psi(xi)) over t, on the appropriate path basis."""
-    if xi.m != m:
-        raise PreconditionError("edge function has the wrong parameter")
-    t = as_circle(Fraction(t))
-    if m == 0:
-        # multiplication plus a weighted unilateral shift, one ladder per symbol
-        if t != 0:
-            rep = build_rep(_loop_graph(sorted(e.id for e in g.edges)), L)
-            rho = combo(rep, [(a.at_edge(e.id, t), rep.Q[e.id]) for e in g.edges])
-            psi = combo(rep, [(xi.at_word((e.id,), t), rep.T[f"loop({e.id})"]) for e in g.edges])
-        else:
-            rep = build_rep(_loop_graph(sorted(g.vertices)), L)
-            rho = combo(rep, [(a.at_base(v), rep.Q[v]) for v in g.vertices])
-            psi = combo(
-                rep, [(xi.at_lattice(vertex_path(g, v)), rep.T[f"loop({v})"]) for v in g.vertices]
-            )
-        return RhoPsi(rep, rho, psi, "loops")
-    if t != 0:
-        rep = build_rep(higher_dual(g, 1, m + 1), L)
-        rho, psi = _fibre_rho_psi(rep, g, m, t, a, xi)
-        return RhoPsi(rep, rho, psi, "dual-interior")
-    rep = build_rep(higher_power(g, m), L)
-    rho = combo(rep, [(a.at_base(v), rep.Q[v]) for v in g.vertices])
-    words = enumerate_paths(g, m)
-    psi = combo(rep, [(xi.at_lattice(w), rep.T[join_ids(w.edge_ids)]) for w in words])
-    return RhoPsi(rep, rho, psi, "power-lattice")
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +540,7 @@ def kappa_eval(
     out.add(
         "kappa.hypothesis_flag",
         True,
-        f"hypothesis_check(g,{m}) = {hyp.ok} (recorded, not gating)",
+        f"hypothesis_check(g,{m}) = {hyp.ok} (recorded, not gating; cannot fail)",
     )
     if t == 0:
         eps0_rho, eps0_psi = _limit_ops(rep, g, m, a, xi, 0)
@@ -598,7 +552,9 @@ def kappa_eval(
         )
     elif t == 1:
         rho, psi = _limit_ops(rep, g, m, a, xi, 1)
-        out.add("kappa.t1_is_eps1", True, "value at 1 is the eps1 limit by the case split")
+        out.add(
+            "kappa.t1_is_eps1", True, "value at 1 is the eps1 limit by the case split; cannot fail"
+        )
     else:
         rho, psi = _fibre_rho_psi(rep, g, m, t, a, xi)
     return KappaResult(rho, psi, rep, out)
@@ -607,6 +563,15 @@ def kappa_eval(
 # ---------------------------------------------------------------------------
 # Morita combinatorics of the delay graph
 # ---------------------------------------------------------------------------
+
+
+# The most basis paths of the D_n(E)(0,m) representation that
+# morita_combinatorics builds: the vertices and the D_n(E)-paths of length
+# k m, k <= L.  On two loops at one vertex (one fresh interpreter, 2-CPU
+# machine) `verify --suite morita --l 4` builds 69,905 in 1.2 s; `--l 5`
+# took 20 s and 1.1 GB to build 1,082,401, and `--l 6` (17,043,521) was
+# killed.
+MAX_MORITA_BASIS = 10**5
 
 
 def _delay_layer(D: LabeledGraph, v: str) -> int:
@@ -620,6 +585,7 @@ def morita_combinatorics(g: Graph, m: int, n: int, L: int) -> RunReport:
     In the truncated representation of D_n(E)(0,m) the (P,S) Cuntz-Krieger
     defect at a V_0 vertex is supported on basis paths of length < n (the
     compact-ideal shadow); on the mask n <= length <= L-n it vanishes exactly.
+    A representation of over MAX_MORITA_BASIS basis paths is refused.
     """
     if m < 1 or n < 1 or math.gcd(m, n) != 1:
         raise PreconditionError("need coprime positive m, n")
@@ -657,6 +623,12 @@ def morita_combinatorics(g: Graph, m: int, n: int, L: int) -> RunReport:
     check_layer_ids(g, m)
     check_layer_ids(D, m)
     Dm = higher_power(D, m)
+    basis = len(Dm.vertices) + sum(itertools.islice(_layer_sizes(Dm), L))
+    if basis > MAX_MORITA_BASIS:
+        raise PreconditionError(
+            f"morita builds D_{n}(E)(0,{m}) at L={L} on {basis} basis paths, "
+            f"over {MAX_MORITA_BASIS}; refusing to build it"
+        )
     rep = build_rep(Dm, L)
     ok_alpha = True
     family = []  # (r(mu), s(mu), S_mu) for each mu in E^m
@@ -680,6 +652,7 @@ def morita_combinatorics(g: Graph, m: int, n: int, L: int) -> RunReport:
     out.add("morita.PS_tck1", ok_tck1, f"S*S = P_s(mu), interior depth {n}")
     ok_ck = True
     ok_ideal = True
+    mask = sum(n <= k <= L - n for k in rep.basis.lengths)
     for v in g.vertices:
         ss = [S @ S.adjoint() for r, _, S in family if r == v]
         d = combo(rep, [(1, rep.Q[v])] + [(-1, x) for x in ss])
@@ -694,7 +667,8 @@ def morita_combinatorics(g: Graph, m: int, n: int, L: int) -> RunReport:
     out.add(
         "morita.PS_ck_at_V0",
         ok_ck,
-        f"(P,S) defects vanish on the mask {n} <= length <= L-{n}",
+        f"(P,S) defects vanish on the mask {n} <= length <= L-{n}, "
+        + (f"{mask} columns" if mask else "0 columns, vacuous"),
     )
     out.add(
         "morita.PS_defect_in_compact_shadow",

@@ -34,9 +34,6 @@ class RunReport:
         self.checks.append(c)
         return c
 
-    def note(self, text: str) -> None:
-        self.notes.append(text)
-
     def extend(self, other: "RunReport") -> None:
         self.checks.extend(other.checks)
         self.notes.extend(other.notes)

@@ -156,25 +156,3 @@ def delay_embed_path(g: Graph, n: int, mu: Path, D: Optional[LabeledGraph] = Non
     )
     return Path._composed(D, ids)
 
-
-def dual_word_to_path(g: Graph, dual: LabeledGraph, mu: Path) -> Path:
-    """Flatten a path of E(p,q) (or a vertex, for p >= 1) back to a path of g."""
-    if mu.graph is not dual:
-        raise StructuralError("path does not belong to the given dual graph")
-    if not mu.edge_ids:
-        label = dual.vertex_labels[mu.anchor]
-        if label[0] == "vertex":
-            return Path(g, (), label[1])
-        return Path(g, tuple(label[1]))
-    p = _dual_overlap(dual)
-    out: tuple[str, ...] = ()
-    for i, eid in enumerate(mu.edge_ids):
-        word = dual.edge_labels[eid][1]
-        out += word if i == 0 else word[p:]
-    return Path(g, out)
-
-
-def _dual_overlap(dual: LabeledGraph) -> int:
-    """The parameter p of an E(p,q) graph, read off a vertex label."""
-    label = next(iter(dual.vertex_labels.values()))
-    return 0 if label[0] == "vertex" else len(label[1])

@@ -10,7 +10,6 @@ from __future__ import annotations
 import os
 import random
 from fractions import Fraction
-from typing import Iterable
 
 # One BLAS thread: the oracles' tiny SVDs and norms run many times slower on
 # spinning OpenBLAS threads when another process holds a CPU. Set before
@@ -30,8 +29,10 @@ from suspquiver import (
     Path,
     PreconditionError,
     SparseOperator,
+    SuspensionVertex,
     adjacency,
     apply_flow,
+    base_vertex,
     delay,
     delay_embed_path,
     enumerate_paths,
@@ -159,6 +160,31 @@ def reference_higher_dual(g: Graph, p: int, q: int) -> LabeledGraph:
     return LabeledGraph(vertices, edges, vertex_labels, edge_labels)
 
 
+def dual_word_to_path(g: Graph, dual: LabeledGraph, mu: Path) -> Path:
+    """The former transform.dual_word_to_path, kept as a reference: a path of
+    E(p,q) (or a vertex, for p >= 1) flattened back to a path of g, the
+    overlap p read off a vertex label."""
+    if not mu.edge_ids:
+        label = dual.vertex_labels[mu.anchor]
+        return Path(g, (), label[1]) if label[0] == "vertex" else Path(g, tuple(label[1]))
+    label = next(iter(dual.vertex_labels.values()))
+    p = 0 if label[0] == "vertex" else len(label[1])
+    out: tuple[str, ...] = ()
+    for i, eid in enumerate(mu.edge_ids):
+        word = dual.edge_labels[eid][1]
+        out += word if i == 0 else word[p:]
+    return Path(g, out)
+
+
+def vertex_along(mu: Path, pos: Fraction) -> SuspensionVertex:
+    """The former quiver.vertex_along, kept as a reference: the suspension
+    vertex a fraction pos of the way along mu."""
+    k = int(pos)
+    if pos == k:
+        return base_vertex(mu.vertex_at(k))
+    return SuspensionVertex("interior", edge=mu.edge_ids[k], t=pos - k)
+
+
 def higher_power_hypothesis_check(g: Graph, m: int) -> HypothesisResult:
     """The former hypothesis_check, kept as a reference: reachability from the
     seeds in the built graph E(0,m), which has |E|^m edges."""
@@ -206,47 +232,6 @@ def reference_homology(g: Graph) -> tuple[AbelianGroup, AbelianGroup]:
         entries.extend(row)
     H1, H0 = reference_coker_ker(IntMatrix(len(g.edges), len(g.vertices), entries))
     return H0, H1
-
-
-def hereditary_closure(g: Graph, H: Iterable[str]) -> frozenset[str]:
-    """Smallest superset of H closed under v in H, r(e) = v  =>  s(e) in H."""
-    closed = set(H)
-    frontier = list(closed)
-    while frontier:
-        for e in g.received(frontier.pop()):
-            if e.src not in closed:
-                closed.add(e.src)
-                frontier.append(e.src)
-    return frozenset(closed)
-
-
-def higher_power_hypothesis_check_closure(g: Graph, m: int) -> bool:
-    """The former hypothesis_check_closure, kept as a reference."""
-    H = higher_power(g, m)
-    seeds = {w for w in g.vertices if len(g.emitted(w)) >= 2}
-    return hereditary_closure(H, seeds) == set(g.vertices)
-
-
-def brute_cycles(g: Graph) -> list[tuple[str, ...]]:
-    """Every simple cycle as an edge-id sequence, grown depth-first from every
-    start vertex and deduplicated by least rotation; recursive, so for small
-    graphs only."""
-    found: set[tuple[str, ...]] = set()
-
-    def canonical(seq: tuple[str, ...]) -> tuple[str, ...]:
-        return min(seq[i:] + seq[:i] for i in range(len(seq)))
-
-    def walk(start: str, here: str, used: set[str], seq: tuple[str, ...]) -> None:
-        for e in g.received(here):
-            nxt = e.src
-            if nxt == start:
-                found.add(canonical(seq + (e.id,)))
-            elif nxt not in used:
-                walk(start, nxt, used | {nxt}, seq + (e.id,))
-
-    for v in g.vertices:
-        walk(v, v, {v}, ())
-    return sorted(found)
 
 
 def reference_add(a: SparseOperator, b: SparseOperator) -> SparseOperator:

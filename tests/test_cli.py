@@ -477,6 +477,39 @@ def test_morita_misreported_endpoint_layer_fails_only_fullness(two_loop_file, ca
     assert "CHECK morita.fullness_reachability FAIL 4 vertices witnessed" in failing
 
 
+@pytest.mark.parametrize("l,basis", [("5", 1082401), ("6", 17043521)])
+def test_verify_morita_over_the_basis_cap_is_refused(two_loop_file, capsys, l, basis):
+    # D_1(E)(0,m) at the capped L = 4 holds the 1 + 2^m + ... + 2^(4m) paths of
+    # two loops of length m k, k <= 4: refused before build_rep is called
+    assert cli.main(["verify", two_loop_file, "--suite", "morita", "--l", l]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"ERROR precondition: morita builds D_1(E)(0,{l}) at L=4 on {basis} basis paths, "
+        f"over {opalg.MAX_MORITA_BASIS}; refusing to build it\n"
+    )
+
+
+def test_morita_dropped_defect_term_fails_only_ps_ck(tmp_path, capsys, monkeypatch):
+    # at L = 7 the mask 3 <= length <= L-3 of cycle-plus-loop at l = 2/3 holds
+    # 50 columns (at the capped L = 4 it is empty); leaving one S S* out of
+    # each vertex's defect sum is seen there, and only there
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(CYCLE_PLUS_LOOP))
+    argv = ["verify", str(path), "--suite", "morita", "--l", "2/3"]
+    real_morita, real_combo = opalg.morita_combinatorics, opalg.combo
+    monkeypatch.setattr(opalg, "morita_combinatorics", lambda g, m, n, L: real_morita(g, m, n, 7))
+    assert cli.main(argv) == 0
+    passing = capsys.readouterr().out.splitlines()
+    assert any(line.endswith("L-3, 50 columns") for line in passing)
+    monkeypatch.setattr(opalg, "combo", lambda rep, terms: real_combo(rep, terms[:-1]))
+    assert cli.main(argv) == 1
+    failing = capsys.readouterr().out.splitlines()
+    assert [line.split()[:3] for line in failing] == [
+        line.split()[:2] + ["FAIL" if "PS_ck_at_V0" in line else "PASS"] for line in passing
+    ]
+
+
 def test_verify_tck_runs_at_a_large_l(two_loop_file, capsys):
     # tck does not depend on l, so nothing is enumerated at m = 22
     assert cli.main(["verify", two_loop_file, "--suite", "tck", "--l", "22"]) == 0

@@ -1,4 +1,4 @@
-"""Suspension flow: gluing, semigroup law, cylinders, lattice decomposition."""
+"""Suspension flow: gluing, semigroup law, orbits, lattice decomposition."""
 
 import math
 from fractions import Fraction
@@ -8,25 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from suspquiver import (
-    CylinderSpec,
     FlowPoint,
     Path,
     PrecisionError,
     PreconditionError,
     apply_flow,
-    cylinder_intersection,
-    enumerate_paths,
-    in_cylinder,
-    in_cylinder_list,
     lattice_decomposition_check,
     make_flow_point,
-    mu_vee,
     orbit_lines,
-    theta_inf,
 )
 
 from conftest import (
-    make_cycle_plus_loop,
     make_single_loop,
     make_two_loop,
     no_sink_source_graphs,
@@ -70,67 +62,6 @@ def test_apply_flow_precision(single_loop):
         apply_flow(p, 2)
     q = apply_flow(p, 0.5)  # float increments are flagged inexact
     assert not q.exact and q.t == 0 and q.prefix.edge_ids == ("e",)
-
-
-def test_theta_inf(cycle_plus_loop):
-    g = cycle_plus_loop
-    p = FlowPoint(Path(g, ("q", "p", "l")), Fraction(1, 3))
-    qp = theta_inf(p)
-    assert qp.m == 1 and qp.t == Fraction(1, 3) and len(qp) == 2
-    assert qp.edges[0].word.edge_ids == ("q", "p")
-    assert qp.edges[1].word.edge_ids == ("p", "l")
-
-
-def test_in_cylinder_interval_and_wrap(two_loop):
-    g = two_loop
-    mu = Path(g, ("e", "f"))
-    ci = CylinderSpec(mu, ("interval", Fraction(1, 4), Fraction(3, 4)))
-    assert in_cylinder(FlowPoint(Path(g, ("e", "f", "e")), Fraction(1, 2)), ci)
-    assert not in_cylinder(FlowPoint(Path(g, ("f", "e", "f")), Fraction(1, 2)), ci)
-    assert not in_cylinder(FlowPoint(Path(g, ("e", "f", "e")), Fraction(7, 8)), ci)
-    cw = CylinderSpec(mu, ("wrap", Fraction(1, 4)))
-    # t < eps: prefix starts with mu
-    assert in_cylinder(FlowPoint(Path(g, ("e", "f", "e")), Fraction(1, 8)), cw)
-    # t > 1 - eps: prefix = (edge) mu ...
-    assert in_cylinder(FlowPoint(Path(g, ("f", "e", "f")), Fraction(7, 8)), cw)
-    assert not in_cylinder(FlowPoint(Path(g, ("f", "e", "f")), Fraction(1, 8)), cw)
-    with pytest.raises(PrecisionError):
-        in_cylinder(FlowPoint(Path(g, ("e",)), Fraction(1, 8)), cw)
-
-
-def test_mu_vee(two_loop):
-    g = make_two_loop()
-    ef = Path(g, ("e", "f"))
-    efe = Path(g, ("e", "f", "e"))
-    ff = Path(g, ("f", "f"))
-    assert mu_vee(ef, efe) == efe and mu_vee(efe, ef) == efe
-    assert mu_vee(ef, ff) is None
-
-
-@given(data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_cylinder_intersection_pointwise(data):
-    g = make_cycle_plus_loop()
-    words = enumerate_paths(g, 1) + enumerate_paths(g, 2)
-    quarters = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
-
-    def draw_cyl():
-        mu = data.draw(st.sampled_from(words))
-        if data.draw(st.booleans()):
-            a = data.draw(st.sampled_from(quarters[:2]))
-            b = data.draw(st.sampled_from([x for x in quarters if x > a]))
-            return CylinderSpec(mu, ("interval", a, b))
-        eps = data.draw(st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(3, 8)]))
-        return CylinderSpec(mu, ("wrap", eps))
-
-    c1, c2 = draw_cyl(), draw_cyl()
-    inter = cylinder_intersection(c1, c2)
-    # sample points with long prefixes so membership is always decidable
-    for prefix in enumerate_paths(g, 5):
-        for j in range(8):
-            p = FlowPoint(prefix, Fraction(j, 8))
-            want = in_cylinder(p, c1) and in_cylinder(p, c2)
-            assert in_cylinder_list(p, inter) == want
 
 
 def test_orbit_lines(two_loop):

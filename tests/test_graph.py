@@ -1,7 +1,5 @@
 """Graph and path combinatorics against brute-force oracles."""
 
-import math
-
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -18,19 +16,14 @@ from suspquiver import (
     delay,
     delay_embed_path,
     enumerate_paths,
-    every_cycle_has_entrance,
-    is_strongly_connected,
     path_count,
-    period,
     validate,
     vertex_path,
 )
 from suspquiver.graph import MAX_LAYER_IDS, check_layer_ids
 
 from conftest import (
-    brute_cycles,
     brute_paths,
-    hereditary_closure,
     make_single_loop,
     random_no_sink_source_graph,
     recursive_paths,
@@ -203,97 +196,6 @@ def test_adjacency_power_counts_paths(seed, n):
             assert an[idx[v], idx[w]] == len(enumerate_paths(g, n, src=w, rng=v))
 
 
-def test_strong_connectivity(three_cycle, single_edge, single_loop):
-    assert is_strongly_connected(three_cycle)
-    assert not is_strongly_connected(single_edge)
-    assert is_strongly_connected(single_loop)
-    assert not is_strongly_connected(Graph(["v"], []))
-
-
-@pytest.mark.parametrize(
-    "make, expected",
-    [
-        ("three_cycle", 3),
-        ("two_loop", 1),
-        ("cycle_plus_loop", 1),
-        ("single_loop", 1),
-    ],
-)
-def test_period_pinned(make, expected, request):
-    assert period(request.getfixturevalue(make)) == expected
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_period_matches_trace_oracle(seed):
-    g = random_no_sink_source_graph(seed)
-    if not is_strongly_connected(g):
-        pytest.skip("period needs strong connectivity")
-    # oracle: gcd of all closed-walk lengths up to |E0| * |E1|
-    a = adjacency(g)
-    power = a.copy()
-    p = 0
-    for length in range(1, len(g.vertices) * max(1, len(g.edges)) + 1):
-        if power.trace() > 0:
-            p = math.gcd(p, length)
-        power = power @ a
-    assert period(g) == p
-
-
-def test_entrance_condition(two_loop, three_cycle, cycle_plus_loop):
-    assert not every_cycle_has_entrance(three_cycle)  # each vertex receives 1
-    assert every_cycle_has_entrance(two_loop)  # v receives 2
-    assert every_cycle_has_entrance(cycle_plus_loop)
-
-
-def _nonempty_reach(g: Graph) -> dict[str, set[str]]:
-    """v -> vertices joined to v by a nonempty path, from the raw edge list."""
-    reach = {v: {e.src for e in g.edges if e.dst == v} for v in g.vertices}
-    changed = True
-    while changed:
-        changed = False
-        for v in g.vertices:
-            more = set().union(*(reach[u] for u in reach[v])) - reach[v]
-            if more:
-                reach[v] |= more
-                changed = True
-    return reach
-
-
-@given(g=small_graphs())
-@settings(max_examples=150, deadline=None)
-def test_cycle_structure_matches_references(g):
-    cycles = brute_cycles(g)
-    entrance = all(any(len(g.received(g.edge(i).dst)) >= 2 for i in c) for c in cycles)
-    assert every_cycle_has_entrance(g) == entrance
-    reach = _nonempty_reach(g)
-    strong = all(reach[v] == set(g.vertices) for v in g.vertices)
-    assert is_strongly_connected(g) == strong
-    if strong:
-        # every cycle length is a sum of simple cycle lengths
-        assert period(g) == math.gcd(*(len(c) for c in cycles))
-
-
-def _long_cycle(n: int, reverse: bool) -> Graph:
-    vs = [f"v{i}" for i in range(n)]
-    ends = [(vs[i], vs[(i + 1) % n]) for i in range(n)]
-    return Graph(vs, [(f"c{i}", *(e[::-1] if reverse else e)) for i, e in enumerate(ends)])
-
-
-@pytest.mark.parametrize("reverse", [False, True])
-def test_long_cycle_without_recursion(reverse):
-    # the former recursive cycle searches exceeded the interpreter's recursion limit here
-    g = _long_cycle(1500, reverse)
-    assert not every_cycle_has_entrance(g)
-    assert period(g) == 1500
-
-
-def test_long_cycle_with_an_entrance():
-    c = _long_cycle(1500, False)
-    g = Graph(c.vertices, [(e.id, e.src, e.dst) for e in c.edges] + [("x", "v0", "v500")])
-    assert every_cycle_has_entrance(g)  # v500 receives two edges
-    assert period(g) == math.gcd(1001, 1500) == 1
-
-
 def _int_matrices(rows, cols):
     return st.lists(
         st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7]), min_size=rows * cols, max_size=rows * cols
@@ -321,9 +223,3 @@ def test_matmul_and_pow_match_entrywise_products(data, shape, n):
     power.entries[:] = [0] * len(power.entries)  # the result shares nothing
     assert sq.entries == before
 
-
-def test_hereditary_closure(single_edge, three_cycle):
-    # closed under v in H, r(e) = v => s(e) in H
-    assert hereditary_closure(single_edge, {"v"}) == {"u", "v"}
-    assert hereditary_closure(single_edge, {"u"}) == {"u"}
-    assert hereditary_closure(three_cycle, {"u"}) == {"u", "v", "w"}

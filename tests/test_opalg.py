@@ -27,10 +27,10 @@ from suspquiver import (
     limit_formulas,
     morita_combinatorics,
     operator_norm_est,
-    rho_psi,
     vertex_fn_interpolated,
     vertex_path,
 )
+from suspquiver.opalg import _fibre_rho_psi
 
 from conftest import (
     make_cycle_plus_loop,
@@ -166,12 +166,9 @@ def test_rho_identity_function(two_loop):
     g = two_loop
     a = vertex_fn_interpolated(g, {"v": 1})
     xi = edge_fn_interpolated(g, 1, {})
-    rp = rho_psi(g, 1, Fraction(1, 3), 3, a, xi)
-    assert rp.basis_kind == "dual-interior"
-    assert rp.rho == rp.rep.identity()
-    rp = rho_psi(g, 1, 0, 3, a, xi)
-    assert rp.basis_kind == "power-lattice"
-    assert rp.rho == rp.rep.identity()
+    rep = build_rep(higher_dual(g, 1, 2), 3)
+    rho, _ = _fibre_rho_psi(rep, g, 1, Fraction(1, 3), a, xi)
+    assert rho == rep.identity()
 
 
 def test_psi_prepends_with_coefficients(two_loop):
@@ -179,11 +176,11 @@ def test_psi_prepends_with_coefficients(two_loop):
     a = vertex_fn_interpolated(g, {"v": 1})
     xi = edge_fn_interpolated(g, 1, {("e",): Fraction(1, 2), ("f",): Fraction(1, 4)})
     t = Fraction(1, 2)
-    rp = rho_psi(g, 1, t, 3, a, xi)
-    rep = rp.rep
+    rep = build_rep(higher_dual(g, 1, 2), 3)
+    _, psi = _fibre_rho_psi(rep, g, 1, t, a, xi)
     # column over the dual vertex e: psi h_[e] = sum_mu xi([mu,t]) h_mu with
     # mu ranging over the dual edges with source e
-    col = rp.psi.column(rep.vertex_index("e"))
+    col = psi.column(rep.vertex_index("e"))
     dual = {rep.basis.labels[i].edge_ids[0]: val for i, val in col.items()}
     assert dual == {
         "e,e": xi.at_word(("e", "e"), t),
@@ -191,25 +188,11 @@ def test_psi_prepends_with_coefficients(two_loop):
     }
 
 
-def test_rho_psi_m0_loop_realisation(two_loop):
-    g = two_loop
-    a = vertex_fn_interpolated(g, {"v": Fraction(1, 2)})
-    xi = edge_fn_interpolated(g, 0, {"v": Fraction(1, 4)})
-    rp = rho_psi(g, 0, 0, 3, a, xi)
-    assert rp.basis_kind == "loops"
-    # multiplication by a is 1/2 * identity; psi is 1/4 * unilateral shift
-    assert rp.rho == rp.rep.identity().scale(Fraction(1, 2))
-    assert operator_norm_est(rp.psi) == pytest.approx(0.25, abs=1e-9)
-
-
 def test_rotation_covariance_on_reduced_single_loop():
-    # single loop at fractional parameter 1/3: reduce to the 3-cycle D_3 and
-    # check psi(1) rho(a) = rho(a') psi(1) with a' the one-step rotation of a
-    from suspquiver import reduce_parameter
-
+    # single loop at fractional parameter 1/3: over the 3-cycle C = D_3(E),
+    # psi(1) rho(a) = rho(a') psi(1) with a' the one-step rotation of a
     g = make_single_loop()
-    red = reduce_parameter(g, 1, 3)
-    C = red.graph
+    C = delay(g, 3)
     vals = {C.r(e.id): Fraction(k + 1, 8) for k, e in enumerate(C.edges)}
     a = vertex_fn_interpolated(C, vals)
     rot = {}
@@ -219,11 +202,7 @@ def test_rotation_covariance_on_reduced_single_loop():
     a_rot = vertex_fn_interpolated(C, rot)
     xi = edge_fn_interpolated(C, 1, {(e.id,): 1 for e in C.edges})
     t = Fraction(1, 2)
-    lhs = rho_psi(C, 1, t, 4, a, xi)
-    rep = lhs.rep
-    # rebuild both pairs on one representation so the bases coincide
-    from suspquiver.opalg import _fibre_rho_psi
-
+    rep = build_rep(higher_dual(C, 1, 2), 4)
     rho_a, psi = _fibre_rho_psi(rep, C, 1, t, a, xi)
     rho_rot, _ = _fibre_rho_psi(rep, C, 1, t, a_rot, xi)
     assert psi @ rho_a == rho_rot @ psi
@@ -234,12 +213,12 @@ def test_psi_norm_bound(two_loop):
     a = vertex_fn_interpolated(g, {"v": 1})
     xi = edge_fn_interpolated(g, 1, {("e",): Fraction(1, 2), ("f",): Fraction(1, 2)})
     t = Fraction(1, 3)
-    rp = rho_psi(g, 1, t, 4, a, xi)
+    _, psi = _fibre_rho_psi(build_rep(higher_dual(g, 1, 2), 4), g, 1, t, a, xi)
     # ||psi(xi)|| <= ||xi||_inf * #words of length m+1 on which xi is supported
     words = [w.edge_ids for w in enumerate_paths(g, 2)]
     sup = max(abs(xi.at_word(w, t)) for w in words)
     support = sum(any(xi.at_word(w, Fraction(k, 8)) for k in range(9)) for w in words)
-    assert operator_norm_est(rp.psi) <= sup * support + 1e-9
+    assert operator_norm_est(psi) <= sup * support + 1e-9
 
 
 def _test_functions(g, m, spread=Fraction(1, 4)):
@@ -269,7 +248,7 @@ def test_limit_formulas(m, two_loop):
 def test_limit_errors_match_fibre_minus_limit(seed, m, k, data):
     # each error operator, one combo of coefficient differences over the
     # generator table, is the fibre pair at t less the limit at that end
-    from suspquiver.opalg import _fibre_rho_psi, _limit_errors, _limit_ops
+    from suspquiver.opalg import _limit_errors, _limit_ops
 
     g = random_no_sink_source_graph(seed, max_vertices=3, max_edges=3)
     rep = build_rep(higher_dual(g, 1, m + 1), 2)
@@ -351,8 +330,6 @@ def test_kappa_interior_matches_fibre(two_loop):
     a, xi = _test_functions(two_loop, 1)
     t = Fraction(2, 5)
     res = kappa_eval(two_loop, 1, 3, a, xi, t)
-    from suspquiver.opalg import _fibre_rho_psi
-
     rho, psi = _fibre_rho_psi(res.rep, two_loop, 1, t, a, xi)
     assert res.rho == rho and res.psi == psi
 

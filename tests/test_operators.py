@@ -16,7 +16,6 @@ from suspquiver import (
     combo,
     enumerate_paths,
     higher_dual,
-    matrix_unit,
     norm_squared,
     operator_norm_est,
     rank_on_columns,
@@ -136,18 +135,12 @@ def test_delta_is_vacuum_projection(two_loop):
 
 
 def test_matrix_unit_exact(two_loop):
+    # T_mu Delta_s(mu) T_nu* is the matrix unit theta_{mu,nu}
     g = two_loop
     rep = build_rep(g, 4)
     mu, nu = Path(g, ("e", "f")), Path(g, ("f",))
-    op = matrix_unit(rep, mu, nu)
+    op = rep.creation(mu) @ rep.delta(mu.s) @ rep.creation(nu).adjoint()
     assert op.entries == {(rep.basis_vector(mu), rep.basis_vector(nu)): 1}
-
-
-def test_matrix_unit_needs_matching_sources(cycle_plus_loop):
-    g = cycle_plus_loop
-    rep = build_rep(g, 4)
-    with pytest.raises(PreconditionError):
-        matrix_unit(rep, Path(g, ("p",)), Path(g, ("q",)))
 
 
 def test_rank_on_columns_exact(two_loop):

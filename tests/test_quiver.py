@@ -1,10 +1,8 @@
-"""Suspension-quiver normal forms, fibres, and parameter reduction."""
+"""Suspension-quiver normal forms, fibres, and openness."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from suspquiver import (
     CompositionError,
@@ -14,22 +12,13 @@ from suspquiver import (
     QuiverPath,
     SuspensionVertex,
     base_vertex,
-    compose,
-    edge_path,
     edge_range,
     edge_source,
     enumerate_paths,
-    fibre_dual,
     fibre_paths,
     fibre_words,
-    from_dual_word,
     normalize_edge,
-    normalize_vertex,
     openness_report,
-    reduce_parameter,
-    to_dual_word,
-    varpi,
-    vertex_along,
 )
 
 from conftest import (
@@ -37,20 +26,12 @@ from conftest import (
     make_three_cycle,
     make_two_loop,
     normal_form_closure,
-    random_no_sink_source_graph,
+    vertex_along,
 )
 
 
 def _nf_key(qe):
     return (qe.m, qe.word.edge_ids or ("@", qe.word.anchor), qe.t)
-
-
-def test_normalize_vertex_endpoints(three_cycle):
-    g = three_cycle
-    assert normalize_vertex(g, "a", 0) == base_vertex("v")  # [e,0] = [r(e)]
-    assert normalize_vertex(g, "a", 1) == base_vertex("u")  # [e,1] = [s(e)]
-    mid = normalize_vertex(g, "a", Fraction(1, 2))
-    assert mid.kind == "interior" and mid.edge == "a"
 
 
 def test_normalize_edge_shift_and_trim(two_loop):
@@ -92,17 +73,6 @@ def test_edge_endpoints(two_loop):
     assert edge_source(qe) == SuspensionVertex("interior", edge="f", t=Fraction(1, 3))
     lat = normalize_edge(Path(g, ("e",)), 0, 1)
     assert edge_range(lat) == base_vertex("v") == edge_source(lat)
-
-
-def test_compose_and_varpi(two_loop):
-    g = two_loop
-    t = Fraction(1, 3)
-    a = normalize_edge(Path(g, ("e", "f")), t, 1)
-    b = normalize_edge(Path(g, ("f", "e")), t, 1)
-    ab = compose(edge_path(a), edge_path(b))
-    assert len(ab) == 2 and varpi(ab) == t
-    with pytest.raises(CompositionError):
-        compose(edge_path(a), edge_path(a))  # source f != range e at the seam
 
 
 @pytest.mark.parametrize("t", [0, Fraction(1, 3)])
@@ -178,16 +148,6 @@ def test_quiver_path_refuses_non_composable_edges(two_loop, cycle_plus_loop):
         QuiverPath(1, Fraction(0), (p, p))
 
 
-@pytest.mark.parametrize("t", [0, Fraction(2, 5)])
-def test_fibre_dual_roundtrip(t, cycle_plus_loop):
-    g = cycle_plus_loop
-    m = 1
-    dual = fibre_dual(g, m, t)
-    for qp in fibre_paths(g, m, t, 2):
-        word = to_dual_word(qp, dual)
-        assert from_dual_word(g, m, t, word) == qp
-
-
 def test_vertex_along(three_cycle):
     mu = Path(three_cycle, ("a", "c"))
     assert vertex_along(mu, 0) == base_vertex("v")
@@ -195,43 +155,6 @@ def test_vertex_along(three_cycle):
     assert vertex_along(mu, Fraction(3, 2)) == SuspensionVertex(
         "interior", edge="c", t=Fraction(1, 2)
     )
-
-
-def test_reduce_parameter_pinned(two_loop):
-    red = reduce_parameter(two_loop, 1, 2)
-    assert red.m_abs == 1 and red.n == 2 and not red.orientation_reversed
-    # [e,1/4] in SG{E}^0 maps to [f(e,1),1/2] over D_2(E)
-    assert red.vertex_map("e", Fraction(1, 4)) == SuspensionVertex(
-        "interior", edge="f(e,1)", t=Fraction(1, 2)
-    )
-    assert red.vertex_map("e", Fraction(1, 2)) == base_vertex("w(e,1)")
-    assert red.vertex_map("e", 1) == base_vertex("v")
-    qe = red.edge_map(Path(two_loop, ("e",)), Fraction(1, 4))
-    assert qe.word.edge_ids == ("f(e,1)", "f(e,2)") and qe.t == Fraction(1, 2)
-
-
-@pytest.mark.parametrize("m,n", [(1, 2), (2, 3), (-1, 2), (-2, 3)])
-@given(data=st.data())
-@settings(max_examples=25, deadline=None)
-def test_reduce_parameter_intertwines_endpoints(m, n, data):
-    g = make_cycle_plus_loop()
-    red = reduce_parameter(g, m, n)
-    length = data.draw(st.integers(2, 3))
-    mu = data.draw(st.sampled_from(enumerate_paths(g, length)))
-    j = data.draw(st.integers(0, length * n - 1))
-    s = Fraction(j, n) + Fraction(1, 2 * n)  # interior of a subdivision cell
-    if not (0 <= s + Fraction(m, n) <= length):
-        return
-    qe = red.edge_map(mu, s)
-    lo = vertex_along(mu, s)
-    hi = vertex_along(mu, s + Fraction(m, n))
-    assert edge_range(qe) == red.vertex_map(lo.edge, lo.t)
-    assert edge_source(qe) == red.vertex_map(hi.edge, hi.t)
-
-
-def test_reduce_parameter_negative_orientation_flag(two_loop):
-    red = reduce_parameter(two_loop, -1, 2)
-    assert red.orientation_reversed and red.m_abs == 1
 
 
 def test_openness_examples(three_cycle, two_loop, cycle_plus_loop):

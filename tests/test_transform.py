@@ -13,7 +13,6 @@ from suspquiver import (
     adjacency,
     delay,
     delay_embed_path,
-    dual_word_to_path,
     enumerate_paths,
     higher_dual,
     higher_power,
@@ -21,7 +20,7 @@ from suspquiver import (
     opposite,
 )
 
-from conftest import reference_higher_dual, small_graphs
+from conftest import dual_word_to_path, reference_higher_dual, small_graphs
 
 def test_opposite_swaps_range_and_source(cycle_plus_loop):
     g = cycle_plus_loop
