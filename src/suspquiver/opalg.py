@@ -592,8 +592,18 @@ def morita_combinatorics(g: Graph, m: int, n: int, L: int) -> RunReport:
     diag = validate(g)
     if diag.sinks or diag.sources:
         raise PreconditionError("need a graph with no sinks and no sources")
-    out = RunReport()
     D = delay(g, n)
+    # E^m and D_n(E)^m are enumerated in (iii), and its basis holds the
+    # vertices and the D_n(E)-paths of length k m, k <= L: refuse them first
+    check_layer_ids(g, m)
+    check_layer_ids(D, m)
+    basis = len(D.vertices) + sum(itertools.islice(_layer_sizes(D), m - 1, L * m, m))
+    if basis > MAX_MORITA_BASIS:
+        raise PreconditionError(
+            f"morita builds D_{n}(E)(0,{m}) at L={L} on {basis} basis paths, "
+            f"over {MAX_MORITA_BASIS}; refusing to build it"
+        )
+    out = RunReport()
     # (i) partition shift law on all delay-graph paths of length <= L
     ok_shift = True
     for length in range(1, L + 1):
@@ -619,16 +629,7 @@ def morita_combinatorics(g: Graph, m: int, n: int, L: int) -> RunReport:
     ok_full = witnesses == len(D.vertices)
     out.add("morita.fullness_reachability", ok_full, f"{witnesses} vertices witnessed")
     # (iii) alpha words and the (P,S) family in the D_n(E)(0,m) representation
-    # E^m and D_n(E)^m are enumerated below: refuse layers too large first
-    check_layer_ids(g, m)
-    check_layer_ids(D, m)
     Dm = higher_power(D, m)
-    basis = len(Dm.vertices) + sum(itertools.islice(_layer_sizes(Dm), L))
-    if basis > MAX_MORITA_BASIS:
-        raise PreconditionError(
-            f"morita builds D_{n}(E)(0,{m}) at L={L} on {basis} basis paths, "
-            f"over {MAX_MORITA_BASIS}; refusing to build it"
-        )
     rep = build_rep(Dm, L)
     ok_alpha = True
     family = []  # (r(mu), s(mu), S_mu) for each mu in E^m

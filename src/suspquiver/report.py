@@ -27,7 +27,6 @@ class Check:
 @dataclass
 class RunReport:
     checks: list[Check] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
 
     def add(self, name: str, passed: bool, detail: str = "") -> Check:
         c = Check(name, bool(passed), detail)
@@ -36,16 +35,13 @@ class RunReport:
 
     def extend(self, other: "RunReport") -> None:
         self.checks.extend(other.checks)
-        self.notes.extend(other.notes)
 
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def to_text(self) -> str:
-        lines = [c.line() for c in self.checks]
-        lines.extend(f"NOTE {n}" for n in self.notes)
-        return "\n".join(lines)
+        return "\n".join(c.line() for c in self.checks)
 
     def to_json(self) -> str:
         doc = {
@@ -54,6 +50,5 @@ class RunReport:
                 {"name": c.name, "passed": c.passed, "detail": c.detail}
                 for c in self.checks
             ],
-            "notes": list(self.notes),
         }
         return json.dumps(doc, indent=2, sort_keys=True)

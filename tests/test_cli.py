@@ -1,9 +1,11 @@
 """CLI contract: parsing, exit codes, determinism, round trips."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given
@@ -289,6 +291,7 @@ def test_verify_json_deterministic(two_loop_file, capsys):
     assert capsys.readouterr().out == first
     doc = json.loads(first)
     assert doc["ok"] is True
+    assert set(doc) == {"checks", "ok"}
 
 
 def test_verify_max_l_env(two_loop_file, capsys, monkeypatch):
@@ -477,6 +480,17 @@ def test_morita_misreported_endpoint_layer_fails_only_fullness(two_loop_file, ca
     assert "CHECK morita.fullness_reachability FAIL 4 vertices witnessed" in failing
 
 
+@pytest.mark.parametrize("l", ["5", "6"])
+def test_verify_all_refuses_the_morita_basis_before_any_suite(two_loop_file, capsys, l):
+    # limits, eta and kappa at l = 5 ran for a minute before morita refused
+    assert cli.main(["verify", two_loop_file, "--suite", "morita", "--l", l]) == 2
+    want = capsys.readouterr()
+    start = time.perf_counter()
+    assert cli.main(["verify", two_loop_file, "--suite", "all", "--l", l]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == want
+
+
 @pytest.mark.parametrize("l,basis", [("5", 1082401), ("6", 17043521)])
 def test_verify_morita_over_the_basis_cap_is_refused(two_loop_file, capsys, l, basis):
     # D_1(E)(0,m) at the capped L = 4 holds the 1 + 2^m + ... + 2^(4m) paths of
@@ -626,3 +640,73 @@ def test_verify_refuses_edgeless_graph(tmp_path, capsys, doc, suite):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "ERROR precondition: verify needs a graph with at least one edge\n"
+
+
+def _recording(monkeypatch, command, record, fn=None):
+    """Make `command` call record() first, then fn (by default its handler)."""
+    handler, text, options = cli.COMMANDS[command]
+    fn = fn or handler
+    monkeypatch.setitem(cli.COMMANDS, command, (lambda args: record() or fn(args), text, options))
+
+
+def _raise(args):
+    raise RuntimeError("not a SuspensionError")
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["verify", "{g}", "--suite", "tck"], 0),
+        (["verify", "{g}", "--suite", "morita", "--l", "5"], 2),
+        (["verify", "{g}", "--L"], 2),
+        (["flow", "{g}", "--start", "e"], None),
+    ],
+    ids=["exit-0", "exit-2", "usage", "raises"],
+)
+def test_main_freezes_the_collector_and_then_thaws_it(
+    two_loop_file, capsys, monkeypatch, argv, code
+):
+    during = []
+    record = lambda: during.append(gc.get_freeze_count())  # noqa: E731
+    _recording(monkeypatch, argv[0], record, _raise if code is None else None)
+    usage = cli._usage
+    monkeypatch.setattr(cli, "_usage", lambda command: record() or usage(command))
+    argv = [a.format(g=two_loop_file) for a in argv]
+    assert gc.get_freeze_count() == 0
+    if code is None:
+        with pytest.raises(RuntimeError):
+            cli.main(argv)
+    else:
+        assert cli.main(argv) == code
+    capsys.readouterr()
+    assert len(during) == 1 and during[0] > 0
+    assert gc.get_freeze_count() == 0
+    assert gc.isenabled()
+
+
+def test_main_keeps_a_callers_freeze(two_loop_file, capsys, monkeypatch):
+    during = []
+    _recording(monkeypatch, "verify", lambda: during.append(gc.get_freeze_count()))
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        young = [[] for _ in range(100)]  # tracked after the caller's freeze
+        assert cli.main(["verify", two_loop_file, "--suite", "tck"]) == 0
+        assert during[0] >= frozen + len(young)
+        # still frozen, with what main froze on top: not back in a generation
+        assert all(obj is not young for obj in gc.get_objects())
+    finally:
+        gc.unfreeze()
+    capsys.readouterr()
+
+
+def test_command_sees_none_of_the_imported_heap(two_loop_file, capsys, monkeypatch):
+    # what is alive when main starts (modules, functions, tables, and here
+    # pytest's own objects) stays out of the collector's generations until it
+    # returns
+    during = []
+    _recording(monkeypatch, "verify", lambda: during.append(len(gc.get_objects())))
+    assert len(gc.get_objects()) > 10_000
+    assert cli.main(["verify", two_loop_file, "--suite", "tck"]) == 0
+    capsys.readouterr()
+    assert during[0] < 1_000
