@@ -7,6 +7,7 @@ failed check; 2 precondition or hypothesis unmet, or a malformed command line.
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import math
 import os
@@ -20,22 +21,19 @@ from . import flow as flowmod
 from . import ktheory as kt
 from . import opalg
 from .graph import Graph, Path, check_layer_ids, enumerate_paths, path_count, validate
+from .graph import check_layer_sizes
 from .operators import build_rep
 from .quiver import fibre_paths, fibre_words, openness_report
 from .report import RunReport, rat_str
-from .transform import delay, higher_dual, higher_power, opposite
+from .transform import delay, delay_layer_sizes, higher_dual, higher_power, opposite
 
 MAX_DENOMINATOR = 10**6
 
-# Caps on the work of the delay-graph suites at l = m/n, counted before
-# D_n(E) is built: flow checks n phases of each path of E^L (its cases),
-# about 30 us each, and morita's fullness walks take m |E| n (n - 1) / 2
-# steps in all, about 0.1 us each.  On two loops at one vertex (one fresh
-# interpreter, 2-CPU machine) flow at --l 1/3000 --L 4 checks 48,000 cases
-# in 1.6-1.7 s and morita at --l 1/3000 walks 9.0 million steps in 1.3 s;
-# each cap is about 3 s of such work.
+# The most cases of the flow suite at l = m/n (n phases of each path of E^L,
+# about 30 us each), counted before D_n(E) is built: about 3 s of work.  On
+# two loops at one vertex --l 1/3000 --L 4 checks 48,000 in 1.6-1.7 s (one
+# fresh interpreter, 2-CPU machine).
 MAX_FLOW_CASES = 10**5
-MAX_MORITA_STEPS = 2 * 10**7
 
 EXIT_OK = 0
 EXIT_STRUCTURAL = 1
@@ -212,27 +210,35 @@ def cmd_verify(args) -> int:
     if m < 1:
         raise PreconditionError("verify suites need a positive l")
     run = lambda name: args.suite in (name, "all")  # noqa: E731
-    steps = m * len(g.edges) * n * (n - 1) // 2 if run("morita") else 0
-    if steps > MAX_MORITA_STEPS:
-        raise PreconditionError(
-            f"morita walks {steps} steps in D_{n}(E), over {MAX_MORITA_STEPS}; "
-            "refusing to build it"
-        )
+    # The counts that refuse a suite come here, from E alone, before any runs
     cases = path_count(g, min(L, 5)) * n if run("flow") else 0
     if cases > MAX_FLOW_CASES:
         raise PreconditionError(
             f"flow checks {cases} cases, over {MAX_FLOW_CASES}; refusing to build D_{n}(E)"
         )
     dual = run("limits") or run("eta") or run("kappa")
-    # On a graph with no sinks and no sources the suites before morita refuse
-    # nothing but the layer ids of E(1,m+1), so there morita runs first and
-    # its refusals waste none of their work; its checks keep their place
-    morita = None
+    if dual:  # limits, eta and kappa share one representation of E(1,m+1)
+        check_layer_ids(g, m + 1)
     diag = validate(g)
+    # morita enumerates E^m and D_n(E)^m, and its basis holds the vertices and
+    # the D_n(E)-paths of length k m, k <= L; on a graph with sinks or sources
+    # it refuses in its own turn, after the suites before it
     if run("morita") and not (diag.sinks or diag.sources):
-        if dual:
-            check_layer_ids(g, m + 1)
-        morita = opalg.morita_combinatorics(g, m, n, min(L, 4))
+        check_layer_ids(g, m)
+        sizes = list(itertools.islice(delay_layer_sizes(g, n), min(L, 4) * m + 1))
+        check_layer_sizes(sizes[1:], m)
+        basis = sum(sizes[::m])
+        if basis > opalg.MAX_MORITA_BASIS:
+            raise PreconditionError(
+                f"morita builds D_{n}(E)(0,{m}) at L={min(L, 4)} on {basis} basis paths, "
+                f"over {opalg.MAX_MORITA_BASIS}; refusing to build it"
+            )
+    shifts = (m + n - 1) // n  # the most edges that flow drops from a path
+    if cases and shifts >= min(L, 5):
+        raise PreconditionError(
+            f"flow at l={rat_str(l)} shifts each path by up to {shifts}, so it needs "
+            f"paths longer than {shifts}; L={L} gives length {min(L, 5)}"
+        )
     rng = random.Random(args.seed)
     out = RunReport()
     if run("tck"):
@@ -242,9 +248,6 @@ def cmd_verify(args) -> int:
         for p, q in ((1, 2), (1, 3), (2, 3)):
             out.extend(opalg.jmath(g, p, q, min(L, 3)).report)
     if dual:
-        # one E(1,m+1) representation serves the limits, eta and kappa suites;
-        # refused before E^1..E^{m+1} are enumerated when they are too large
-        check_layer_ids(g, m + 1)
         dual_rep = build_rep(higher_dual(g, 1, m + 1), min(L, 4))
         a, xi = _seeded_functions(g, m, args.seed)
     if run("limits"):
@@ -254,8 +257,8 @@ def cmd_verify(args) -> int:
     if run("kappa"):
         for t in (Fraction(0), Fraction(1, 3), Fraction(1)):
             out.extend(opalg.kappa_eval(g, m, min(L, 4), a, xi, t, rep=dual_rep).report)
-    if run("morita"):  # on a graph with sinks or sources, refused in its turn
-        out.extend(morita or opalg.morita_combinatorics(g, m, n, min(L, 4)))
+    if run("morita"):
+        out.extend(opalg.morita_combinatorics(g, m, n, min(L, 4)))
     if run("flow"):
         out.extend(flowmod.lattice_decomposition_check(g, m, n, min(L, 5)))
     print(out.to_json() if args.json else out.to_text())

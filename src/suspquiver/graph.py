@@ -348,10 +348,16 @@ MAX_LAYER_IDS = 2**23
 
 
 def check_layer_ids(g: Graph, n: int) -> None:
-    """Refuse, before any path is built, to enumerate layers 1..n when they
-    hold more than MAX_LAYER_IDS edge ids; the sum stops once it passes."""
+    """check_layer_sizes on the layer sizes of g."""
+    check_layer_sizes(_layer_sizes(g), n)
+
+
+def check_layer_sizes(sizes: Iterable[int], n: int) -> None:
+    """Refuse, before any path is built, to enumerate layers 1..n of a graph
+    of layer sizes |E^1|, |E^2|, ... when they hold more than MAX_LAYER_IDS
+    edge ids; the sum stops once it passes."""
     total = 0
-    for k, size in zip(range(1, n + 1), _layer_sizes(g)):
+    for k, size in zip(range(1, n + 1), sizes):
         total += k * size
         if total > MAX_LAYER_IDS:
             raise PreconditionError(

@@ -8,7 +8,6 @@ are exact squared operator norms.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -16,15 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import PreconditionError, StructuralError
-from .graph import (
-    Graph,
-    Path,
-    _layer_sizes,
-    check_layer_ids,
-    enumerate_paths,
-    validate,
-    vertex_path,
-)
+from .graph import Graph, Path, enumerate_paths, validate, vertex_path
 from .ktheory import hypothesis_check
 from .operators import (
     SparseOperator,
@@ -566,11 +557,11 @@ def kappa_eval(
 
 
 # The most basis paths of the D_n(E)(0,m) representation that
-# morita_combinatorics builds: the vertices and the D_n(E)-paths of length
-# k m, k <= L.  On two loops at one vertex (one fresh interpreter, 2-CPU
-# machine) `verify --suite morita --l 4` builds 69,905 in 1.2 s; `--l 5`
-# took 20 s and 1.1 GB to build 1,082,401, and `--l 6` (17,043,521) was
-# killed.
+# morita_combinatorics builds (the vertices and the D_n(E)-paths of length
+# k m, k <= L), counted by cmd_verify from E alone.  On two loops at one
+# vertex (one fresh interpreter, 2-CPU machine) `verify --suite morita --l 4`
+# builds 69,905 in 1.2 s; `--l 5` took 20 s and 1.1 GB to build 1,082,401,
+# and `--l 6` (17,043,521) was killed.
 MAX_MORITA_BASIS = 10**5
 
 
@@ -585,7 +576,6 @@ def morita_combinatorics(g: Graph, m: int, n: int, L: int) -> RunReport:
     In the truncated representation of D_n(E)(0,m) the (P,S) Cuntz-Krieger
     defect at a V_0 vertex is supported on basis paths of length < n (the
     compact-ideal shadow); on the mask n <= length <= L-n it vanishes exactly.
-    A representation of over MAX_MORITA_BASIS basis paths is refused.
     """
     if m < 1 or n < 1 or math.gcd(m, n) != 1:
         raise PreconditionError("need coprime positive m, n")
@@ -593,16 +583,6 @@ def morita_combinatorics(g: Graph, m: int, n: int, L: int) -> RunReport:
     if diag.sinks or diag.sources:
         raise PreconditionError("need a graph with no sinks and no sources")
     D = delay(g, n)
-    # E^m and D_n(E)^m are enumerated in (iii), and its basis holds the
-    # vertices and the D_n(E)-paths of length k m, k <= L: refuse them first
-    check_layer_ids(g, m)
-    check_layer_ids(D, m)
-    basis = len(D.vertices) + sum(itertools.islice(_layer_sizes(D), m - 1, L * m, m))
-    if basis > MAX_MORITA_BASIS:
-        raise PreconditionError(
-            f"morita builds D_{n}(E)(0,{m}) at L={L} on {basis} basis paths, "
-            f"over {MAX_MORITA_BASIS}; refusing to build it"
-        )
     out = RunReport()
     # (i) partition shift law on all delay-graph paths of length <= L
     ok_shift = True
@@ -615,17 +595,14 @@ def morita_combinatorics(g: Graph, m: int, n: int, L: int) -> RunReport:
         ok_shift,
         f"r in V_j iff s in V_(j+|lambda|) mod {n}, paths <= {L}",
     )
-    # (ii) fullness: from every vertex u, k m steps along least emitted edges
-    # (k m = layer of u mod n) end at a range in V_0; the steps follow emitted
-    # edges from u, so they compose into a path with source u
-    succ = {v: min(D.emitted(v), key=lambda e: e.id).dst for v in D.vertices}
-    m_inv = pow(m, -1, n)
-    witnesses = 0
-    for u in D.vertices:
-        here = u
-        for _ in range((_delay_layer(D, u) * m_inv) % n * m):
-            here = succ[here]
-        witnesses += _delay_layer(D, here) == 0
+    # (ii) fullness: from every vertex u, k m emitted steps (k m = layer of u
+    # mod n) end in V_0 when every vertex emits an edge and each edge lowers
+    # the layer by one mod n; a vertex is witnessed when it does both
+    witnesses = sum(
+        bool(D.emitted(u))
+        and all(_delay_layer(D, e.src) == (_delay_layer(D, e.dst) + 1) % n for e in D.emitted(u))
+        for u in D.vertices
+    )
     ok_full = witnesses == len(D.vertices)
     out.add("morita.fullness_reachability", ok_full, f"{witnesses} vertices witnessed")
     # (iii) alpha words and the (P,S) family in the D_n(E)(0,m) representation

@@ -10,10 +10,10 @@ an id); delay ids are formatted "w(e,j)" / "f(e,j)".
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import PreconditionError, StructuralError
-from .graph import Graph, Path, _path_layer
+from .graph import Graph, Path, _layer_sizes, _path_layer
 
 Label = tuple
 
@@ -84,6 +84,20 @@ def delay(g: Graph, n: int) -> LabeledGraph:
             edges.append((f, src, dst))
             edge_labels[f] = ("f", e.id, j)
     return LabeledGraph(vertices, edges, vertex_labels, edge_labels)
+
+
+def delay_layer_sizes(g: Graph, n: int) -> Iterator[int]:
+    """|D_n(E)^0|, |D_n(E)^1|, ... (then 0s, endlessly) from the layer sizes of g.
+    A K-path of D_n(E) starts o < n edges into the chain of its first edge, so
+    it is a window of one E-path of length ceil((o+K)/n): for K = qn + r that
+    counts |E^q| + (n-1)|E^(q+1)| if r = 0, else (n-r+1)|E^(q+1)| + (r-1)|E^(q+2)|."""
+    sizes = _layer_sizes(g)
+    a, b, c = len(g.vertices), next(sizes, 0), next(sizes, 0)
+    while True:
+        yield a + (n - 1) * b
+        for r in range(1, n):
+            yield (n - r + 1) * b + (r - 1) * c
+        a, b, c = b, c, next(sizes, 0)
 
 
 def join_ids(ids: tuple[str, ...]) -> str:

@@ -406,14 +406,16 @@ def test_verify_over_the_cap_is_refused(two_loop_file, capsys, suite, l):
 @pytest.mark.parametrize(
     "suite,l,L,message",
     [("flow", "1/6251", "4", "flow checks 100016 cases, over 100000; refusing to build D_6251(E)"),
-     ("morita", "1/4473", "4",
-      "morita walks 20003256 steps in D_4473(E), over 20000000; refusing to build it"),
+     ("morita", "1/9999", "4",
+      "morita builds D_9999(E)(0,1) at L=4 on 100001 basis paths, over 100000; "
+      "refusing to build it"),
      ("all", "1/1000000", "1",
-      "morita walks 999999000000 steps in D_1000000(E), over 20000000; refusing to build it")],
+      "flow checks 2000000 cases, over 100000; refusing to build D_1000000(E)")],
 )
 def test_verify_delay_suites_over_the_cap_are_refused(two_loop_file, capsys, suite, l, L, message):
-    # on two loops: 16 paths of length 4 at 6251 phases each; m |E| n (n-1)/2
-    # steps of the fullness walks
+    # on two loops: 16 paths of length 4 at 6251 phases each; |D_n(E)^K| for
+    # K = 0..4 at n = 9999, 19,997 + 19,998 + 20,000 + 20,002 + 20,004 basis
+    # paths; flow's count comes first under --suite all
     assert cli.main(["verify", two_loop_file, "--suite", suite, "--l", l, "--L", L]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -422,17 +424,79 @@ def test_verify_delay_suites_over_the_cap_are_refused(two_loop_file, capsys, sui
 
 def test_verify_delay_suites_run_at_the_cap(two_loop_file, capsys, monkeypatch):
     # two loops at --L 4: 16 paths of length 4, so 32 flow cases at --l 1/2;
-    # 2 |E| = 4 walk steps at --l 1/2, 6 at 1/3
+    # D_2(E)(0,1) holds 3 + 4 + 6 + 8 + 12 = 33 basis paths, D_3(E)(0,1) 41
     monkeypatch.setattr(cli, "MAX_FLOW_CASES", 32)
-    monkeypatch.setattr(cli, "MAX_MORITA_STEPS", 4)
+    monkeypatch.setattr(opalg, "MAX_MORITA_BASIS", 33)
     assert cli.main(["verify", two_loop_file, "--suite", "flow", "--l", "1/2"]) == 0
     assert cli.main(["verify", two_loop_file, "--suite", "morita", "--l", "1/2"]) == 0
     assert cli.main(["verify", two_loop_file, "--suite", "flow", "--l", "1/3"]) == 2
     assert cli.main(["verify", two_loop_file, "--suite", "morita", "--l", "1/3"]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "ERROR precondition: flow checks 48 cases, over 32; refusing to build D_3(E)",
-        "ERROR precondition: morita walks 6 steps in D_3(E), over 4; refusing to build it",
+        "ERROR precondition: morita builds D_3(E)(0,1) at L=4 on 41 basis paths, over 33; "
+        "refusing to build it",
     ]
+
+
+@pytest.mark.parametrize("l,L", [("1/1000000", "1"), ("1/9999", "4")])
+def test_verify_morita_basis_is_counted_before_the_delay_graph(
+    two_loop_file, capsys, monkeypatch, l, L
+):
+    # the count comes from E alone: building D_200000(E) takes 6 s and 515 MB
+    def refuse(*args):
+        raise AssertionError("D_n(E) built")
+
+    monkeypatch.setattr(opalg, "delay", refuse)
+    start = time.perf_counter()
+    assert cli.main(["verify", two_loop_file, "--suite", "morita", "--l", l, "--L", L]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR precondition: morita builds D_{l[2:]}(E)(0,1) at L={L} on ")
+
+
+@pytest.mark.parametrize("l", ["5", "6"])
+def test_verify_all_refuses_before_any_suite_is_called(two_loop_file, capsys, monkeypatch, l):
+    def refuse(*args):
+        raise AssertionError("a suite ran")
+
+    for name in ("check_tck", "jmath", "limit_formulas", "eta_generators", "kappa_eval",
+                 "morita_combinatorics"):
+        monkeypatch.setattr(opalg, name, refuse)
+    monkeypatch.setattr(flow, "lattice_decomposition_check", refuse)
+    assert cli.main(["verify", two_loop_file, "--suite", "all", "--l", l]) == 2
+    assert capsys.readouterr().err.startswith(f"ERROR precondition: morita builds D_1(E)(0,{l}) ")
+
+
+@pytest.mark.parametrize(
+    "suite,l,L,shifts,length",
+    [("flow", "2", "1", 2, 1), ("flow", "2/3", "1", 1, 1), ("all", "4", "3", 4, 3),
+     ("flow", "6", "9", 6, 5)],
+)
+def test_verify_flow_shift_shortage_is_refused_up_front(
+    two_loop_file, capsys, monkeypatch, suite, l, L, shifts, length
+):
+    # refused before any suite runs, naming l, L and the shifts needed
+    def refuse(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(opalg, "check_tck", refuse)
+    monkeypatch.setattr(flow, "lattice_decomposition_check", refuse)
+    assert cli.main(["verify", two_loop_file, "--suite", suite, "--l", l, "--L", L]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"ERROR precondition: flow at l={l} shifts each path by up to {shifts}, so it needs "
+        f"paths longer than {shifts}; L={L} gives length {length}\n"
+    )
+
+
+def test_verify_flow_runs_at_the_most_shifts(two_loop_file, capsys):
+    # at --L 3 a path of length 3 takes 2 shifts: l = 2 and 5/3 run, while at
+    # 7/3 the phase 2/3 needs 3
+    assert cli.main(["verify", two_loop_file, "--suite", "flow", "--l", "2", "--L", "3"]) == 0
+    assert cli.main(["verify", two_loop_file, "--suite", "flow", "--l", "5/3", "--L", "3"]) == 0
+    assert cli.main(["verify", two_loop_file, "--suite", "flow", "--l", "7/3", "--L", "3"]) == 2
+    assert capsys.readouterr().out.count("CHECK flow.lattice_decomposition PASS") == 2
 
 
 def test_flow_short_suffix_embedding_fails_the_check(two_loop_file, capsys, monkeypatch):
@@ -463,7 +527,8 @@ def test_morita_misreported_endpoint_layer_fails_only_fullness(two_loop_file, ca
     monkeypatch.setattr(opalg, "_delay_layer", counted)
     assert cli.main(argv) == 0
     passing = capsys.readouterr().out.splitlines()
-    # the last layer read is that of the range of the last fullness walk
+    # the last layer read is that of the range of the last emitted edge that
+    # the fullness pass checks, which partition_shift never reads after it
     last = len(calls)
     calls.clear()
 

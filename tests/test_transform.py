@@ -20,7 +20,10 @@ from suspquiver import (
     opposite,
 )
 
-from conftest import dual_word_to_path, reference_higher_dual, small_graphs
+from suspquiver.graph import _layer_sizes
+from suspquiver.transform import delay_layer_sizes
+
+from conftest import dual_word_to_path, no_sink_source_graphs, reference_higher_dual, small_graphs
 
 def test_opposite_swaps_range_and_source(cycle_plus_loop):
     g = cycle_plus_loop
@@ -158,3 +161,13 @@ def test_higher_dual_of_comma_ids_is_a_graph():
         for nu in enumerate_paths(dual, 2):
             flat = dual_word_to_path(g, dual, nu)
             assert join_ids(flat.edge_ids[:q]) == nu.edge_ids[0]
+
+
+@given(g=st.one_of(small_graphs(), no_sink_source_graphs()), n=st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_delay_layer_sizes_match_the_built_delay_graph(g, n):
+    # |D_n(E)^K| for K = 0..3n+2, counted from E against the graph built
+    D = delay(g, n)
+    built = [len(D.vertices), *itertools.islice(_layer_sizes(D), 3 * n + 2)]
+    built += [0] * (3 * n + 3 - len(built))
+    assert list(itertools.islice(delay_layer_sizes(g, n), 3 * n + 3)) == built
