@@ -21,7 +21,7 @@ from . import flow as flowmod
 from . import ktheory as kt
 from . import opalg
 from .graph import Graph, Path, check_layer_ids, enumerate_paths, path_count, validate
-from .graph import check_layer_sizes
+from .graph import _layer_sizes, check_layer_sizes
 from .operators import build_rep
 from .quiver import fibre_paths, fibre_words, openness_report
 from .report import RunReport, rat_str
@@ -29,11 +29,12 @@ from .transform import delay, delay_layer_sizes, higher_dual, higher_power, oppo
 
 MAX_DENOMINATOR = 10**6
 
-# The most cases of the flow suite at l = m/n (n phases of each path of E^L,
-# about 30 us each), counted before D_n(E) is built: about 3 s of work.  On
-# two loops at one vertex --l 1/3000 --L 4 checks 48,000 in 1.6-1.7 s (one
-# fresh interpreter, 2-CPU machine).
-MAX_FLOW_CASES = 10**5
+# The most that verify builds for one suite, counted from E: flow's cases (n
+# phases of each path of E^L, about 30 us each) or the basis paths of each
+# representation (about 1 KB each).  On two loops at one vertex (one fresh
+# interpreter, 2-CPU machine) --suite flow --l 1/3000 checks 48,000 cases in
+# 1.7 s, and --suite tck --L 16 built 131,071 paths in 3.5 s.
+MAX_SUITE_SIZE = 10**5
 
 EXIT_OK = 0
 EXIT_STRUCTURAL = 1
@@ -197,6 +198,18 @@ def _seeded_functions(g: Graph, m: int, seed: int):
     return a, xi
 
 
+def _has_sources(g: Graph, p: int, q: int) -> bool:
+    """Whether E(p,q) (E at (0,1)) has a source: a p-path mu (a vertex for p = 0)
+    with no (q-p)-path received at s(mu).  The ranges of the k-paths only
+    shrink as k grows, so they are fixed from k = |E^0| on."""
+    tails, heads = set(g.vertices), set(g.vertices)
+    for _ in range(p):
+        tails = {e.src for v in tails for e in g.received(v)}
+    for _ in range(min(q - p, len(g.vertices))):
+        heads = {e.dst for v in heads for e in g.emitted(v)}
+    return not tails <= heads
+
+
 def cmd_verify(args) -> int:
     suites = {"tck", "jmath", "limits", "eta", "kappa", "morita", "flow", "all"}
     if args.suite not in suites:
@@ -212,26 +225,26 @@ def cmd_verify(args) -> int:
     run = lambda name: args.suite in (name, "all")  # noqa: E731
     # The counts that refuse a suite come here, from E alone, before any runs
     cases = path_count(g, min(L, 5)) * n if run("flow") else 0
-    if cases > MAX_FLOW_CASES:
+    if cases > MAX_SUITE_SIZE:
         raise PreconditionError(
-            f"flow checks {cases} cases, over {MAX_FLOW_CASES}; refusing to build D_{n}(E)"
+            f"flow checks {cases} cases, over {MAX_SUITE_SIZE}; refusing to build D_{n}(E)"
         )
     dual = run("limits") or run("eta") or run("kappa")
     if dual:  # limits, eta and kappa share one representation of E(1,m+1)
         check_layer_ids(g, m + 1)
     diag = validate(g)
     # morita enumerates E^m and D_n(E)^m, and its basis holds the vertices and
-    # the D_n(E)-paths of length k m, k <= L; on a graph with sinks or sources
-    # it refuses in its own turn, after the suites before it
+    # the D_n(E)-paths of length k m, k <= L; a graph with sinks or sources it
+    # refuses below, or with sources in its own turn, after the suites before it
     if run("morita") and not (diag.sinks or diag.sources):
         check_layer_ids(g, m)
         sizes = list(itertools.islice(delay_layer_sizes(g, n), min(L, 4) * m + 1))
         check_layer_sizes(sizes[1:], m)
         basis = sum(sizes[::m])
-        if basis > opalg.MAX_MORITA_BASIS:
+        if basis > MAX_SUITE_SIZE:
             raise PreconditionError(
                 f"morita builds D_{n}(E)(0,{m}) at L={min(L, 4)} on {basis} basis paths, "
-                f"over {opalg.MAX_MORITA_BASIS}; refusing to build it"
+                f"over {MAX_SUITE_SIZE}; refusing to build it"
             )
     shifts = (m + n - 1) // n  # the most edges that flow drops from a path
     if cases and shifts >= min(L, 5):
@@ -239,14 +252,37 @@ def cmd_verify(args) -> int:
             f"flow at l={rat_str(l)} shifts each path by up to {shifts}, so it needs "
             f"paths longer than {shifts}; L={L} gives length {min(L, 5)}"
         )
+    # Then each other representation in suite order, up to the first whose
+    # graph has sources, which build_rep refuses in its turn; with no sources
+    # no suite before morita refuses, so its refusal of sinks comes first
+    if run("morita") and diag.sinks and not diag.sources:
+        raise PreconditionError("need a graph with no sinks and no sources")
+    pqs = ((1, 2), (1, 3), (2, 3)) if run("jmath") else ()
+    reps = [("tck", 0, 1, L)] if run("tck") else []
+    reps += [("jmath", p, q, min(L, 3)) for p, q in pqs]
+    if dual:
+        reps.append((next(s for s in ("limits", "eta", "kappa") if run(s)), 1, m + 1, min(L, 4)))
+    for suite, p, q, depth in reps:
+        if _has_sources(g, p, q):
+            break
+        # |E^(p + k(q-p))| over k <= depth, stopped once past the cap
+        sizes = itertools.chain([len(g.vertices)], _layer_sizes(g))
+        basis = 0
+        for k, size in enumerate(itertools.islice(sizes, p, p + depth * (q - p) + 1, q - p)):
+            basis += size
+            if basis > MAX_SUITE_SIZE:
+                raise PreconditionError(
+                    f"{suite} builds {f'E({p},{q})' if p else 'E'} at L={depth} on "
+                    f"{'at least ' * (k < depth)}{basis} basis paths, over {MAX_SUITE_SIZE}; "
+                    "refusing to build it"
+                )
     rng = random.Random(args.seed)
     out = RunReport()
     if run("tck"):
         rep = build_rep(g, L)
         out.extend(opalg.check_tck(rep, rng))
-    if run("jmath"):
-        for p, q in ((1, 2), (1, 3), (2, 3)):
-            out.extend(opalg.jmath(g, p, q, min(L, 3)).report)
+    for p, q in pqs:
+        out.extend(opalg.jmath(g, p, q, min(L, 3)).report)
     if dual:
         dual_rep = build_rep(higher_dual(g, 1, m + 1), min(L, 4))
         a, xi = _seeded_functions(g, m, args.seed)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import PreconditionError, StructuralError
-from .graph import Graph, Path, enumerate_paths, validate, vertex_path
+from .graph import Graph, Path, _path_layers, enumerate_paths, validate, vertex_path
 from .ktheory import hypothesis_check
 from .operators import (
     SparseOperator,
@@ -213,7 +213,6 @@ class JmathTables:
     graph: Graph
     p: int
     q: int
-    dual: LabeledGraph
     rep: TruncatedRep
     q_table: dict
     t_table: dict
@@ -261,7 +260,7 @@ def jmath(
         ok_witness,
         "each image defect projection is nonzero on the truncation",
     )
-    return JmathTables(g, p, q, rep.graph, rep, q_table, t_table, out)
+    return JmathTables(g, p, q, rep, q_table, t_table, out)
 
 
 def _dual_rep(g: Graph, p: int, q: int, L: int, rep: Optional[TruncatedRep]) -> TruncatedRep:
@@ -556,15 +555,6 @@ def kappa_eval(
 # ---------------------------------------------------------------------------
 
 
-# The most basis paths of the D_n(E)(0,m) representation that
-# morita_combinatorics builds (the vertices and the D_n(E)-paths of length
-# k m, k <= L), counted by cmd_verify from E alone.  On two loops at one
-# vertex (one fresh interpreter, 2-CPU machine) `verify --suite morita --l 4`
-# builds 69,905 in 1.2 s; `--l 5` took 20 s and 1.1 GB to build 1,082,401,
-# and `--l 6` (17,043,521) was killed.
-MAX_MORITA_BASIS = 10**5
-
-
 def _delay_layer(D: LabeledGraph, v: str) -> int:
     label = D.vertex_labels[v]
     return 0 if label[0] == "vertex" else label[2]
@@ -584,12 +574,13 @@ def morita_combinatorics(g: Graph, m: int, n: int, L: int) -> RunReport:
         raise PreconditionError("need a graph with no sinks and no sources")
     D = delay(g, n)
     out = RunReport()
-    # (i) partition shift law on all delay-graph paths of length <= L
-    ok_shift = True
-    for length in range(1, L + 1):
-        for lam in enumerate_paths(D, length):
-            if _delay_layer(D, lam.s) != (_delay_layer(D, lam.r) + length) % n:
-                ok_shift = False
+    # (i) partition shift law on all delay-graph paths of length <= L, in one
+    # pass over the layers: s(lambda) is the tail, r(lambda) that of its first edge
+    ok_shift = all(
+        _delay_layer(D, tail) == (_delay_layer(D, D.r(ids[0])) + length) % n
+        for length, layer in zip(range(1, L + 1), _path_layers(D))
+        for ids, tail, _ in layer
+    )
     out.add(
         "morita.partition_shift",
         ok_shift,

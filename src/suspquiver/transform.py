@@ -1,53 +1,36 @@
 """Graph-to-graph constructions: opposite, delay D_n(E), higher dual E(p,q).
 
-Derived graphs are LabeledGraphs: every vertex/edge id carries a provenance
-label recording the source-graph object it encodes (a path, or a pair (e,j)
-for delay chains).  Dual-graph ids are the edge-id tuples joined with ","
+The opposite, dual and power graphs are plain Graphs: their ids already say
+what they encode.  Dual-graph ids are the edge-id tuples joined with ","
 (see join_ids: a one-edge path keeps its edge id, and ids that themselves
 hold a comma are escaped, so that distinct paths of one length never share
-an id); delay ids are formatted "w(e,j)" / "f(e,j)".
+an id).  D_n(E) is a LabeledGraph whose vertices keep their layer, because
+the morita suite reads it back: a vertex of E is ("vertex", v) in layer 0 and
+the j-th chain vertex of e is ("w", e, j) in layer j.  Delay ids are formatted
+"w(e,j)" / "f(e,j)".
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .errors import PreconditionError, StructuralError
 from .graph import Graph, Path, _layer_sizes, _path_layer
 
-Label = tuple
-
 
 class LabeledGraph(Graph):
-    """A Graph whose vertices and edges remember what they were built from."""
+    """A Graph whose vertices remember what they were built from."""
 
-    def __init__(self, vertices, edges, vertex_labels: dict, edge_labels: dict):
+    def __init__(self, vertices, edges, vertex_labels: dict):
         super().__init__(vertices, edges)
         if set(vertex_labels) != set(self.vertices):
             raise StructuralError("vertex labels not bijective with vertices")
-        if set(edge_labels) != {e.id for e in self.edges}:
-            raise StructuralError("edge labels not bijective with edges")
-        self.vertex_labels = dict(vertex_labels)
-        self.edge_labels = dict(edge_labels)
+        self.vertex_labels = vertex_labels
 
 
-def _identity_labeled(g: Graph) -> LabeledGraph:
-    return LabeledGraph(
-        g.vertices,
-        [(e.id, e.src, e.dst) for e in g.edges],
-        {v: ("vertex", v) for v in g.vertices},
-        {e.id: ("edge", e.id) for e in g.edges},
-    )
-
-
-def opposite(g: Graph) -> LabeledGraph:
+def opposite(g: Graph) -> Graph:
     """Same vertices; each edge reversed: e^op has r(e^op) = s(e), s(e^op) = r(e)."""
-    return LabeledGraph(
-        g.vertices,
-        [(e.id, e.dst, e.src) for e in g.edges],
-        {v: ("vertex", v) for v in g.vertices},
-        {e.id: ("op", e.id) for e in g.edges},
-    )
+    return Graph(g.vertices, [(e.id, e.dst, e.src) for e in g.edges])
 
 
 def delay_vertex_id(e: str, j: int) -> str:
@@ -62,16 +45,14 @@ def delay(g: Graph, n: int) -> LabeledGraph:
     """D_n(E): each edge subdivided into an n-edge chain through new vertices.
 
     r(f_{e,1}) = r(e), r(f_{e,j}) = w_{e,j-1} for j >= 2,
-    s(f_{e,j}) = w_{e,j} for j < n, s(f_{e,n}) = s(e).
+    s(f_{e,j}) = w_{e,j} for j < n, s(f_{e,n}) = s(e).  D_1(E) keeps the edge
+    ids of E.
     """
     if n < 1:
         raise PreconditionError("delay requires n >= 1")
-    if n == 1:
-        return _identity_labeled(g)
     vertices = list(g.vertices)
-    vertex_labels: dict[str, Label] = {v: ("vertex", v) for v in g.vertices}
+    vertex_labels = {v: ("vertex", v) for v in g.vertices}
     edges: list[tuple[str, str, str]] = []
-    edge_labels: dict[str, Label] = {}
     for e in g.edges:
         for j in range(1, n):
             w = delay_vertex_id(e.id, j)
@@ -80,10 +61,8 @@ def delay(g: Graph, n: int) -> LabeledGraph:
         for j in range(1, n + 1):
             dst = e.dst if j == 1 else delay_vertex_id(e.id, j - 1)
             src = e.src if j == n else delay_vertex_id(e.id, j)
-            f = delay_edge_id(e.id, j)
-            edges.append((f, src, dst))
-            edge_labels[f] = ("f", e.id, j)
-    return LabeledGraph(vertices, edges, vertex_labels, edge_labels)
+            edges.append((delay_edge_id(e.id, j) if n > 1 else e.id, src, dst))
+    return LabeledGraph(vertices, edges, vertex_labels)
 
 
 def delay_layer_sizes(g: Graph, n: int) -> Iterator[int]:
@@ -116,7 +95,7 @@ def join_ids(ids: tuple[str, ...]) -> str:
     return ",".join(i.replace("\\", "\\\\").replace(",", "\\,") for i in ids)
 
 
-def higher_dual(g: Graph, p: int, q: int) -> LabeledGraph:
+def higher_dual(g: Graph, p: int, q: int) -> Graph:
     """E(p,q): vertices are p-paths, edges are q-paths, range/source by windowing.
 
     For p >= 1 the range of the edge e_1...e_q is e_1...e_p and its source is
@@ -126,41 +105,29 @@ def higher_dual(g: Graph, p: int, q: int) -> LabeledGraph:
     if p < 0 or q <= p:
         raise PreconditionError("higher_dual requires 0 <= p < q")
     layer = _path_layer(g, q)
-    eids = [join_ids(ids) for ids, _, _ in layer]
     if p == 0:
-        vertices = list(g.vertices)
-        vertex_labels: dict[str, Label] = {v: ("vertex", v) for v in g.vertices}
         dst = {e.id: e.dst for e in g.edges}
-        edges = [(eid, tail, dst[ids[0]]) for eid, (ids, tail, _) in zip(eids, layer)]
-    else:
-        vid = {ids: join_ids(ids) for ids, _, _ in _path_layer(g, p)}
-        vertices = list(vid.values())
-        vertex_labels = {v: ("path", ids) for ids, v in vid.items()}
-        edges = [
-            (eid, vid[ids[q - p :]], vid[ids[:p]]) for eid, (ids, _, _) in zip(eids, layer)
-        ]
-    edge_labels = {eid: ("path", ids) for eid, (ids, _, _) in zip(eids, layer)}
-    return LabeledGraph(vertices, edges, vertex_labels, edge_labels)
+        return Graph(g.vertices, [(join_ids(ids), tail, dst[ids[0]]) for ids, tail, _ in layer])
+    vid = {ids: join_ids(ids) for ids, _, _ in _path_layer(g, p)}
+    edges = [(join_ids(ids), vid[ids[q - p :]], vid[ids[:p]]) for ids, _, _ in layer]
+    return Graph(list(vid.values()), edges)
 
 
-def higher_power(g: Graph, m: int) -> LabeledGraph:
+def higher_power(g: Graph, m: int) -> Graph:
     """E(0,m), the m-th higher-power graph."""
     if m < 1:
         raise PreconditionError("higher_power requires m >= 1")
     return higher_dual(g, 0, m)
 
 
-def delay_embed_path(g: Graph, n: int, mu: Path, D: Optional[LabeledGraph] = None) -> Path:
-    """D_n^*(e_1...e_k) = f_{e_1,1}...f_{e_1,n} ... f_{e_k,1}...f_{e_k,n}.
+def delay_embed_path(g: Graph, n: int, mu: Path, D: Graph) -> Path:
+    """D_n^*(e_1...e_k) = f_{e_1,1}...f_{e_1,n} ... f_{e_k,1}...f_{e_k,n}, in D = delay(g, n).
 
     Range- and source-preserving under the vertex inclusion E^0 into D_n(E)^0.
-    A prebuilt delay graph D = delay(g, n) may be passed to avoid rebuilding it.
     The image of a path of g composes in D, so it is not walked again.
     """
     if mu.graph is not g:
         raise StructuralError("path does not belong to the given graph")
-    if D is None:
-        D = delay(g, n)
     if not mu.edge_ids:
         return Path(D, (), mu.anchor)
     if n == 1:

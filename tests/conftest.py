@@ -41,6 +41,7 @@ from suspquiver import (
     validate,
     vertex_path,
 )
+from suspquiver.graph import _path_layer
 from suspquiver.ktheory import HypothesisResult, _divisor_chain, _eliminate
 from suspquiver.opalg import _delay_layer
 
@@ -134,45 +135,39 @@ def recursive_paths(g: Graph, n: int, src=None, rng=None) -> list[tuple[str, ...
     return out
 
 
-def reference_higher_dual(g: Graph, p: int, q: int) -> LabeledGraph:
+def reference_higher_dual(g: Graph, p: int, q: int) -> Graph:
     """The former higher_dual, kept as a reference: E(p,q) built from a Path
     per enumerated p- and q-path, range and source read off each Path."""
     if p < 0 or q <= p:
         raise PreconditionError("higher_dual requires 0 <= p < q")
     if p == 0:
         vertices = list(g.vertices)
-        vertex_labels = {v: ("vertex", v) for v in g.vertices}
     else:
-        vpaths = enumerate_paths(g, p)
-        vertices = [join_ids(mu.edge_ids) for mu in vpaths]
-        vertex_labels = {join_ids(mu.edge_ids): ("path", mu.edge_ids) for mu in vpaths}
+        vertices = [join_ids(mu.edge_ids) for mu in enumerate_paths(g, p)]
     edges = []
-    edge_labels = {}
     for mu in enumerate_paths(g, q):
-        eid = join_ids(mu.edge_ids)
         if p == 0:
             dst, src = mu.r, mu.s
         else:
             dst = join_ids(mu.edge_ids[:p])
             src = join_ids(mu.edge_ids[q - p :])
-        edges.append((eid, src, dst))
-        edge_labels[eid] = ("path", mu.edge_ids)
-    return LabeledGraph(vertices, edges, vertex_labels, edge_labels)
+        edges.append((join_ids(mu.edge_ids), src, dst))
+    return Graph(vertices, edges)
 
 
-def dual_word_to_path(g: Graph, dual: LabeledGraph, mu: Path) -> Path:
+def dual_word_to_path(g: Graph, p: int, q: int, mu: Path) -> Path:
     """The former transform.dual_word_to_path, kept as a reference: a path of
-    E(p,q) (or a vertex, for p >= 1) flattened back to a path of g, the
-    overlap p read off a vertex label."""
+    E(p,q) (or a vertex, for p >= 1) flattened back to a path of g, each dual
+    id mapped back to its word of g; consecutive words overlap in p edges."""
+    def words(k):
+        return {join_ids(ids): ids for ids, _, _ in _path_layer(g, k)}
+
     if not mu.edge_ids:
-        label = dual.vertex_labels[mu.anchor]
-        return Path(g, (), label[1]) if label[0] == "vertex" else Path(g, tuple(label[1]))
-    label = next(iter(dual.vertex_labels.values()))
-    p = 0 if label[0] == "vertex" else len(label[1])
-    out: tuple[str, ...] = ()
-    for i, eid in enumerate(mu.edge_ids):
-        word = dual.edge_labels[eid][1]
-        out += word if i == 0 else word[p:]
+        return Path(g, words(p)[mu.anchor]) if p else Path(g, (), mu.anchor)
+    qwords = words(q)
+    out: tuple[str, ...] = qwords[mu.edge_ids[0]]
+    for eid in mu.edge_ids[1:]:
+        out += qwords[eid][p:]
     return Path(g, out)
 
 

@@ -425,11 +425,11 @@ def test_verify_delay_suites_over_the_cap_are_refused(two_loop_file, capsys, sui
 def test_verify_delay_suites_run_at_the_cap(two_loop_file, capsys, monkeypatch):
     # two loops at --L 4: 16 paths of length 4, so 32 flow cases at --l 1/2;
     # D_2(E)(0,1) holds 3 + 4 + 6 + 8 + 12 = 33 basis paths, D_3(E)(0,1) 41
-    monkeypatch.setattr(cli, "MAX_FLOW_CASES", 32)
-    monkeypatch.setattr(opalg, "MAX_MORITA_BASIS", 33)
+    monkeypatch.setattr(cli, "MAX_SUITE_SIZE", 32)
     assert cli.main(["verify", two_loop_file, "--suite", "flow", "--l", "1/2"]) == 0
-    assert cli.main(["verify", two_loop_file, "--suite", "morita", "--l", "1/2"]) == 0
     assert cli.main(["verify", two_loop_file, "--suite", "flow", "--l", "1/3"]) == 2
+    monkeypatch.setattr(cli, "MAX_SUITE_SIZE", 33)
+    assert cli.main(["verify", two_loop_file, "--suite", "morita", "--l", "1/2"]) == 0
     assert cli.main(["verify", two_loop_file, "--suite", "morita", "--l", "1/3"]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "ERROR precondition: flow checks 48 cases, over 32; refusing to build D_3(E)",
@@ -565,8 +565,86 @@ def test_verify_morita_over_the_basis_cap_is_refused(two_loop_file, capsys, l, b
     assert captured.out == ""
     assert captured.err == (
         f"ERROR precondition: morita builds D_1(E)(0,{l}) at L=4 on {basis} basis paths, "
-        f"over {opalg.MAX_MORITA_BASIS}; refusing to build it\n"
+        f"over {cli.MAX_SUITE_SIZE}; refusing to build it\n"
     )
+
+
+def _loops_file(tmp_path, k, extra=()):
+    # k loops at v, plus extra (id, src, dst) edges among the vertices u, v, w
+    edges = [(f"e{i}", "v", "v") for i in range(k)] + list(extra)
+    doc = {"vertices": sorted({x for _, s, d in edges for x in (s, d)} | {"v"}),
+           "edges": [{"id": i, "src": s, "dst": d} for i, s, d in edges]}
+    path = tmp_path / f"loops{k}_{len(extra)}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "k,args,message",
+    [(2, ["--suite", "tck", "--L", "20"],
+      "tck builds E at L=20 on at least 131071 basis paths, over 100000"),
+     (2, ["--suite", "tck", "--L", "16"],
+      "tck builds E at L=16 on 131071 basis paths, over 100000"),
+     (6, ["--suite", "jmath"], "jmath builds E(1,3) at L=3 on 287934 basis paths, over 100000"),
+     (2, ["--suite", "limits", "--l", "7/3", "--L", "3"],
+      "limits builds E(1,8) at L=3 on 4227330 basis paths, over 100000"),
+     (10, ["--suite", "kappa"], "kappa builds E(1,2) at L=4 on 111110 basis paths, over 100000"),
+     (2, ["--suite", "all", "--L", "17"],
+      "tck builds E at L=17 on at least 131071 basis paths, over 100000")],
+)
+def test_verify_representations_over_the_cap_are_refused_unbuilt(
+    tmp_path, capsys, monkeypatch, k, args, message
+):
+    # each basis is counted from E before any representation is built: tck
+    # sums 2^k paths of two loops until past the cap, and E(1,3) of six loops
+    # holds 6 + 6^3 + 6^5 + 6^7 paths at the capped L = 3
+    def refuse(*a):
+        raise AssertionError("a representation was built")
+
+    monkeypatch.setattr(cli, "build_rep", refuse)
+    monkeypatch.setattr(opalg, "build_rep", refuse)
+    start = time.perf_counter()
+    assert cli.main(["verify", _loops_file(tmp_path, k), *args]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ERROR precondition: {message}; refusing to build it\n"
+
+
+@pytest.mark.parametrize(
+    "suite,basis", [("tck", 31), ("jmath", 2 + 8 + 32 + 128), ("eta", 2 + 8 + 32 + 128 + 512)]
+)
+def test_verify_representation_at_the_cap_runs(two_loop_file, capsys, monkeypatch, suite, basis):
+    # two loops at --L 4 --l 2: E has 1 + 2 + 4 + 8 + 16 basis paths, the
+    # largest jmath graph E(1,3) at L = 3 has |E^1| + |E^3| + |E^5| + |E^7|,
+    # and E(1,3) at L = 4 one layer more
+    argv = ["verify", two_loop_file, "--suite", suite, "--l", "2"]
+    monkeypatch.setattr(cli, "MAX_SUITE_SIZE", basis)
+    assert cli.main(argv) == 0
+    monkeypatch.setattr(cli, "MAX_SUITE_SIZE", basis - 1)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.endswith(
+        f" on {basis} basis paths, over {basis - 1}; refusing to build it\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "k,extra,suite,refusal",
+    [(6, [("x", "u", "v")], "jmath", "graph has sources ['x']"),
+     (6, [("x", "u", "v")], "tck", "graph has sources ['u']"),
+     (2, [("x", "v", "w")], "all", "need a graph with no sinks and no sources")],
+)
+def test_verify_refusals_of_a_graph_come_before_its_basis_count(
+    tmp_path, capsys, k, extra, suite, refusal
+):
+    # E(1,2) of six loops fed by a source u has the source x, refused before
+    # the 287,934 paths of E(1,3) are counted; with a sink w, morita's refusal
+    # comes before the count of tck's 2^18 - 1 paths at L = 17
+    argv = ["verify", _loops_file(tmp_path, k, extra), "--suite", suite, "--L", "17"]
+    start = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.startswith(f"ERROR precondition: {refusal}")
 
 
 def test_morita_dropped_defect_term_fails_only_ps_ck(tmp_path, capsys, monkeypatch):

@@ -71,12 +71,13 @@ def test_delay_chain_structure(three_cycle):
 def test_delay_embed_preserves_endpoints(three_cycle):
     g = three_cycle
     mu = Path(g, ("a", "c"))
-    emb = delay_embed_path(g, 3, mu)
+    emb = delay_embed_path(g, 3, mu, delay(g, 3))
     assert len(emb) == 6
     assert emb.r == mu.r and emb.s == mu.s
     assert emb.edge_ids[:3] == ("f(a,1)", "f(a,2)", "f(a,3)")
+    D = delay(g, 2)
     with pytest.raises(StructuralError):
-        delay_embed_path(g, 2, Path(delay(g, 2), ("f(a,1)",)))
+        delay_embed_path(g, 2, Path(D, ("f(a,1)",)), D)
 
 
 def test_higher_dual_counts(two_loop):
@@ -100,7 +101,7 @@ def test_dual_path_roundtrip(p, q, cycle_plus_loop):
     dual = higher_dual(g, p, q)
     # a length-2 dual path flattens to a path of length q + (q - p)
     for nu in enumerate_paths(dual, 2):
-        flat = dual_word_to_path(g, dual, nu)
+        flat = dual_word_to_path(g, p, q, nu)
         assert len(flat) == q + (q - p)
         # its leading window is the first dual edge's word
         assert join_ids(flat.edge_ids[:q]) == nu.edge_ids[0]
@@ -110,7 +111,7 @@ def test_dual_vertex_flattening(cycle_plus_loop):
     g = cycle_plus_loop
     dual = higher_dual(g, 2, 3)
     for v in dual.vertices:
-        flat = dual_word_to_path(g, dual, Path(dual, (), v))
+        flat = dual_word_to_path(g, 2, 3, Path(dual, (), v))
         assert join_ids(flat.edge_ids) == v
 
 
@@ -128,12 +129,7 @@ def test_join_ids_is_injective_on_words_of_one_length(ids):
 
 
 def _dual_data(d):
-    return (
-        d.vertices,
-        [(e.id, e.src, e.dst) for e in d.edges],
-        list(d.vertex_labels.items()),
-        list(d.edge_labels.items()),
-    )
+    return d.vertices, [(e.id, e.src, e.dst) for e in d.edges]
 
 
 DUAL_PARAMS = [(p, q) for p in (0, 1, 2) for q in range(p + 1, 5)]
@@ -159,7 +155,7 @@ def test_higher_dual_of_comma_ids_is_a_graph():
         assert len(dual.edges) == 2**q
         assert len(dual.vertices) == (1 if p == 0 else 2**p)
         for nu in enumerate_paths(dual, 2):
-            flat = dual_word_to_path(g, dual, nu)
+            flat = dual_word_to_path(g, p, q, nu)
             assert join_ids(flat.edge_ids[:q]) == nu.edge_ids[0]
 
 
