@@ -62,6 +62,7 @@ from .operators import (
     norm_squared,
     operator_norm_est,
     rank_on_columns,
+    sum_sq_norm,
 )
 from .opalg import (
     FunctionOnEdges,

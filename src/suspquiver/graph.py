@@ -301,7 +301,7 @@ def _path_layers(g: Graph, rng: Optional[str] = None) -> Iterator[list]:
     has r(e) = rng, and each later edge f has r(f) = s of the edge before.
     The layers stop before the first empty one, as every longer one is empty.
     """
-    received = {v: sorted(g.received(v), key=lambda e: e.id) for v in g.vertices}
+    received = _received_by_id(g)
     if rng is not None and rng not in received:
         raise StructuralError(f"unknown vertex id {rng!r}")
     starts = [rng] if rng is not None else g.vertices
@@ -313,6 +313,18 @@ def _path_layers(g: Graph, rng: Optional[str] = None) -> Iterator[list]:
             for i, (ids, tail, _) in enumerate(layer)
             for e in received[tail]
         ]
+
+
+def _received_by_id(g: Graph) -> dict[str, list[Edge]]:
+    """Each vertex's received edges in edge-id order, sorted on the first call
+    and kept on g: graphs that are never enumerated never pay for it."""
+    try:
+        return g._received_sorted
+    except AttributeError:
+        g._received_sorted = {
+            v: sorted(es, key=lambda e: e.id) for v, es in g._received.items()
+        }
+        return g._received_sorted
 
 
 def _layer_sizes(g: Graph) -> Iterator[int]:

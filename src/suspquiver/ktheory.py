@@ -354,17 +354,48 @@ class SuspensionKReport:
     flags: list = field(default_factory=list)
 
 
+# The most decimal digits that a torsion order of a K-group may reach by
+# Hadamard's bound: Python's default limit on int-to-str conversion, so that
+# every order admitted prints.  Two loops at one vertex reach 4,215 at m =
+# 14,000 and 4,516 at m = 15,000.
+MAX_ORDER_DIGITS = 4300
+
+
+def check_order_digits(g: Graph, m: int) -> None:
+    """Refuse, before any power, search or elimination, an m >= 1 at which a
+    torsion order of coker(1 - (A^T)^m) may pass MAX_ORDER_DIGITS digits.
+
+    A torsion order is at most the product of the nonzero invariant factors,
+    which divides a nonzero maximal minor; by Hadamard's inequality that
+    minor is at most the product of the row norms of 1 - (A^T)^m.  Row i of
+    (A^T)^m is nonnegative and sums to the number of m-paths with source i,
+    at most D^m for D the most edges a vertex emits, so the row of
+    1 - (A^T)^m has norm at most sqrt(1 + D^(2m)) <= sqrt(2) D^m.
+    """
+    most = max((len(g.emitted(v)) for v in g.vertices), default=0)
+    if not most:
+        return
+    digits = len(g.vertices) * (m * math.log10(most) + math.log10(2) / 2)
+    if digits >= MAX_ORDER_DIGITS:
+        raise PreconditionError(
+            f"K-group orders at m={m} may have up to {math.floor(digits) + 1} digits "
+            f"by Hadamard's bound, over {MAX_ORDER_DIGITS}; refusing to compute them"
+        )
+
+
 def suspension_K(g: Graph, m: int, n: int) -> SuspensionKReport:
     """K-theory of the suspension-quiver algebra at parameter l = m/n."""
     if n < 1 or math.gcd(abs(m), n) != 1:
         raise PreconditionError("need n >= 1 and gcd(m,n) = 1")
     flags: list[str] = []
     if m > 0:
+        check_order_digits(g, m)
         hyp = hypothesis_check(g, m)
         k0, k1 = graph_K(g, m)
         route = f"coker/ker(1 - (A^T)^{m}) via the delay and higher-power identifications"
     elif m < 0:
         op = opposite(g)
+        check_order_digits(op, -m)
         hyp = hypothesis_check(op, -m)
         # 1 - A^{|m|} of g is 1 - (A^T)^{|m|} of the opposite graph
         k0, k1 = graph_K(op, -m)

@@ -22,8 +22,8 @@ from .operators import (
     TruncatedRep,
     build_rep,
     combo,
-    norm_squared,
     rank_on_columns,
+    sum_sq_norm,
 )
 from .report import RunReport, rat_str
 from .transform import (
@@ -46,11 +46,12 @@ class FunctionOnVertices:
     def __init__(self, g: Graph, values: dict):
         self.graph = g
         vals = self.values = {v: Fraction(values.get(v, 0)) for v in g.vertices}
-        # (lo, slope) per edge: a([e,t]) = lo + slope t
-        self._lines = {e.id: (vals[e.dst], vals[e.src] - vals[e.dst]) for e in g.edges}
+        # (lo, slope) numerators over den per edge: a([e,t]) = (lo + slope t) / den
+        self.den, num = _over_one_den(vals)
+        self._lines = {e.id: (num[e.dst], num[e.src] - num[e.dst]) for e in g.edges}
 
     def at_edge(self, e: str, t) -> Fraction:
-        return _on_line(self._lines, e, t, "edge")
+        return _on_line(self._lines, self.den, e, t, "edge")
 
     def at_base(self, v: str) -> Fraction:
         try:
@@ -59,17 +60,30 @@ class FunctionOnVertices:
             raise StructuralError(f"unknown vertex {v!r}") from None
 
 
-def _on_line(lines: dict, key, t, what: str) -> Fraction:
-    """lo + slope t for the (lo, slope) of key, t in [0,1]."""
+def _over_one_den(values: dict) -> tuple[int, dict]:
+    """(den, {k: a}) with values[k] = a / den, den the lcm of the denominators."""
+    den = math.lcm(*(x.denominator for x in values.values()))
+    return den, {k: x.numerator * (den // x.denominator) for k, x in values.items()}
+
+
+def _unit_parts(t, what: str) -> tuple[int, int]:
+    """The ints (tn, td) with t = tn / td, td > 0, for t in [0,1]."""
     if type(t) is not Fraction:
         t = Fraction(t)
-    if not 0 <= t <= 1:
+    tn, td = t.numerator, t.denominator
+    if not 0 <= tn <= td:
         raise PreconditionError(f"{what} coordinate must lie in [0,1]")
+    return tn, td
+
+
+def _on_line(lines: dict, den: int, key, t, what: str) -> Fraction:
+    """(lo + slope t) / den for the (lo, slope) numerators of key, t in [0,1]."""
+    tn, td = _unit_parts(t, what)
     try:
         lo, slope = lines[key]
     except KeyError:
         raise StructuralError(f"unknown {what} {key!r}") from None
-    return lo + slope * t
+    return Fraction(lo * td + slope * tn, den * td)
 
 
 def vertex_fn_interpolated(g: Graph, values: dict) -> FunctionOnVertices:
@@ -93,14 +107,15 @@ class FunctionOnEdges:
         self.m = m
         keys = [w.edge_ids if m else w.anchor for w in enumerate_paths(g, m)]
         wts = self.weights = {k: Fraction(weights.get(k, 0)) for k in keys}
-        # (lo, slope) per word mu: xi([mu,t]) = lo + slope t
+        # (lo, slope) numerators over den per word mu: xi([mu,t]) = (lo + slope t) / den
+        self.den, num = _over_one_den(wts)
         self._lines = {}
         for mu in enumerate_paths(g, m + 1):
             lo, hi = (mu.edge_ids[:m], mu.edge_ids[1:]) if m else (mu.r, mu.s)
-            self._lines[mu.edge_ids] = (wts[lo], wts[hi] - wts[lo])
+            self._lines[mu.edge_ids] = (num[lo], num[hi] - num[lo])
 
     def at_word(self, word: tuple, t) -> Fraction:
-        return _on_line(self._lines, tuple(word), t, "word")
+        return _on_line(self._lines, self.den, tuple(word), t, "word")
 
     def at_lattice(self, w: Path) -> Fraction:
         key = w.edge_ids if self.m else w.anchor
@@ -132,8 +147,8 @@ def check_tck(rep: TruncatedRep, rng: random.Random) -> RunReport:
     out.add("tck.T*T=Q_s", ok1, f"{len(g.edges)} edges, interior depth 1")
     ok2 = True
     okv = True
-    for v in g.vertices:
-        d = rep.delta(v)
+    deltas = {v: rep.delta(v) for v in g.vertices}
+    for v, d in deltas.items():
         if any(r != c or val != 1 for (r, c), val in d.entries.items()):
             ok2 = False
         unit = SparseOperator(rep.basis, {(rep.vertex_index(v), rep.vertex_index(v)): 1})
@@ -142,7 +157,7 @@ def check_tck(rep: TruncatedRep, rng: random.Random) -> RunReport:
     out.add("tck.defect_diagonal_01", ok2, "TCK2 positivity: defects are 0/1 diagonal")
     out.add("tck.defect_is_vacuum", okv, "Delta_v = |h_v><h_v| on interior depth 1")
     ranks_ok = all(
-        rank_on_columns(rep.delta(v), rep.interior_cols(1)) == 1 for v in g.vertices
+        rank_on_columns(d, rep.interior_cols(1)) == 1 for d in deltas.values()
     )
     out.add("ck.defect_interior_rank_1", ranks_ok, "one vacuum vector per vertex")
     out.extend(_product_formula_spot_check(rep, rng))
@@ -228,16 +243,26 @@ def jmath(
     verifies t_mu* t_nu = delta_{mu,nu} q_{s(mu)} on interior depth 1 and the
     defect identity q_v - sum t t* = sum_{mu in vE^p} Delta_mu exactly.
     An already-built representation of E(p,q) may be passed in so the tables
-    share its basis; one of another graph, (p,q) or L is refused.
+    share its basis; one of another graph, (p,q) or L is refused.  So is a
+    graph with an isolated vertex, which E(p,q) drops.
     """
     if not 0 < p < q:
         raise PreconditionError("jmath requires 0 < p < q")
-    rep = _dual_rep(g, p, q, L, rep)
+    diag = validate(g)
+    isolated = diag.sinks & diag.sources
+    if isolated:
+        raise PreconditionError(
+            f"graph has isolated vertices {sorted(isolated)}; E({p},{q}) drops them, "
+            "so no defect of theirs can be witnessed"
+        )
+    rep = dual_rep(g, p, q, L, rep)
     out = RunReport()
-    q_table, t_table, words = _jmath_tables(g, p, q, rep)
+    q_table, t_table, words, heads = _jmath_tables(g, p, q, rep)
+    zero = rep.zero()
+    adjoints = {k: t.adjoint() for k, t in t_table.items()}
     ok_tt = all(
-        (t_table[mu.edge_ids].adjoint() @ t_table[nu.edge_ids]).equal_on_columns(
-            q_table[mu.s] if mu.edge_ids == nu.edge_ids else rep.zero(), L - 1
+        (adjoints[mu.edge_ids] @ t_table[nu.edge_ids]).equal_on_columns(
+            q_table[mu.s] if mu.edge_ids == nu.edge_ids else zero, L - 1
         )
         for mu in words
         for nu in words
@@ -246,10 +271,9 @@ def jmath(
     ok_defect = True
     ok_witness = True
     for v in g.vertices:
-        tts = [t_table[nu.edge_ids] for nu in words if nu.r == v]
-        d = combo(rep, [(1, q_table[v])] + [(-1, t @ t.adjoint()) for t in tts])
-        vpaths = enumerate_paths(g, p, rng=v)
-        expected = combo(rep, [(1, rep.delta(join_ids(mu.edge_ids))) for mu in vpaths])
+        tts = [t_table[nu.edge_ids] @ adjoints[nu.edge_ids] for nu in words if nu.r == v]
+        d = combo(rep, [(1, q_table[v])] + [(-1, tt) for tt in tts])
+        expected = combo(rep, [(1, rep.delta(join_ids(ids))) for ids in heads[v]])
         if d != expected:
             ok_defect = False
         if expected.is_zero():
@@ -263,31 +287,53 @@ def jmath(
     return JmathTables(g, p, q, rep, q_table, t_table, out)
 
 
-def _dual_rep(g: Graph, p: int, q: int, L: int, rep: Optional[TruncatedRep]) -> TruncatedRep:
-    """The E(p,q) representation truncated at L: rep if given and checked, else built."""
-    dual = higher_dual(g, p, q)
+def _once(owner, key, build):
+    """build(), run once per key and owner (a graph or a representation) and
+    kept on it, so the suites of one command share what they derive from it."""
+    derived = vars(owner).setdefault("_derived", {})
+    if key not in derived:
+        derived[key] = build()
+    return derived[key]
+
+
+def dual_rep(g: Graph, p: int, q: int, L: int, rep: Optional[TruncatedRep] = None) -> TruncatedRep:
+    """The E(p,q) representation truncated at L: rep if given and checked, else built.
+
+    E(p,q) is derived once per g; a rep on any other graph is compared with it.
+    """
+    dual = _once(g, ("dual", p, q), lambda: higher_dual(g, p, q))
     if rep is None:
         return build_rep(dual, L)
     if rep.L != L:
         raise PreconditionError("supplied representation has the wrong length cap")
-    if rep.graph.vertices != dual.vertices or rep.graph.edges != dual.edges:
+    if rep.graph is not dual and (
+        rep.graph.vertices != dual.vertices or rep.graph.edges != dual.edges
+    ):
         raise PreconditionError(f"supplied representation is not of E({p},{q}) of this graph")
     return rep
 
 
 def _jmath_tables(g: Graph, p: int, q: int, rep: TruncatedRep):
-    """q_table, t_table and the words E^(q-p) keying t_table, on rep = E(p,q)."""
-    q_table = {
-        v: combo(rep, [(1, rep.Q[join_ids(mu.edge_ids)]) for mu in enumerate_paths(g, p, rng=v)])
-        for v in g.vertices
-    }
-    words = enumerate_paths(g, q - p)
-    t_table = {}
-    for mu in words:
-        tails = enumerate_paths(g, p, rng=mu.s)
-        terms = [(1, rep.T[join_ids(mu.edge_ids + nu.edge_ids)]) for nu in tails]
-        t_table[mu.edge_ids] = combo(rep, terms)
-    return q_table, t_table, words
+    """q_table, t_table, the words E^(q-p) keying t_table and the edge ids of
+    the p-paths by range, on rep = E(p,q); built once per rep."""
+
+    def build():
+        heads: dict = {v: [] for v in g.vertices}
+        for mu in enumerate_paths(g, p):
+            heads[mu.r].append(mu.edge_ids)
+        q_table = {
+            v: combo(rep, [(1, rep.Q[join_ids(ids)]) for ids in heads[v]]) for v in g.vertices
+        }
+        words = enumerate_paths(g, q - p)
+        t_table = {
+            mu.edge_ids: combo(
+                rep, [(1, rep.T[join_ids(mu.edge_ids + ids)]) for ids in heads[mu.s]]
+            )
+            for mu in words
+        }
+        return q_table, t_table, words, heads
+
+    return _once(rep, ("jmath", g, p, q), build)
 
 
 # ---------------------------------------------------------------------------
@@ -358,29 +404,45 @@ def _limit_coeffs(
 def _limit_ops(
     rep: TruncatedRep, g: Graph, m: int, a: FunctionOnVertices, xi: FunctionOnEdges, end: int
 ) -> tuple[SparseOperator, SparseOperator]:
-    """The limits (rho, psi) of the fibre pair at t -> 0+ (end 0) or t -> 1- (end 1)."""
-    return _on_generators(rep, *_limit_coeffs(g, m, a, xi, end))
+    """The limits (rho, psi) of the fibre pair at t -> 0+ (end 0) or t -> 1- (end 1),
+    built once per rep."""
+    build = lambda: _on_generators(rep, *_limit_coeffs(g, m, a, xi, end))  # noqa: E731
+    return _once(rep, ("limit", g, m, a, xi, end), build)
 
 
 def _limit_errors(
     rep: TruncatedRep, g: Graph, m: int, a: FunctionOnVertices, xi: FunctionOnEdges
 ):
-    """err(t, end) = (rho(t) - eps_rho, psi(t) - eps_psi), the limit at end 0 or 1.
+    """err(t, end) = (||rho(t) - eps_rho||^2, ||psi(t) - eps_psi||^2), eps the
+    limit at end 0 or 1, exact and with no error operator formed.
 
-    The generator tables are built once, keyed by every generator of the
-    fibre pair or of a limit; each error operator is then one combo of the
-    coefficient differences c_g(t) - eps_g.
+    Each error sums one table of generators (the Q_e for rho, the T_mu for
+    psi, keyed by every generator of the fibre pair or of a limit) with the
+    coefficient differences c_k(t) - eps_k.  For t = tn / td these are the
+    ints lo td + slope tn - eps td over den td, from the (lo, slope)
+    numerators over den of the lines of a or xi, and sum_sq_norm takes the
+    squared norm of the sum from them.
     """
-    words = [mu.edge_ids for mu in enumerate_paths(g, m + 1)]
     limits = [_limit_coeffs(g, m, a, xi, end) for end in (0, 1)]
-    psi_keys = dict.fromkeys(words + [mu for _, psi in limits for mu in psi])
-    gens = ({e.id: rep.Q[e.id] for e in g.edges}, {mu: rep.T[join_ids(mu)] for mu in psi_keys})
+    sides = []
+    for fn, gen, lims in (
+        (a, lambda e: rep.Q[e], [rho for rho, _ in limits]),
+        (xi, lambda mu: rep.T[join_ids(mu)], [psi for _, psi in limits]),
+    ):
+        keys = list(dict.fromkeys([*fn._lines, *lims[0], *lims[1]]))
+        lines = [fn._lines.get(k, (0, 0)) for k in keys]
+        # each limit value is a value of fn, so a whole multiple of 1/den
+        eps = [[int(lim.get(k, 0) * fn.den) for k in keys] for lim in lims]
+        sides.append((fn.den, lines, eps, sum_sq_norm([gen(k) for k in keys])))
 
-    def err(t: Fraction, end: int) -> tuple[SparseOperator, SparseOperator]:
-        at_t = _fibre_coeffs(g, t, a, xi, words)
+    def err(t: Fraction, end: int) -> tuple[Fraction, Fraction]:
+        tn, td = _unit_parts(t, "fibre")
         return tuple(
-            combo(rep, [(at.get(k, 0) - lim.get(k, 0), op) for k, op in table.items()])
-            for at, lim, table in zip(at_t, limits[end], gens)
+            Fraction(
+                sq([lo * td + slope * tn - e * td for (lo, slope), e in zip(lines, eps[end])]),
+                (den * td) ** 2,
+            )
+            for den, lines, eps, sq in sides
         )
 
     return err
@@ -389,11 +451,16 @@ def _limit_errors(
 def _jmath_image(
     rep: TruncatedRep, g: Graph, m: int, a: FunctionOnVertices, xi: FunctionOnEdges
 ) -> tuple[SparseOperator, SparseOperator]:
-    """The jmath images sum_v a([v]) q_v and sum_w xi([w]) t_w of the E(0,m) fibre."""
-    q_table, t_table, words = _jmath_tables(g, 1, m + 1, rep)
-    rho = combo(rep, [(a.at_base(v), q_table[v]) for v in g.vertices])
-    psi = combo(rep, [(xi.at_lattice(w), t_table[w.edge_ids]) for w in words])
-    return rho, psi
+    """The jmath images sum_v a([v]) q_v and sum_w xi([w]) t_w of the E(0,m)
+    fibre, built once per rep."""
+
+    def build():
+        q_table, t_table, words, _ = _jmath_tables(g, 1, m + 1, rep)
+        rho = combo(rep, [(a.at_base(v), q_table[v]) for v in g.vertices])
+        psi = combo(rep, [(xi.at_lattice(w), t_table[w.edge_ids]) for w in words])
+        return rho, psi
+
+    return _once(rep, ("image", g, m, a, xi), build)
 
 
 def limit_formulas(
@@ -413,7 +480,7 @@ def limit_formulas(
         raise PreconditionError("limit_formulas requires m >= 1")
     if K < 1:
         raise PreconditionError("limit_formulas requires K >= 1")
-    rep = _dual_rep(g, 1, m + 1, L, rep)
+    rep = dual_rep(g, 1, m + 1, L, rep)
     eps0_rho, eps0_psi = _limit_ops(rep, g, m, a, xi, 0)
     eps1_rho, eps1_psi = _limit_ops(rep, g, m, a, xi, 1)
     out = RunReport()
@@ -433,9 +500,9 @@ def limit_formulas(
     err = _limit_errors(rep, g, m, a, xi)
     for d in dists:
         for end, t in ((0, d), (1, 1 - d)):
-            rho_err, psi_err = err(t, end)
-            sq[f"rho_at_{end}"].append(norm_squared(rho_err))
-            sq[f"psi_at_{end}"].append(norm_squared(psi_err))
+            rho_sq, psi_sq = err(t, end)
+            sq[f"rho_at_{end}"].append(rho_sq)
+            sq[f"psi_at_{end}"].append(psi_sq)
     constants = {name: seq[0] / (dists[0] * dists[0]) for name, seq in sq.items()}
     closed_form = all(
         e2 == constants[name] * d * d
@@ -473,7 +540,7 @@ def eta_generators(g: Graph, m: int, L: int, rep: Optional[TruncatedRep] = None)
     """
     if m < 1:
         raise PreconditionError("eta_generators requires m >= 1")
-    rep = _dual_rep(g, 1, m + 1, L, rep)
+    rep = dual_rep(g, 1, m + 1, L, rep)
     out = RunReport()
     w_table = {v: combo(rep, [(1, rep.Q[e.id]) for e in g.emitted(v)]) for v in g.vertices}
     x_table = {v: combo(rep, [(1, rep.Q[e.id]) for e in g.received(v)]) for v in g.vertices}
@@ -493,7 +560,7 @@ def eta_generators(g: Graph, m: int, L: int, rep: Optional[TruncatedRep] = None)
         for mu in words
     )
     out.add("eta.y*y=|E1r|Q", ok_y, f"{len(words)} words, interior depth 1")
-    q_table, t_table, _ = _jmath_tables(g, 1, m + 1, rep)
+    q_table, t_table, _, _ = _jmath_tables(g, 1, m + 1, rep)
     ok_x = all(x_table[v] == q_table[v] for v in g.vertices)
     ok_z = all(z_table[mu.edge_ids] == t_table[mu.edge_ids] for mu in words)
     out.add("eta.x=jmath(Q)", ok_x, "exact")
@@ -524,9 +591,9 @@ def kappa_eval(
         raise PreconditionError("kappa is evaluated on [0,1]")
     if m < 1:
         raise PreconditionError("kappa_eval requires m >= 1")
-    rep = _dual_rep(g, 1, m + 1, L, rep)
+    rep = dual_rep(g, 1, m + 1, L, rep)
     out = RunReport()
-    hyp = hypothesis_check(g, m)
+    hyp = _once(g, ("hypothesis", m), lambda: hypothesis_check(g, m))
     out.add(
         "kappa.hypothesis_flag",
         True,

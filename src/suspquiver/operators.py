@@ -43,19 +43,45 @@ def _parts(c: RatLike) -> tuple[int, int]:
 
 
 class Basis:
-    """An ordered path basis, indexed by (edge ids, anchor), with path lengths."""
+    """An ordered path basis, indexed by (edge ids, anchor), with path lengths.
+
+    The basis Paths themselves, labels, are built on the first read.
+    """
 
     def __init__(self, labels: Sequence[Path]):
-        self.labels: tuple[Path, ...] = tuple(labels)
+        labels = tuple(labels)
+        self._index(labels[0].graph if labels else None, [(p.edge_ids, p.anchor) for p in labels])
+        self._labels = labels
+
+    @classmethod
+    def _of_keys(cls, graph: Graph, keys: list) -> "Basis":
+        """The basis of the paths of graph keyed (edge ids, anchor), in order,
+        which the caller built composable: no Path is built."""
+        basis = cls.__new__(cls)
+        basis._index(graph, keys)
+        return basis
+
+    def _index(self, graph: Optional[Graph], keys: list) -> None:
+        self.graph = graph
         self.index: dict[tuple[tuple[str, ...], Optional[str]], int] = {
-            (p.edge_ids, p.anchor): i for i, p in enumerate(self.labels)
+            k: i for i, k in enumerate(keys)
         }
-        if len(self.index) != len(self.labels):
+        if len(self.index) != len(keys):
             raise StructuralError("duplicate basis labels")
-        self.lengths: tuple[int, ...] = tuple(len(p) for p in self.labels)
+        self.lengths: tuple[int, ...] = tuple(len(ids) for ids, _ in keys)
+        self._labels: Optional[tuple[Path, ...]] = None
+
+    @property
+    def labels(self) -> tuple[Path, ...]:
+        if self._labels is None:
+            g = self.graph
+            self._labels = tuple(
+                Path._composed(g, ids) if ids else vertex_path(g, v) for ids, v in self.index
+            )
+        return self._labels
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.lengths)
 
 
 class SparseOperator:
@@ -247,27 +273,32 @@ class TruncatedRep:
         self.graph = graph
         self.L = L
         # one pass over the lengths, each layer extending the last, so every
-        # label composes by construction and is not walked again; each path
-        # of length n >= 1 is its parent of length n - 1 (a vertex for n = 1)
+        # word composes by construction and no Path is built; each path of
+        # length n >= 1 is its parent of length n - 1 (a vertex for n = 1)
         # followed by its last edge, and _child maps (parent, edge) to it
-        labels = [vertex_path(graph, v) for v in sorted(graph.vertices)]
-        column = {p.anchor: i for i, p in enumerate(labels)}
-        self._parent: list[int] = [-1] * len(labels)
+        keys: list = [((), v) for v in sorted(graph.vertices)]
+        ranges = [v for _, v in keys]  # r(p) of each column
+        self._last: list = [None] * len(keys)  # the last edge of each column
+        self._parent: list[int] = [-1] * len(keys)
         self._child: dict[tuple[int, str], int] = {}
+        column = {v: i for i, v in enumerate(ranges)}
+        dst = {e.id: e.dst for e in graph.edges}
         before = 0  # the column where the layer before this one starts
         for _, layer in zip(range(L), _path_layers(graph)):
-            start = len(labels)
+            start = len(keys)
             for ids, _, up in layer:
-                parent = column[graph.r(ids[0])] if up is None else before + up
+                parent = column[dst[ids[0]]] if up is None else before + up
+                self._child[(parent, ids[-1])] = len(keys)
                 self._parent.append(parent)
-                self._child[(parent, ids[-1])] = len(labels)
-                labels.append(Path._composed(graph, ids))
+                self._last.append(ids[-1])
+                ranges.append(ranges[parent])
+                keys.append((ids, None))
             before = start
-        self.basis = Basis(labels)
+        self.basis = Basis._of_keys(graph, keys)
         # basis columns grouped by range vertex, in basis (so length) order
         self._by_range: dict[str, list[int]] = {v: [] for v in graph.vertices}
-        for i, p in enumerate(labels):
-            self._by_range[p.r].append(i)
+        for i, v in enumerate(ranges):
+            self._by_range[v].append(i)
         self.Q: dict[str, SparseOperator] = {
             v: SparseOperator._of(self.basis, {(i, i): 1 for i in cols})
             for v, cols in self._by_range.items()
@@ -295,7 +326,7 @@ class TruncatedRep:
         In basis order a parent p' comes before p = p' f, and word p is the
         child of word p' by f, so each row is one lookup from the row before.
         """
-        labels, lengths = self.basis.labels, self.basis.lengths
+        lengths, last = self.basis.lengths, self._last
         parent, child = self._parent, self._child
         cap = self.L - len(word)
         row: dict[int, int] = {}
@@ -303,7 +334,7 @@ class TruncatedRep:
             if lengths[i] > cap:
                 break
             if lengths[i]:
-                row[i] = child[(row[parent[i]], labels[i].edge_ids[-1])]
+                row[i] = child[(row[parent[i]], last[i])]
             else:
                 row[i] = self.basis.index[(word, None)]
         return SparseOperator._of(self.basis, {(r, i): 1 for i, r in row.items()})
@@ -400,6 +431,38 @@ def norm_squared(op: SparseOperator) -> Fraction:
     if any(r != c for r, c in gram.num):
         raise PreconditionError("norm_squared needs A*A diagonal")
     return Fraction(max(gram.num.values(), default=0), gram.den)
+
+
+def sum_sq_norm(gens: Sequence[SparseOperator]):
+    """sq with sq(c) = ||sum_k c_k G_k||^2 for int coefficients c_k, exact and
+    with no operator formed, for integer matrices G_k no two of which share a
+    row (checked here, once; PreconditionError if not).
+
+    The sum then has at most one entry per row, so as in norm_squared's
+    diagonal case its squared norm is the max over columns c of
+    sum_k c_k^2 w_k(c), w_k(c) the sum of G_k's squared entries in column c.
+    That sum depends on c through its profile ((k, w_k(c)) for w_k(c) != 0)
+    alone, so each distinct profile is summed once.
+    """
+    rows: set[int] = set()
+    nnz = 0
+    cols: dict[int, dict[int, int]] = {}
+    for k, op in enumerate(gens):
+        if op.den != 1:
+            raise PreconditionError("sum_sq_norm needs integer generators")
+        nnz += len(op.num)
+        for (r, c), v in op.num.items():
+            rows.add(r)
+            col = cols.setdefault(c, {})
+            col[k] = col.get(k, 0) + v * v
+    if len(rows) != nnz:
+        raise PreconditionError("sum_sq_norm needs generators with disjoint rows")
+    profiles = {tuple(col.items()) for col in cols.values()}
+
+    def sq(coeffs: Sequence[int]) -> int:
+        return max((sum(coeffs[k] ** 2 * w for k, w in p) for p in profiles), default=0)
+
+    return sq
 
 
 def operator_norm_est(op: SparseOperator, tol: float = 1e-9, restarts: int = 20) -> float:

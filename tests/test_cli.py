@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from suspquiver import Graph, cli, fibre_paths, flow, opalg
+from suspquiver import Graph, cli, fibre_paths, flow, opalg, operators, transform
 from suspquiver.report import rat_str
 
 from conftest import small_graphs
@@ -677,6 +677,103 @@ def test_transform_power_16_runs_under_the_cap(two_loop_file, capsys):
     assert cli.main(["transform", two_loop_file, "--op", "power:16"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["edges"]) == 2**16 and doc["vertices"] == ["v"]
+
+
+def test_transform_delay_is_counted_before_it_is_built(two_loop_file, capsys, monkeypatch):
+    # D_N(E) of two loops has 1 + 2(N - 1) vertices and 2N edges: 99 at N = 25
+    monkeypatch.setattr(cli, "MAX_DELAY_SIZE", 99)
+    assert cli.main(["transform", two_loop_file, "--op", "delay:25"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["vertices"]) + len(doc["edges"]) == 99
+
+    def refuse(*a):
+        raise AssertionError("the delay graph was built")
+
+    monkeypatch.setattr(cli, "delay", refuse)
+    assert cli.main(["transform", two_loop_file, "--op", "delay:26"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "ERROR precondition: D_26(E) has 103 vertices and edges, over 99; refusing to build it\n"
+    )
+    monkeypatch.undo()
+    start = time.perf_counter()
+    assert cli.main(["transform", two_loop_file, "--op", "delay:1000000"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.startswith("ERROR precondition: D_1000000(E) has 3999999 ")
+
+
+def test_verify_jmath_refuses_an_isolated_vertex(tmp_path, capsys):
+    # u has no p-path, so E(p,q) drops it and its defect would read zero
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({**TWO_LOOP, "vertices": ["v", "u"]}))
+    assert cli.main(["verify", str(path), "--suite", "jmath"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "ERROR precondition: graph has isolated vertices ['u']; E(1,2) drops them, "
+        "so no defect of theirs can be witnessed\n"
+    )
+
+
+@pytest.mark.parametrize("l", ["15000", "-15000", "100000/3", "14284"])
+def test_ktheory_refuses_orders_past_the_digit_bound(two_loop_file, capsys, l):
+    # K0 of two loops at m is Z/(2^m - 1): Hadamard's bound gives it up to
+    # floor(m log10 2 + log10(2) / 2) + 1 digits, 4301 at m = 14284
+    start = time.perf_counter()
+    assert cli.main(["ktheory", two_loop_file, "--l", l]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ERROR precondition: K-group orders at m=")
+    assert captured.err.endswith(", over 4300; refusing to compute them\n")
+    assert captured.err.count("\n") == 1
+
+
+def test_ktheory_prints_orders_at_the_digit_bound(two_loop_file, capsys):
+    assert cli.main(["ktheory", two_loop_file, "--l", "14283"]) == 0
+    k0 = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("K0"))
+    assert k0 == f"K0 = Z/{2**14283 - 1}" and len(str(2**14283 - 1)) == 4300
+
+
+@pytest.mark.parametrize("l", ["1/2", "2"])
+def test_verify_derives_each_table_once(two_loop_file, capsys, monkeypatch, l):
+    # per command: each E(p,q) once (jmath's three and D_n(E)(0,m)), the
+    # jmath tables once per representation (jmath's three and the E(1,m+1)
+    # that limits, eta and kappa share), the hypothesis once; the owners are
+    # kept, so that no two of them share an id
+    duals, built, hyps = [], [], []
+    real_dual, real_once, real_hyp = opalg.higher_dual, opalg._once, opalg.hypothesis_check
+
+    def dual(g, p, q):
+        duals.append((g, p, q))
+        return real_dual(g, p, q)
+
+    def once(owner, key, build):
+        return real_once(owner, key, lambda: built.append((key, owner)) or build())
+
+    monkeypatch.setattr(opalg, "higher_dual", dual)
+    monkeypatch.setattr(transform, "higher_dual", dual)  # through higher_power
+    monkeypatch.setattr(opalg, "_once", once)
+    monkeypatch.setattr(opalg, "hypothesis_check", lambda g, m: hyps.append(m) or real_hyp(g, m))
+    assert cli.main(["verify", two_loop_file, "--suite", "all", "--l", l]) == 0
+    assert len({(id(g), p, q) for g, p, q in duals}) == len(duals) == 4
+    assert len({(key, id(owner)) for key, owner in built}) == len(built)
+    assert sum(key[0] == "jmath" for key, _ in built) == 4
+    assert hyps == [int(l.split("/")[0])]
+
+
+def test_verify_builds_no_basis_labels(tmp_path, capsys, monkeypatch):
+    def refuse(basis):
+        raise AssertionError("a basis built its Paths")
+
+    monkeypatch.setattr(operators.Basis, "labels", property(refuse))
+    for doc in (TWO_LOOP, CYCLE_PLUS_LOOP):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        for l in ("1/2", "2/3", "2"):
+            assert cli.main(["verify", str(path), "--suite", "all", "--l", l]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_negative_rational_after_a_space(two_loop_file, capsys):

@@ -19,6 +19,7 @@ from suspquiver import (
     norm_squared,
     operator_norm_est,
     rank_on_columns,
+    sum_sq_norm,
     vertex_path,
 )
 
@@ -199,6 +200,33 @@ def test_norm_squared_shared_rows(two_loop):
     op = SparseOperator(rep.basis, {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): -1})
     assert norm_squared(op) == 2
     assert norm_squared(rep.zero()) == 0
+
+
+@given(
+    seed=st.integers(0, 500),
+    m=st.integers(1, 2),
+    kind=st.sampled_from(["T", "Q"]),
+    data=st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_sum_sq_norm_matches_norm_squared_of_the_sum(seed, m, kind, data):
+    g = random_no_sink_source_graph(seed, max_vertices=3, max_edges=4)
+    rep = build_rep(higher_dual(g, 1, m + 1), 2)
+    table = rep.T if kind == "T" else rep.Q
+    gens = [table[k] for k in sorted(table)]
+    coeffs = data.draw(
+        st.lists(st.integers(-5, 5) | st.just(0), min_size=len(gens), max_size=len(gens))
+    )
+    sq = sum_sq_norm(gens)
+    assert sq(coeffs) == norm_squared(combo(rep, zip(coeffs, gens)))
+
+
+def test_sum_sq_norm_refuses_shared_rows(two_loop):
+    rep = build_rep(two_loop, 2)
+    with pytest.raises(PreconditionError):
+        sum_sq_norm([rep.T["e"], rep.Q["v"]])
+    with pytest.raises(PreconditionError):
+        sum_sq_norm([rep.T["e"].scale(Fraction(1, 2))])
 
 
 def test_norm_squared_refuses_non_diagonal_gram(two_loop):
