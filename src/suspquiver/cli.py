@@ -117,7 +117,7 @@ def capped_L(L: int) -> int:
     cap = os.environ.get("SUSPEND_MAX_L")
     if cap is not None:
         try:
-            L = min(L, int(cap))
+            L = min(int(cap), L)
         except ValueError as exc:
             raise StructuralError("SUSPEND_MAX_L must be an integer") from exc
     if L < 1:
@@ -225,8 +225,9 @@ def _has_sources(g: Graph, p: int, q: int) -> bool:
 
 
 def cmd_verify(args) -> int:
-    suites = {"tck", "jmath", "limits", "eta", "kappa", "morita", "flow", "all"}
-    if args.suite not in suites:
+    # each suite's truncation length is L or its cap, the lesser; in report order
+    caps = {"tck": math.inf, "jmath": 3, "limits": 4, "eta": 4, "kappa": 4, "morita": 4, "flow": 5}
+    if args.suite not in {*caps, "all"}:
         raise StructuralError(f"unknown suite {args.suite!r}")
     g = parse_graph_file(args.input)
     if not g.edges:
@@ -236,81 +237,78 @@ def cmd_verify(args) -> int:
     m, n = l.numerator, l.denominator
     if m < 1:
         raise PreconditionError("verify suites need a positive l")
-    run = lambda name: args.suite in (name, "all")  # noqa: E731
+    depth = {s: min(L, cap) for s, cap in caps.items() if args.suite in (s, "all")}
+    # the E(p,q) each suite builds, E(0,1) standing for E; limits, eta and
+    # kappa share one E(1,m+1), counted for the first of them that runs
+    shared = [s for s in depth if s in ("limits", "eta", "kappa")]
+    pqs = {"tck": [(0, 1)], "jmath": [(1, 2), (1, 3), (2, 3)]}
+    if shared:
+        pqs[shared[0]] = [(1, m + 1)]
+    reps = [(s, p, q, at) for s, at in depth.items() for p, q in pqs.get(s, ())]
     # The counts that refuse a suite come here, from E alone, before any runs
-    cases = path_count(g, min(L, 5)) * n if run("flow") else 0
+    cases = path_count(g, depth["flow"]) * n if "flow" in depth else 0
     if cases > MAX_SUITE_SIZE:
         raise PreconditionError(
             f"flow checks {cases} cases, over {MAX_SUITE_SIZE}; refusing to build D_{n}(E)"
         )
-    dual = run("limits") or run("eta") or run("kappa")
-    if dual:  # limits, eta and kappa share one representation of E(1,m+1)
+    if shared:
         check_layer_ids(g, m + 1)
     diag = validate(g)
     # morita enumerates E^m and D_n(E)^m, and its basis holds the vertices and
-    # the D_n(E)-paths of length k m, k <= L; a graph with sinks or sources it
-    # refuses below, or with sources in its own turn, after the suites before it
-    if run("morita") and not (diag.sinks or diag.sources):
+    # the D_n(E)-paths of length k m, k <= its length; it refuses sinks below,
+    # and sources in its own turn, after the suites before it
+    if "morita" in depth and not (diag.sinks or diag.sources):
         check_layer_ids(g, m)
-        sizes = list(itertools.islice(delay_layer_sizes(g, n), min(L, 4) * m + 1))
+        sizes = list(itertools.islice(delay_layer_sizes(g, n), depth["morita"] * m + 1))
         check_layer_sizes(sizes[1:], m)
         basis = sum(sizes[::m])
         if basis > MAX_SUITE_SIZE:
             raise PreconditionError(
-                f"morita builds D_{n}(E)(0,{m}) at L={min(L, 4)} on {basis} basis paths, "
+                f"morita builds D_{n}(E)(0,{m}) at L={depth['morita']} on {basis} basis paths, "
                 f"over {MAX_SUITE_SIZE}; refusing to build it"
             )
     shifts = (m + n - 1) // n  # the most edges that flow drops from a path
-    if cases and shifts >= min(L, 5):
+    if cases and shifts >= depth["flow"]:
         raise PreconditionError(
             f"flow at l={rat_str(l)} shifts each path by up to {shifts}, so it needs "
-            f"paths longer than {shifts}; L={L} gives length {min(L, 5)}"
+            f"paths longer than {shifts}; L={L} gives length {depth['flow']}"
         )
     # Then each other representation in suite order, up to the first whose
     # graph has sources, which build_rep refuses in its turn; with no sources
     # no suite before morita refuses, so its refusal of sinks comes first
-    if run("morita") and diag.sinks and not diag.sources:
+    if "morita" in depth and diag.sinks and not diag.sources:
         raise PreconditionError("need a graph with no sinks and no sources")
-    pqs = ((1, 2), (1, 3), (2, 3)) if run("jmath") else ()
-    reps = [("tck", 0, 1, L)] if run("tck") else []
-    reps += [("jmath", p, q, min(L, 3)) for p, q in pqs]
-    if dual:
-        reps.append((next(s for s in ("limits", "eta", "kappa") if run(s)), 1, m + 1, min(L, 4)))
-    for suite, p, q, depth in reps:
+    for suite, p, q, at in reps:
         if _has_sources(g, p, q):
             break
-        # |E^(p + k(q-p))| over k <= depth, stopped once past the cap
+        # |E^(p + k(q-p))| over k <= at, stopped once past the cap
         sizes = itertools.chain([len(g.vertices)], _layer_sizes(g))
         basis = 0
-        for k, size in enumerate(itertools.islice(sizes, p, p + depth * (q - p) + 1, q - p)):
+        for k, size in enumerate(itertools.islice(sizes, p, p + at * (q - p) + 1, q - p)):
             basis += size
             if basis > MAX_SUITE_SIZE:
                 raise PreconditionError(
-                    f"{suite} builds {f'E({p},{q})' if p else 'E'} at L={depth} on "
-                    f"{'at least ' * (k < depth)}{basis} basis paths, over {MAX_SUITE_SIZE}; "
+                    f"{suite} builds {f'E({p},{q})' if p else 'E'} at L={at} on "
+                    f"{'at least ' * (k < at)}{basis} basis paths, over {MAX_SUITE_SIZE}; "
                     "refusing to build it"
                 )
-    rng = random.Random(args.seed)
     out = RunReport()
-    if run("tck"):
-        rep = build_rep(g, L)
-        out.extend(opalg.check_tck(rep, rng))
-    for p, q in pqs:
-        out.extend(opalg.jmath(g, p, q, min(L, 3)).report)
-    if dual:
-        dual_rep = opalg.dual_rep(g, 1, m + 1, min(L, 4))
+    if "tck" in depth:
+        out.extend(opalg.check_tck(build_rep(g, depth["tck"]), random.Random(args.seed)))
+    for p, q in pqs["jmath"] if "jmath" in depth else ():
+        out.extend(opalg.jmath(g, p, q, depth["jmath"]).report)
+    if shared:
         a, xi = _seeded_functions(g, m, args.seed)
-    if run("limits"):
-        out.extend(opalg.limit_formulas(g, m, min(L, 4), a, xi, K=6, rep=dual_rep).report)
-    if run("eta"):
-        out.extend(opalg.eta_generators(g, m, min(L, 4), rep=dual_rep).report)
-    if run("kappa"):
-        for t in (Fraction(0), Fraction(1, 3), Fraction(1)):
-            out.extend(opalg.kappa_eval(g, m, min(L, 4), a, xi, t, rep=dual_rep).report)
-    if run("morita"):
-        out.extend(opalg.morita_combinatorics(g, m, n, min(L, 4)))
-    if run("flow"):
-        out.extend(flowmod.lattice_decomposition_check(g, m, n, min(L, 5)))
+    if "limits" in depth:
+        out.extend(opalg.limit_formulas(g, m, depth["limits"], a, xi, K=6).report)
+    if "eta" in depth:
+        out.extend(opalg.eta_generators(g, m, depth["eta"]).report)
+    for t in (Fraction(0), Fraction(1, 3), Fraction(1)) if "kappa" in depth else ():
+        out.extend(opalg.kappa_eval(g, m, depth["kappa"], a, xi, t).report)
+    if "morita" in depth:
+        out.extend(opalg.morita_combinatorics(g, m, n, depth["morita"]))
+    if "flow" in depth:
+        out.extend(flowmod.lattice_decomposition_check(g, m, n, depth["flow"]))
     print(out.to_json() if args.json else out.to_text())
     return EXIT_OK if out.ok else EXIT_STRUCTURAL
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 from .errors import PrecisionError, PreconditionError
 from .graph import Graph, Path, enumerate_paths
@@ -64,13 +64,22 @@ def apply_flow(p: FlowPoint, l: Union[Fraction, int, float]) -> FlowPoint:
     return FlowPoint(prefix, total - k, exact=p.exact and not inexact)
 
 
-def orbit_lines(p: FlowPoint, step, count: int) -> list[str]:
-    """Orbit trace: one "t<TAB>prefix" line per flow step."""
-    lines = [f"{rat_str(p.t)}\t{','.join(p.prefix.edge_ids)}"]
+def orbit_lines(p: FlowPoint, step, count: int) -> Iterator[str]:
+    """Orbit trace: one "t<TAB>prefix" line per flow step, made as it is read.
+
+    An orbit that runs past the prefix, t + count step >= |prefix|, is refused
+    before its first line, with the PrecisionError of its first failing step.
+    """
+    size, lf = len(p.prefix), Fraction(step)
+    if count > 0 and p.t + count * lf >= size:
+        j = math.ceil((size - p.t) / lf)  # the first step past the prefix
+        done = math.floor(p.t + (j - 1) * lf)  # the edges the steps before it dropped
+        k = math.floor(p.t + j * lf) - done
+        raise PrecisionError(f"needs {k} shifts but prefix has length {size - done}")
+    yield f"{rat_str(p.t)}\t{','.join(p.prefix.edge_ids)}"
     for _ in range(count):
         p = apply_flow(p, step)
-        lines.append(f"{rat_str(p.t)}\t{','.join(p.prefix.edge_ids)}")
-    return lines
+        yield f"{rat_str(p.t)}\t{','.join(p.prefix.edge_ids)}"
 
 
 def lattice_decomposition_check(g: Graph, m: int, n: int, L: int) -> RunReport:

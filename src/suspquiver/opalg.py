@@ -12,7 +12,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .errors import PreconditionError, StructuralError
 from .graph import Graph, Path, _path_layers, enumerate_paths, validate, vertex_path
@@ -44,7 +43,6 @@ class FunctionOnVertices:
     """
 
     def __init__(self, g: Graph, values: dict):
-        self.graph = g
         vals = self.values = {v: Fraction(values.get(v, 0)) for v in g.vertices}
         # (lo, slope) numerators over den per edge: a([e,t]) = (lo + slope t) / den
         self.den, num = _over_one_den(vals)
@@ -103,7 +101,6 @@ class FunctionOnEdges:
     def __init__(self, g: Graph, m: int, weights: dict):
         if m < 0:
             raise PreconditionError("parameter m must be >= 0")
-        self.graph = g
         self.m = m
         keys = [w.edge_ids if m else w.anchor for w in enumerate_paths(g, m)]
         wts = self.weights = {k: Fraction(weights.get(k, 0)) for k in keys}
@@ -234,17 +231,13 @@ class JmathTables:
     report: RunReport = field(default_factory=RunReport)
 
 
-def jmath(
-    g: Graph, p: int, q: int, L: int, rep: Optional[TruncatedRep] = None
-) -> JmathTables:
+def jmath(g: Graph, p: int, q: int, L: int) -> JmathTables:
     """The embedding of the E(0,q-p) generators into the E(p,q) representation.
 
     q_v = sum_{mu in vE^p} Q_mu and t_mu = sum_{nu in s(mu)E^p} T_{mu nu};
     verifies t_mu* t_nu = delta_{mu,nu} q_{s(mu)} on interior depth 1 and the
     defect identity q_v - sum t t* = sum_{mu in vE^p} Delta_mu exactly.
-    An already-built representation of E(p,q) may be passed in so the tables
-    share its basis; one of another graph, (p,q) or L is refused.  So is a
-    graph with an isolated vertex, which E(p,q) drops.
+    A graph with an isolated vertex, which E(p,q) drops, is refused.
     """
     if not 0 < p < q:
         raise PreconditionError("jmath requires 0 < p < q")
@@ -255,23 +248,24 @@ def jmath(
             f"graph has isolated vertices {sorted(isolated)}; E({p},{q}) drops them, "
             "so no defect of theirs can be witnessed"
         )
-    rep = dual_rep(g, p, q, L, rep)
+    rep = dual_rep(g, p, q, L)
     out = RunReport()
-    q_table, t_table, words, heads = _jmath_tables(g, p, q, rep)
+    q_table, t_table, heads = _jmath_tables(g, p, q, rep)
     zero = rep.zero()
     adjoints = {k: t.adjoint() for k, t in t_table.items()}
+    # t_table is keyed by the edge ids of each word mu of E^(q-p)
     ok_tt = all(
-        (adjoints[mu.edge_ids] @ t_table[nu.edge_ids]).equal_on_columns(
-            q_table[mu.s] if mu.edge_ids == nu.edge_ids else zero, L - 1
+        (adjoints[mu] @ t_table[nu]).equal_on_columns(
+            q_table[g.s(mu[-1])] if mu == nu else zero, L - 1
         )
-        for mu in words
-        for nu in words
+        for mu in t_table
+        for nu in t_table
     )
-    out.add("jmath.t*t=delta_q", ok_tt, f"(p,q)=({p},{q}), {len(words)}^2 pairs")
+    out.add("jmath.t*t=delta_q", ok_tt, f"(p,q)=({p},{q}), {len(t_table)}^2 pairs")
     ok_defect = True
     ok_witness = True
     for v in g.vertices:
-        tts = [t_table[nu.edge_ids] @ adjoints[nu.edge_ids] for nu in words if nu.r == v]
+        tts = [t_table[nu] @ adjoints[nu] for nu in t_table if g.r(nu[0]) == v]
         d = combo(rep, [(1, q_table[v])] + [(-1, tt) for tt in tts])
         expected = combo(rep, [(1, rep.delta(join_ids(ids))) for ids in heads[v]])
         if d != expected:
@@ -289,33 +283,31 @@ def jmath(
 
 def _once(owner, key, build):
     """build(), run once per key and owner (a graph or a representation) and
-    kept on it, so the suites of one command share what they derive from it."""
+    kept on it, so the suites of one command share what they derive from it.
+    Nothing kept on a representation refers to the graph that keeps it, which
+    would make a cycle that cli.main's freeze keeps from being collected."""
     derived = vars(owner).setdefault("_derived", {})
     if key not in derived:
         derived[key] = build()
     return derived[key]
 
 
-def dual_rep(g: Graph, p: int, q: int, L: int, rep: Optional[TruncatedRep] = None) -> TruncatedRep:
-    """The E(p,q) representation truncated at L: rep if given and checked, else built.
+def dual_rep(g: Graph, p: int, q: int, L: int) -> TruncatedRep:
+    """The E(p,q) representation truncated at L, built once per g, (p,q) and L.
 
-    E(p,q) is derived once per g; a rep on any other graph is compared with it.
+    E(p,q) is derived once per g, so representations of it at two L share it.
     """
-    dual = _once(g, ("dual", p, q), lambda: higher_dual(g, p, q))
-    if rep is None:
+
+    def build():
+        dual = _once(g, ("dual", p, q), lambda: higher_dual(g, p, q))
         return build_rep(dual, L)
-    if rep.L != L:
-        raise PreconditionError("supplied representation has the wrong length cap")
-    if rep.graph is not dual and (
-        rep.graph.vertices != dual.vertices or rep.graph.edges != dual.edges
-    ):
-        raise PreconditionError(f"supplied representation is not of E({p},{q}) of this graph")
-    return rep
+
+    return _once(g, ("rep", p, q, L), build)
 
 
 def _jmath_tables(g: Graph, p: int, q: int, rep: TruncatedRep):
-    """q_table, t_table, the words E^(q-p) keying t_table and the edge ids of
-    the p-paths by range, on rep = E(p,q); built once per rep."""
+    """q_table, t_table (keyed by the edge ids of E^(q-p)) and the edge ids of
+    the p-paths by range, on rep = E(p,q) of g; built once per rep."""
 
     def build():
         heads: dict = {v: [] for v in g.vertices}
@@ -324,16 +316,15 @@ def _jmath_tables(g: Graph, p: int, q: int, rep: TruncatedRep):
         q_table = {
             v: combo(rep, [(1, rep.Q[join_ids(ids)]) for ids in heads[v]]) for v in g.vertices
         }
-        words = enumerate_paths(g, q - p)
         t_table = {
             mu.edge_ids: combo(
                 rep, [(1, rep.T[join_ids(mu.edge_ids + ids)]) for ids in heads[mu.s]]
             )
-            for mu in words
+            for mu in enumerate_paths(g, q - p)
         }
-        return q_table, t_table, words, heads
+        return q_table, t_table, heads
 
-    return _once(rep, ("jmath", g, p, q), build)
+    return _once(rep, ("jmath", p, q), build)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +398,7 @@ def _limit_ops(
     """The limits (rho, psi) of the fibre pair at t -> 0+ (end 0) or t -> 1- (end 1),
     built once per rep."""
     build = lambda: _on_generators(rep, *_limit_coeffs(g, m, a, xi, end))  # noqa: E731
-    return _once(rep, ("limit", g, m, a, xi, end), build)
+    return _once(rep, ("limit", m, a, xi, end), build)
 
 
 def _limit_errors(
@@ -455,17 +446,17 @@ def _jmath_image(
     fibre, built once per rep."""
 
     def build():
-        q_table, t_table, words, _ = _jmath_tables(g, 1, m + 1, rep)
+        q_table, t_table, _ = _jmath_tables(g, 1, m + 1, rep)
         rho = combo(rep, [(a.at_base(v), q_table[v]) for v in g.vertices])
+        words = enumerate_paths(g, m)
         psi = combo(rep, [(xi.at_lattice(w), t_table[w.edge_ids]) for w in words])
         return rho, psi
 
-    return _once(rep, ("image", g, m, a, xi), build)
+    return _once(rep, ("image", m, a, xi), build)
 
 
 def limit_formulas(
-    g: Graph, m: int, L: int, a: FunctionOnVertices, xi: FunctionOnEdges, K: int = 10,
-    rep: Optional[TruncatedRep] = None,
+    g: Graph, m: int, L: int, a: FunctionOnVertices, xi: FunctionOnEdges, K: int = 10
 ) -> LimitReport:
     """Closed-form limit operators at t -> 0+ and t -> 1-, with exact error decay.
 
@@ -474,13 +465,12 @@ def limit_formulas(
     d the distance to the endpoint; the check asserts that closed form exactly
     and reports each C.
     ``errors`` holds the float norms, ``constants`` the exact C per sequence.
-    A representation of E(1,m+1) truncated at L may be passed in as rep, as in jmath.
     """
     if m < 1:
         raise PreconditionError("limit_formulas requires m >= 1")
     if K < 1:
         raise PreconditionError("limit_formulas requires K >= 1")
-    rep = dual_rep(g, 1, m + 1, L, rep)
+    rep = dual_rep(g, 1, m + 1, L)
     eps0_rho, eps0_psi = _limit_ops(rep, g, m, a, xi, 0)
     eps1_rho, eps1_psi = _limit_ops(rep, g, m, a, xi, 1)
     out = RunReport()
@@ -533,14 +523,11 @@ class EtaTables:
     report: RunReport = field(default_factory=RunReport)
 
 
-def eta_generators(g: Graph, m: int, L: int, rep: Optional[TruncatedRep] = None) -> EtaTables:
-    """w_v, x_v, y_mu, z_mu in the E(1,m+1) representation, with their relations.
-
-    A representation of E(1,m+1) truncated at L may be passed in as rep, as in jmath.
-    """
+def eta_generators(g: Graph, m: int, L: int) -> EtaTables:
+    """w_v, x_v, y_mu, z_mu in the E(1,m+1) representation, with their relations."""
     if m < 1:
         raise PreconditionError("eta_generators requires m >= 1")
-    rep = dual_rep(g, 1, m + 1, L, rep)
+    rep = dual_rep(g, 1, m + 1, L)
     out = RunReport()
     w_table = {v: combo(rep, [(1, rep.Q[e.id]) for e in g.emitted(v)]) for v in g.vertices}
     x_table = {v: combo(rep, [(1, rep.Q[e.id]) for e in g.received(v)]) for v in g.vertices}
@@ -560,7 +547,7 @@ def eta_generators(g: Graph, m: int, L: int, rep: Optional[TruncatedRep] = None)
         for mu in words
     )
     out.add("eta.y*y=|E1r|Q", ok_y, f"{len(words)} words, interior depth 1")
-    q_table, t_table, _, _ = _jmath_tables(g, 1, m + 1, rep)
+    q_table, t_table, _ = _jmath_tables(g, 1, m + 1, rep)
     ok_x = all(x_table[v] == q_table[v] for v in g.vertices)
     ok_z = all(z_table[mu.edge_ids] == t_table[mu.edge_ids] for mu in words)
     out.add("eta.x=jmath(Q)", ok_x, "exact")
@@ -577,21 +564,19 @@ class KappaResult:
 
 
 def kappa_eval(
-    g: Graph, m: int, L: int, a: FunctionOnVertices, xi: FunctionOnEdges, t,
-    rep: Optional[TruncatedRep] = None,
+    g: Graph, m: int, L: int, a: FunctionOnVertices, xi: FunctionOnEdges, t
 ) -> KappaResult:
     """The three-case fibre evaluation of (rho(a), psi(xi)) on E(1,m+1)^{<=L}.
 
     t = 0 gives the jmath images of the E(0,m) fibre, 0 < t < 1 the coefficient
     sums, t = 1 the edge-prepended sums; endpoints match the limit operators.
-    A representation of E(1,m+1) truncated at L may be passed in as rep, as in jmath.
     """
     t = Fraction(t)
     if not 0 <= t <= 1:
         raise PreconditionError("kappa is evaluated on [0,1]")
     if m < 1:
         raise PreconditionError("kappa_eval requires m >= 1")
-    rep = dual_rep(g, 1, m + 1, L, rep)
+    rep = dual_rep(g, 1, m + 1, L)
     out = RunReport()
     hyp = _once(g, ("hypothesis", m), lambda: hypothesis_check(g, m))
     out.add(

@@ -419,7 +419,8 @@ def norm_squared(op: SparseOperator) -> Fraction:
     When no row of A holds two entries the columns have disjoint row supports,
     so A*A is diagonal and its diagonal is the sum of a_rc^2 down each
     column.  Otherwise A*A is formed exactly; an operator whose A*A is not
-    diagonal is refused rather than estimated.
+    diagonal is refused rather than estimated.  No command calls it: it is
+    the reference that sum_sq_norm, which the limit sweep uses, is tested against.
     """
     num = op.num
     if len({r for r, _ in num}) == len(num):

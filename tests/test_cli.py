@@ -321,6 +321,24 @@ def test_flow_precision_exhaustion(two_loop_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "start,step,count,err",
+    [
+        # the two-millionth step is the first to run out: taking the steps
+        # before it costs about 20 s and 174 MB, so none of them is taken
+        ("e,e", "1/1000000", "100000000", "needs 1 shifts but prefix has length 1"),
+        # the fourth step needs 2 shifts of the 1 edge that the first three left
+        ("e,f,e,f,e", "3/2", "4", "needs 2 shifts but prefix has length 1"),
+    ],
+)
+def test_flow_past_the_prefix_is_refused_up_front(two_loop_file, capsys, start, step, count, err):
+    began = time.perf_counter()
+    rc = cli.main(["flow", two_loop_file, "--start", start, "--step", step, "--count", count])
+    assert time.perf_counter() - began < 1
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"ERROR precondition: {err}\n")
+
+
 def test_flow_negative_count_refused(two_loop_file, capsys):
     rc = cli.main(["flow", two_loop_file, "--start", "e,f", "--count", "-3"])
     assert rc == 2
@@ -738,12 +756,14 @@ def test_ktheory_prints_orders_at_the_digit_bound(two_loop_file, capsys):
 
 @pytest.mark.parametrize("l", ["1/2", "2"])
 def test_verify_derives_each_table_once(two_loop_file, capsys, monkeypatch, l):
-    # per command: each E(p,q) once (jmath's three and D_n(E)(0,m)), the
-    # jmath tables once per representation (jmath's three and the E(1,m+1)
-    # that limits, eta and kappa share), the hypothesis once; the owners are
-    # kept, so that no two of them share an id
-    duals, built, hyps = [], [], []
+    # per command: each E(p,q) once (jmath's three and D_n(E)(0,m)), one
+    # representation per graph and L (tck's E, jmath's three, the E(1,m+1)
+    # that limits, eta and kappa share, and D_n(E)(0,m)), the jmath tables
+    # once per representation (jmath's three and the shared E(1,m+1)), the
+    # hypothesis once; the owners are kept, so that no two of them share an id
+    duals, reps, built, hyps = [], [], [], []
     real_dual, real_once, real_hyp = opalg.higher_dual, opalg._once, opalg.hypothesis_check
+    real_rep = operators.build_rep
 
     def dual(g, p, q):
         duals.append((g, p, q))
@@ -756,11 +776,25 @@ def test_verify_derives_each_table_once(two_loop_file, capsys, monkeypatch, l):
     monkeypatch.setattr(transform, "higher_dual", dual)  # through higher_power
     monkeypatch.setattr(opalg, "_once", once)
     monkeypatch.setattr(opalg, "hypothesis_check", lambda g, m: hyps.append(m) or real_hyp(g, m))
+    for module in (cli, opalg):
+        monkeypatch.setattr(module, "build_rep", lambda g, L: reps.append((g, L)) or real_rep(g, L))
     assert cli.main(["verify", two_loop_file, "--suite", "all", "--l", l]) == 0
     assert len({(id(g), p, q) for g, p, q in duals}) == len(duals) == 4
+    assert len({(id(g), L) for g, L in reps}) == len(reps) == 6
     assert len({(key, id(owner)) for key, owner in built}) == len(built)
     assert sum(key[0] == "jmath" for key, _ in built) == 4
     assert hyps == [int(l.split("/")[0])]
+
+
+@pytest.mark.parametrize("l", ["1/2", "2"])
+def test_verify_leaves_no_cycle(two_loop_file, capsys, l):
+    # main freezes what is alive when it starts, so a cycle that one command
+    # leaves is never collected by the next: the representations the suites
+    # share are kept on the graph, and nothing kept on them may refer to it
+    gc.collect()
+    assert cli.main(["verify", two_loop_file, "--suite", "all", "--l", l]) == 0
+    capsys.readouterr()
+    assert gc.collect() == 0
 
 
 def test_verify_builds_no_basis_labels(tmp_path, capsys, monkeypatch):

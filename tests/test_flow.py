@@ -17,6 +17,7 @@ from suspquiver import (
     make_flow_point,
     orbit_lines,
 )
+from suspquiver.report import rat_str
 
 from conftest import (
     make_single_loop,
@@ -67,13 +68,37 @@ def test_apply_flow_precision(single_loop):
 def test_orbit_lines(two_loop):
     g = two_loop
     p = FlowPoint(Path(g, ("e", "f", "e", "f")), Fraction(0))
-    lines = orbit_lines(p, Fraction(1, 2), 3)
+    lines = list(orbit_lines(p, Fraction(1, 2), 3))
     assert lines == [
         "0\te,f,e,f",
         "1/2\te,f,e,f",
         "0\tf,e,f",
         "1/2\tf,e,f",
     ]
+
+
+@given(
+    size=st.integers(1, 6),
+    t0=st.fractions(min_value=0, max_value=Fraction(11, 12), max_denominator=12),
+    step=st.fractions(min_value=0, max_value=4, max_denominator=7),
+    count=st.integers(0, 30),
+)
+@settings(max_examples=200, deadline=None)
+def test_orbit_lines_match_stepping(size, t0, step, count):
+    # the lines or the first step's PrecisionError, refused before any line
+    p = FlowPoint(Path(make_two_loop(), ("e",) * size), t0)
+    want, q = [p], p
+    try:
+        for _ in range(count):
+            q = apply_flow(q, step)
+            want.append(q)
+    except PrecisionError as exc:
+        with pytest.raises(PrecisionError) as got:
+            next(orbit_lines(p, step, count))
+        assert str(got.value) == str(exc)
+        return
+    lines = [f"{rat_str(q.t)}\t{','.join(q.prefix.edge_ids)}" for q in want]
+    assert list(orbit_lines(p, step, count)) == lines
 
 
 @pytest.mark.parametrize("m,n", [(1, 2), (2, 3)])

@@ -31,7 +31,7 @@ from suspquiver import (
     vertex_fn_interpolated,
     vertex_path,
 )
-from suspquiver.opalg import _fibre_rho_psi
+from suspquiver.opalg import _fibre_rho_psi, dual_rep
 
 from conftest import (
     make_cycle_plus_loop,
@@ -254,7 +254,7 @@ def test_limit_errors_match_fibre_minus_limit(seed, m, k, data):
     from suspquiver.opalg import _limit_errors, _limit_ops
 
     g = random_no_sink_source_graph(seed, max_vertices=3, max_edges=3)
-    rep = build_rep(higher_dual(g, 1, m + 1), 2)
+    rep = dual_rep(g, 1, m + 1, 2)
     value = st.one_of(
         st.just(Fraction(0)), st.fractions(min_value=-2, max_value=2, max_denominator=8)
     )
@@ -269,8 +269,8 @@ def test_limit_errors_match_fibre_minus_limit(seed, m, k, data):
         eps_rho, eps_psi = _limit_ops(rep, g, m, a, xi, end)
         assert err(at, end) == (norm_squared(rho - eps_rho), norm_squared(psi - eps_psi))
     # every a and xi is affine, so the closed form ||err||^2 = C d^2 holds
-    lim = limit_formulas(g, m, 2, a, xi, K=3, rep=rep)
-    assert lim.report.ok, lim.report.to_text()
+    lim = limit_formulas(g, m, 2, a, xi, K=3)
+    assert lim.rep is rep and lim.report.ok, lim.report.to_text()
 
 
 def test_limit_constants_pinned(cycle_plus_loop):
@@ -340,34 +340,17 @@ def test_kappa_interior_matches_fibre(two_loop):
     assert res.rho == rho and res.psi == psi
 
 
-SUITES_WITH_REP = {
-    "jmath": lambda g, a, xi, rep: jmath(g, 1, 2, 3, rep=rep),
-    "limits": lambda g, a, xi, rep: limit_formulas(g, 1, 3, a, xi, K=2, rep=rep),
-    "eta": lambda g, a, xi, rep: eta_generators(g, 1, 3, rep=rep),
-    "kappa": lambda g, a, xi, rep: kappa_eval(g, 1, 3, a, xi, 0, rep=rep),
-}
-
-
-@pytest.mark.parametrize("suite", sorted(SUITES_WITH_REP))
-def test_supplied_rep_is_used(suite, two_loop):
+def test_suites_share_one_representation(two_loop):
+    # limits, eta and kappa at one (g, m, L) and jmath on the same E(1,m+1)
+    # read the representation that dual_rep built for them; another L builds
+    # another
     a, xi = _test_functions(two_loop, 1)
-    rep = build_rep(higher_dual(two_loop, 1, 2), 3)
-    res = SUITES_WITH_REP[suite](two_loop, a, xi, rep)
-    assert res.rep is rep
-    assert res.report.to_text() == SUITES_WITH_REP[suite](two_loop, a, xi, None).report.to_text()
-
-
-@pytest.mark.parametrize("suite", sorted(SUITES_WITH_REP))
-@pytest.mark.parametrize("wrong", ["graph", "p,q", "L"])
-def test_supplied_rep_is_checked(suite, wrong, two_loop, cycle_plus_loop):
-    a, xi = _test_functions(two_loop, 1)
-    rep = {
-        "graph": lambda: build_rep(higher_dual(cycle_plus_loop, 1, 2), 3),
-        "p,q": lambda: build_rep(higher_dual(two_loop, 1, 3), 3),
-        "L": lambda: build_rep(higher_dual(two_loop, 1, 2), 2),
-    }[wrong]()
-    with pytest.raises(PreconditionError):
-        SUITES_WITH_REP[suite](two_loop, a, xi, rep)
+    rep = limit_formulas(two_loop, 1, 3, a, xi, K=2).rep
+    assert eta_generators(two_loop, 1, 3).rep is rep
+    assert kappa_eval(two_loop, 1, 3, a, xi, 0).rep is rep
+    assert jmath(two_loop, 1, 2, 3).rep is rep is dual_rep(two_loop, 1, 2, 3)
+    other = eta_generators(two_loop, 1, 2).rep
+    assert other is not rep and other.L == 2 and other.graph is rep.graph
 
 
 @pytest.mark.parametrize(
