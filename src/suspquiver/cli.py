@@ -15,6 +15,7 @@ import random
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .errors import PreconditionError, StructuralError, SuspensionError
 from . import flow as flowmod
@@ -23,9 +24,9 @@ from . import opalg
 from .graph import Graph, Path, check_layer_ids, enumerate_paths, path_count, validate
 from .graph import _layer_sizes, check_layer_sizes
 from .operators import build_rep
-from .quiver import fibre_paths, fibre_words, openness_report
+from .quiver import fibre_layer, fibre_paths, openness_report
 from .report import RunReport, rat_str
-from .transform import delay, delay_layer_sizes, higher_dual, higher_power, opposite
+from .transform import delay, delay_layer_sizes, higher_dual_triples, opposite
 
 MAX_DENOMINATOR = 10**6
 
@@ -72,20 +73,21 @@ def parse_graph_file(path: str) -> Graph:
     return Graph(vertices, edges)
 
 
-def graph_to_json(g: Graph) -> str:
-    """The canonical form of g: json.dumps(doc, indent=2, sort_keys=True) and a
-    newline, for doc = {"vertices": [...], "edges": [{"id", "src", "dst"}]}.
+def graph_to_json(vertices, edges) -> str:
+    """The canonical form of a graph of vertex ids and (id, src, dst) edge
+    triples: json.dumps(doc, indent=2, sort_keys=True) and a newline, for
+    doc = {"vertices": [...], "edges": [{"id", "src", "dst"}]}.
 
     The layout is written directly, since with indent json.dumps runs its
     pure-Python encoder; each string goes through the same ASCII escaping.
     """
     enc = encode_basestring_ascii
     edges = ",\n".join(
-        f'    {{\n      "dst": {enc(e.dst)},\n      "id": {enc(e.id)},\n'
-        f'      "src": {enc(e.src)}\n    }}'
-        for e in g.edges
+        f'    {{\n      "dst": {enc(dst)},\n      "id": {enc(i)},\n'
+        f'      "src": {enc(src)}\n    }}'
+        for i, src, dst in edges
     )
-    vertices = ",\n".join("    " + enc(v) for v in g.vertices)
+    vertices = ",\n".join("    " + enc(v) for v in vertices)
     return (
         '{\n  "edges": ' + (f"[\n{edges}\n  ]" if edges else "[]")
         + ',\n  "vertices": ' + (f"[\n{vertices}\n  ]" if vertices else "[]")
@@ -142,17 +144,21 @@ def cmd_transform(args) -> int:
     elif op.startswith("power:"):
         m = _int_param(op[6:])
         check_layer_ids(g, m)
-        out = higher_power(g, m)
+        if m < 1:  # as higher_power refuses it
+            raise PreconditionError("higher_power requires m >= 1")
+        out = higher_dual_triples(g, 0, m)
     elif op.startswith("dual:"):
         parts = op[5:].split(",")
         if len(parts) != 2:
             raise StructuralError("dual op needs two parameters p,q")
         p, q = _int_param(parts[0]), _int_param(parts[1])
         check_layer_ids(g, q if 0 <= p < q else 0)  # else higher_dual refuses p,q
-        out = higher_dual(g, p, q)
+        out = higher_dual_triples(g, p, q)
     else:
         raise StructuralError(f"unknown op {op!r}")
-    text = graph_to_json(out)
+    if isinstance(out, Graph):  # opposite and delay; E(p,q) comes as triples
+        out = out.vertices, [(e.id, e.src, e.dst) for e in out.edges]
+    text = graph_to_json(*out)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -347,13 +353,14 @@ def cmd_quiver(args) -> int:
             lines.append(f"{head}{len(anchors)}")
             lines.extend(f"VERTEX {qp.anchor}" for qp in anchors)
         else:
-            check_layer_ids(g, args.n * args.m + (t % 1 != 0))
-            paths = fibre_words(g, args.m, t, args.n)
-            lines.append(f"{head}{len(paths)}")
-            lines.extend(
-                "PATH " + " ".join("(" + ")(".join(w) + ")" for w in words)
-                for words in paths
-            )
+            m, n = args.m, args.n
+            check_layer_ids(g, n * m + (t % 1 != 0))
+            layer, k = fibre_layer(g, m, t, n)
+            # window i is mu(im, (i+1)m + k): a "%s" per id, filled from its place in mu
+            fmt = "PATH " + " ".join(["(" + ")(".join(["%s"] * (m + k)) + ")"] * n)
+            ids_in_windows = itemgetter(*(i * m + j for i in range(n) for j in range(m + k)))
+            lines.append(f"{head}{len(layer)}")
+            lines.extend(fmt % ids_in_windows(ids) for ids, _, _ in layer)
     print("\n".join(lines))
     return EXIT_OK
 
@@ -505,6 +512,9 @@ def _run(argv) -> int:
     except SuspensionError as exc:
         print(f"ERROR: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL
+    finally:  # json.dumps with an indent leaves a cycle; the next main would freeze it
+        if getattr(args, "json", False):
+            gc.collect()
 
 
 if __name__ == "__main__":

@@ -305,24 +305,24 @@ def _path_layers(g: Graph, rng: Optional[str] = None) -> Iterator[list]:
     if rng is not None and rng not in received:
         raise StructuralError(f"unknown vertex id {rng!r}")
     starts = [rng] if rng is not None else g.vertices
-    layer = sorted(((e.id,), e.src, None) for v in starts for e in received[v])
+    layer = sorted(((eid,), src, None) for v in starts for eid, src in received[v])
     while layer:
         yield layer
         layer = [
-            (ids + (e.id,), e.src, i)
+            (ids + (eid,), src, i)
             for i, (ids, tail, _) in enumerate(layer)
-            for e in received[tail]
+            for eid, src in received[tail]
         ]
 
 
-def _received_by_id(g: Graph) -> dict[str, list[Edge]]:
-    """Each vertex's received edges in edge-id order, sorted on the first call
-    and kept on g: graphs that are never enumerated never pay for it."""
+def _received_by_id(g: Graph) -> dict[str, list[tuple[str, str]]]:
+    """Each vertex's received (edge id, source) pairs in id order, sorted on
+    the first call and kept on g: graphs never enumerated never pay for it."""
     try:
         return g._received_sorted
     except AttributeError:
         g._received_sorted = {
-            v: sorted(es, key=lambda e: e.id) for v, es in g._received.items()
+            v: sorted((e.id, e.src) for e in es) for v, es in g._received.items()
         }
         return g._received_sorted
 
@@ -355,7 +355,7 @@ def path_count(g: Graph, n: int) -> int:
 # The most edge ids that layers 1..n of _path_layers may hold, summed as
 # k |E^k| over k <= n, before a command enumerates them.  Two loops at one
 # vertex hold 4,194,306 ids up to n = 17, which `transform --op power:17`
-# enumerates and writes in 1.2 s and 145 MB on a 2-CPU machine.
+# enumerates and writes in 0.6-0.7 s and 92 MB on a 2-CPU machine.
 MAX_LAYER_IDS = 2**23
 
 

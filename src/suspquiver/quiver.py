@@ -168,16 +168,19 @@ def fibre_words(g: Graph, m: int, t, n: int) -> list[tuple[tuple[str, ...], ...]
     SG[m]E^n_t, in the order of fibre_paths.
 
     Edge i of a fibre path is the window mu(im, (i+1)m + k) of one path mu of
-    E^{nm+k}, k = 0 for t = 0 and 1 otherwise: windows of one path compose,
-    so they are sliced from its edge ids and not checked.
+    E^{nm+k} (see fibre_layer): windows of one path compose, so they are
+    sliced from its edge ids and not checked.
     """
+    layer, k = fibre_layer(g, m, t, n)
+    return [tuple(ids[i * m : (i + 1) * m + k] for i in range(n)) for ids, _, _ in layer]
+
+
+def fibre_layer(g: Graph, m: int, t, n: int) -> tuple[list, int]:
+    """For n >= 1, the layer of E^{nm+k} that SG[m]E^n_t windows, and k (0 at t = 0, else 1)."""
     if m < 1 or n < 1:
         raise PreconditionError("fibre_words requires m >= 1 and n >= 1")
     k = 0 if as_circle(Fraction(t)) == 0 else 1
-    return [
-        tuple(ids[i * m : (i + 1) * m + k] for i in range(n))
-        for ids, _, _ in _path_layer(g, n * m + k)
-    ]
+    return _path_layer(g, n * m + k), k
 
 
 @dataclass(frozen=True)

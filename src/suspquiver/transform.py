@@ -96,7 +96,12 @@ def join_ids(ids: tuple[str, ...]) -> str:
 
 
 def higher_dual(g: Graph, p: int, q: int) -> Graph:
-    """E(p,q): vertices are p-paths, edges are q-paths, range/source by windowing.
+    """E(p,q) as a Graph: see higher_dual_triples."""
+    return Graph(*higher_dual_triples(g, p, q))
+
+
+def higher_dual_triples(g: Graph, p: int, q: int) -> tuple[list[str], list[tuple[str, str, str]]]:
+    """E(p,q) as vertex ids (p-paths) and (id, src, dst) edge triples (q-paths).
 
     For p >= 1 the range of the edge e_1...e_q is e_1...e_p and its source is
     e_{q-p+1}...e_q; for p = 0 they are r(e_1) and s(e_q).  Both are read off
@@ -105,12 +110,14 @@ def higher_dual(g: Graph, p: int, q: int) -> Graph:
     if p < 0 or q <= p:
         raise PreconditionError("higher_dual requires 0 <= p < q")
     layer = _path_layer(g, q)
+    # join_ids is ",".join on every word when no edge id holds a comma
+    join = join_ids if any("," in e.id for e in g.edges) else ",".join
     if p == 0:
         dst = {e.id: e.dst for e in g.edges}
-        return Graph(g.vertices, [(join_ids(ids), tail, dst[ids[0]]) for ids, tail, _ in layer])
-    vid = {ids: join_ids(ids) for ids, _, _ in _path_layer(g, p)}
-    edges = [(join_ids(ids), vid[ids[q - p :]], vid[ids[:p]]) for ids, _, _ in layer]
-    return Graph(list(vid.values()), edges)
+        return list(g.vertices), [(join(ids), tail, dst[ids[0]]) for ids, tail, _ in layer]
+    vid = {ids: join(ids) for ids, _, _ in _path_layer(g, p)}
+    edges = [(join(ids), vid[ids[q - p :]], vid[ids[:p]]) for ids, _, _ in layer]
+    return list(vid.values()), edges
 
 
 def higher_power(g: Graph, m: int) -> Graph:

@@ -496,6 +496,18 @@ def small_graphs(draw):
 
 
 @st.composite
+def odd_id_graphs(draw):
+    """A small graph whose vertex and edge ids hold the characters that the
+    writers escape or must keep apart: ",", "\\", '"', "%", "(", ")" and
+    non-ASCII ones (so "%s" and "(x)" can be drawn too)."""
+    ids = st.text(alphabet=',\\"%()sxé𝔼', min_size=1, max_size=3)
+    vs = draw(st.lists(ids, min_size=1, max_size=3, unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(vs), st.sampled_from(vs)), max_size=5))
+    eids = draw(st.lists(ids, min_size=len(pairs), max_size=len(pairs), unique=True))
+    return Graph(vs, [(i, s, d) for i, (s, d) in zip(eids, pairs)])
+
+
+@st.composite
 def no_sink_source_graphs(draw):
     """1-3 vertices; each emits and receives an edge, plus up to two more."""
     vs = [f"v{i}" for i in range(draw(st.integers(1, 3)))]

@@ -1,10 +1,13 @@
 """CLI contract: parsing, exit codes, determinism, round trips."""
 
+import contextlib
 import gc
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 from suspquiver import Graph, cli, fibre_paths, flow, opalg, operators, transform
 from suspquiver.report import rat_str
 
-from conftest import small_graphs
+from conftest import odd_id_graphs, small_graphs
 
 TWO_LOOP = {
     "vertices": ["v"],
@@ -41,6 +44,18 @@ COMMA_LOOPS = {
     "edges": [
         {"id": "a", "src": "v", "dst": "v"},
         {"id": "a,a", "src": "v", "dst": "v"},
+    ],
+}
+
+# ids holding what the writers escape or must keep apart: ",", "\\", '"',
+# "%s", "(x)" and non-ASCII characters
+ODD_IDS = {
+    "vertices": ["v,\\", "é%s"],
+    "edges": [
+        {"id": "a,b", "src": "v,\\", "dst": "é%s"},
+        {"id": "(x)", "src": "é%s", "dst": "v,\\"},
+        {"id": '%s"\\', "src": "v,\\", "dst": "v,\\"},
+        {"id": "𝔼", "src": "é%s", "dst": "é%s"},
     ],
 }
 
@@ -115,9 +130,14 @@ def test_graph_roundtrip_is_canonical(tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(TWO_LOOP, indent=None))
     g = cli.parse_graph_file(str(path))
-    once = cli.graph_to_json(g)
+    once = _write_graph(g)
     path.write_text(once)
-    assert cli.graph_to_json(cli.parse_graph_file(str(path))) == once
+    assert _write_graph(cli.parse_graph_file(str(path))) == once
+
+
+def _write_graph(g: Graph) -> str:
+    """graph_to_json on g's own vertex ids and edge triples."""
+    return cli.graph_to_json(g.vertices, [(e.id, e.src, e.dst) for e in g.edges])
 
 
 def _dumps_graph(g: Graph) -> str:
@@ -140,19 +160,19 @@ def _dumps_graph(g: Graph) -> str:
     ids=["empty", "no_edges", "non_ascii", "escapes"],
 )
 def test_graph_to_json_matches_json_dumps(g):
-    assert cli.graph_to_json(g) == _dumps_graph(g)
+    assert _write_graph(g) == _dumps_graph(g)
 
 
 @given(g=small_graphs())
 def test_graph_to_json_matches_json_dumps_on_small_graphs(g):
-    assert cli.graph_to_json(g) == _dumps_graph(g)
+    assert _write_graph(g) == _dumps_graph(g)
 
 
 @given(ids=st.lists(st.text(min_size=1), max_size=4, unique=True))
 def test_graph_to_json_matches_json_dumps_on_any_ids(ids):
     # each id names a vertex and the loop at it
     g = Graph(ids, [(i, i, i) for i in ids])
-    assert cli.graph_to_json(g) == _dumps_graph(g)
+    assert _write_graph(g) == _dumps_graph(g)
 
 
 def test_ktheory_pinned(two_loop_file, capsys):
@@ -381,11 +401,61 @@ def _fibre_path_lines(g, m, t, n) -> str:
 @pytest.mark.parametrize("t", ["0", "1/3", "-2/3"])
 @pytest.mark.parametrize("m,n", [(1, 0), (2, 0), (1, 1), (2, 3), (1, 5)])
 def test_quiver_lines_match_fibre_paths(tmp_path, capsys, t, m, n):
-    path = tmp_path / "g.json"
-    path.write_text(json.dumps(CYCLE_PLUS_LOOP))
-    assert cli.main(["quiver", str(path), "--m", str(m), "--t", t, "--n", str(n)]) == 0
-    g = cli.parse_graph_file(str(path))
-    assert capsys.readouterr().out == _fibre_path_lines(g, m, cli.parse_rational(t), n)
+    # (1, 1) at t = 0 writes one edge id per line, through a single "%s"
+    for doc in (CYCLE_PLUS_LOOP, ODD_IDS):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["quiver", str(path), "--m", str(m), "--t", t, "--n", str(n)]) == 0
+        g = cli.parse_graph_file(str(path))
+        assert capsys.readouterr().out == _fibre_path_lines(g, m, cli.parse_rational(t), n)
+
+
+def _main_stdout(g: Graph, *argv: str) -> str:
+    """cli.main(argv) on g written to a file, which must exit 0: its stdout."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(_dumps_graph(g))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main([argv[0], path, *argv[1:]]) == 0
+    return out.getvalue()
+
+
+@given(
+    g=odd_id_graphs(),
+    t=st.sampled_from(["0", "1/3"]),
+    mn=st.sampled_from([(1, 0), (1, 1), (2, 1), (1, 2), (1, 3), (2, 2)]),
+)
+def test_quiver_lines_match_fibre_paths_on_odd_ids(g, t, mn):
+    m, n = mn
+    out = _main_stdout(g, "quiver", "--m", str(m), "--t", t, "--n", str(n))
+    assert out == _fibre_path_lines(g, m, cli.parse_rational(t), n)
+
+
+@given(g=odd_id_graphs(), pq=st.sampled_from([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))
+def test_transform_power_and_dual_match_json_dumps(g, pq):
+    p, q = pq
+    expected = _dumps_graph(transform.higher_dual(g, p, q))
+    assert _main_stdout(g, "transform", "--op", f"dual:{p},{q}") == expected
+    if p == 0:
+        assert _main_stdout(g, "transform", "--op", f"power:{q}") == expected
+
+
+@pytest.mark.parametrize("op", ["power:8", "dual:1,5"])
+def test_transform_builds_only_the_input_graph(two_loop_file, capsys, monkeypatch, op):
+    # E(p,q) is written from its triples: the parsed input is the one Graph
+    built = []
+    real_init = Graph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    assert cli.main(["transform", two_loop_file, "--op", op]) == 0
+    assert capsys.readouterr().out
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize(
@@ -793,6 +863,18 @@ def test_verify_leaves_no_cycle(two_loop_file, capsys, l):
     # share are kept on the graph, and nothing kept on them may refer to it
     gc.collect()
     assert cli.main(["verify", two_loop_file, "--suite", "all", "--l", l]) == 0
+    capsys.readouterr()
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--suite", "tck", "--json"], ["ktheory", "--json"]], ids=["verify", "ktheory"]
+)
+def test_json_leaves_no_cycle(two_loop_file, capsys, argv):
+    # json.dumps with an indent leaves a cycle of closures, which the next
+    # main would freeze for good
+    gc.collect()
+    assert cli.main([argv[0], two_loop_file, *argv[1:]]) == 0
     capsys.readouterr()
     assert gc.collect() == 0
 
