@@ -26,7 +26,7 @@ from .graph import _layer_sizes, check_layer_sizes
 from .operators import build_rep
 from .quiver import fibre_layer, fibre_paths, openness_report
 from .report import RunReport, rat_str
-from .transform import delay, delay_layer_sizes, higher_dual_triples, opposite
+from .transform import delay_layer_sizes, delay_triples, higher_dual_triples, opposite
 
 MAX_DENOMINATOR = 10**6
 
@@ -40,7 +40,8 @@ MAX_SUITE_SIZE = 10**5
 # The most vertices plus edges that `transform --op delay:N` builds, counted
 # from E before the build: D_N(E) has |V| + (N-1)|E| vertices and N|E| edges.
 # On two loops at one vertex (one fresh interpreter, 2-CPU machine) delay:25000
-# (99,999 of them) is written in 0.9 s and 85 MB, delay:100000 in 3.9 s and
+# (99,999 of them) is written from its edge triples in 0.19-0.28 s and 44 MB
+# (0.44-0.53 s and 73 MB from a built D_N(E)); delay:100000 took 3.9 s and
 # 269 MB.
 MAX_DELAY_SIZE = 10**5
 
@@ -54,7 +55,10 @@ def parse_graph_file(path: str) -> Graph:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError is json's JSONDecodeError, a UnicodeDecodeError (bytes that
+    # are not UTF-8) or an integer past Python's int-string digit limit, and
+    # RecursionError arrays or objects nested too deep for the decoder
+    except (OSError, ValueError, RecursionError) as exc:
         raise StructuralError(f"cannot parse graph file: {exc}") from exc
     # a string or an object would iterate as its characters or keys
     try:
@@ -140,7 +144,7 @@ def cmd_transform(args) -> int:
                 f"D_{n}(E) has {size} vertices and edges, over {MAX_DELAY_SIZE}; "
                 "refusing to build it"
             )
-        out = delay(g, n)
+        out = delay_triples(g, n)
     elif op.startswith("power:"):
         m = _int_param(op[6:])
         check_layer_ids(g, m)
@@ -156,7 +160,7 @@ def cmd_transform(args) -> int:
         out = higher_dual_triples(g, p, q)
     else:
         raise StructuralError(f"unknown op {op!r}")
-    if isinstance(out, Graph):  # opposite and delay; E(p,q) comes as triples
+    if isinstance(out, Graph):  # opposite; D_N(E) and E(p,q) come as triples
         out = out.vertices, [(e.id, e.src, e.dst) for e in out.edges]
     text = graph_to_json(*out)
     if args.output:
@@ -360,7 +364,7 @@ def cmd_quiver(args) -> int:
             fmt = "PATH " + " ".join(["(" + ")(".join(["%s"] * (m + k)) + ")"] * n)
             ids_in_windows = itemgetter(*(i * m + j for i in range(n) for j in range(m + k)))
             lines.append(f"{head}{len(layer)}")
-            lines.extend(fmt % ids_in_windows(ids) for ids, _, _ in layer)
+            lines.extend(fmt % ids_in_windows(ids) for ids, _ in layer)
     print("\n".join(lines))
     return EXIT_OK
 

@@ -172,7 +172,7 @@ def fibre_words(g: Graph, m: int, t, n: int) -> list[tuple[tuple[str, ...], ...]
     sliced from its edge ids and not checked.
     """
     layer, k = fibre_layer(g, m, t, n)
-    return [tuple(ids[i * m : (i + 1) * m + k] for i in range(n)) for ids, _, _ in layer]
+    return [tuple(ids[i * m : (i + 1) * m + k] for i in range(n)) for ids, _ in layer]
 
 
 def fibre_layer(g: Graph, m: int, t, n: int) -> tuple[list, int]:

@@ -4,10 +4,11 @@ The opposite, dual and power graphs are plain Graphs: their ids already say
 what they encode.  Dual-graph ids are the edge-id tuples joined with ","
 (see join_ids: a one-edge path keeps its edge id, and ids that themselves
 hold a comma are escaped, so that distinct paths of one length never share
-an id).  D_n(E) is a LabeledGraph whose vertices keep their layer, because
-the morita suite reads it back: a vertex of E is ("vertex", v) in layer 0 and
-the j-th chain vertex of e is ("w", e, j) in layer j.  Delay ids are formatted
-"w(e,j)" / "f(e,j)".
+an id).  transform writes D_n(E) and E(p,q) from their vertex ids and edge
+triples (delay_triples, higher_dual_triples).  As a Graph, D_n(E) is a
+LabeledGraph whose vertices keep their layer, because the morita suite reads
+it back: a vertex of E is ("vertex", v) in layer 0 and the j-th chain vertex
+of e is ("w", e, j) in layer j.  Delay ids are formatted "w(e,j)" / "f(e,j)".
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import PreconditionError, StructuralError
-from .graph import Graph, Path, _layer_sizes, _path_layer
+from .graph import Graph, Path, _HalfLayers, _layer_sizes
 
 
 class LabeledGraph(Graph):
@@ -42,27 +43,37 @@ def delay_edge_id(e: str, j: int) -> str:
 
 
 def delay(g: Graph, n: int) -> LabeledGraph:
-    """D_n(E): each edge subdivided into an n-edge chain through new vertices.
+    """D_n(E) as a LabeledGraph: see delay_triples.  A vertex of E is labelled
+    ("vertex", v), and the j-th chain vertex of e ("w", e, j)."""
+    vertices, edges = delay_triples(g, n)
+    labels = {v: ("vertex", v) for v in g.vertices}
+    chain = (("w", e.id, j) for e in g.edges for j in range(1, n))
+    labels.update(zip(vertices[len(g.vertices) :], chain))
+    return LabeledGraph(vertices, edges, labels)
+
+
+def delay_triples(g: Graph, n: int) -> tuple[list[str], list[tuple[str, str, str]]]:
+    """D_n(E) as vertex ids and (id, src, dst) edge triples: each edge
+    subdivided into an n-edge chain through new vertices.
 
     r(f_{e,1}) = r(e), r(f_{e,j}) = w_{e,j-1} for j >= 2,
     s(f_{e,j}) = w_{e,j} for j < n, s(f_{e,n}) = s(e).  D_1(E) keeps the edge
-    ids of E.
+    ids of E.  The vertices are those of E, then each edge's chain vertices
+    in edge order; a vertex of E named like a chain vertex is refused.
     """
     if n < 1:
         raise PreconditionError("delay requires n >= 1")
     vertices = list(g.vertices)
-    vertex_labels = {v: ("vertex", v) for v in g.vertices}
     edges: list[tuple[str, str, str]] = []
     for e in g.edges:
-        for j in range(1, n):
-            w = delay_vertex_id(e.id, j)
-            vertices.append(w)
-            vertex_labels[w] = ("w", e.id, j)
-        for j in range(1, n + 1):
-            dst = e.dst if j == 1 else delay_vertex_id(e.id, j - 1)
-            src = e.src if j == n else delay_vertex_id(e.id, j)
-            edges.append((delay_edge_id(e.id, j) if n > 1 else e.id, src, dst))
-    return LabeledGraph(vertices, edges, vertex_labels)
+        # the chain's vertices from its range end: r(e), w_{e,1}, ..., s(e)
+        chain = [e.dst, *(delay_vertex_id(e.id, j) for j in range(1, n)), e.src]
+        vertices += chain[1:-1]
+        ids = [delay_edge_id(e.id, j) for j in range(1, n + 1)] if n > 1 else [e.id]
+        edges += zip(ids, chain[1:], chain)
+    if len(set(vertices)) != len(vertices):
+        raise StructuralError("duplicate vertex ids")
+    return vertices, edges
 
 
 def delay_layer_sizes(g: Graph, n: int) -> Iterator[int]:
@@ -105,19 +116,46 @@ def higher_dual_triples(g: Graph, p: int, q: int) -> tuple[list[str], list[tuple
 
     For p >= 1 the range of the edge e_1...e_q is e_1...e_p and its source is
     e_{q-p+1}...e_q; for p = 0 they are r(e_1) and s(e_q).  Both are read off
-    the edge-id words of the layers of g, with no Path built.
+    the edge-id words of the layers of g, with no Path built.  When no edge
+    id holds a comma, each id is joined from the two halves of its word (see
+    graph._HalfLayers), each half joined once, not once per word.
     """
     if p < 0 or q <= p:
         raise PreconditionError("higher_dual requires 0 <= p < q")
-    layer = _path_layer(g, q)
-    # join_ids is ",".join on every word when no edge id holds a comma
-    join = join_ids if any("," in e.id for e in g.edges) else ",".join
+    dst = {e.id: e.dst for e in g.edges}
+    layers = _HalfLayers(g)
+    if q == 1 or any("," in e.id for e in g.edges):  # join_ids escapes whole words
+        layer = layers.layer(q, None)
+        if p == 0:
+            return list(g.vertices), [(join_ids(ids), src, dst[ids[0]]) for ids, src in layer]
+        vid = {ids: join_ids(ids) for ids, _ in layers.layer(p, None)}
+        return list(vid.values()), [
+            (join_ids(ids), vid[ids[q - p :]], vid[ids[:p]]) for ids, _ in layer
+        ]
+    # join_ids is ",".join on every word: a word u + w is joined as u, ",", w
+    h = q // 2
+    left, right = layers.halves(q, None)
+    edges: list[tuple[str, str, str]] = []
     if p == 0:
-        dst = {e.id: e.dst for e in g.edges}
-        return list(g.vertices), [(join(ids), tail, dst[ids[0]]) for ids, tail, _ in layer]
-    vid = {ids: join(ids) for ids, _, _ in _path_layer(g, p)}
-    edges = [(join(ids), vid[ids[q - p :]], vid[ids[:p]]) for ids, _, _ in layer]
-    return list(vid.values()), edges
+        joined = {v: [(",".join(w), src) for w, src in ws] for v, ws in right.items()}
+        for u, tail in left:
+            head, r = ",".join(u) + ",", dst[u[0]]
+            edges += [(head + jw, src, r) for jw, src in joined[tail]]
+        return list(g.vertices), edges
+    # The range p-word is u's first p edges if p <= h, else u, ",", the first
+    # p - h of w; the source p-word is w's last p edges if q - p >= h, else
+    # u's last h - (q - p), ",", w.  So range = a + b and source = c + d, a
+    # and c from u, b and d from w, the ones not needed empty.
+    joined = {
+        v: [(",".join(w), ",".join(w[: max(p - h, 0)]), ",".join(w[max(q - p - h, 0) :])) for w, _ in ws]
+        for v, ws in right.items()
+    }
+    for u, tail in left:
+        head = ",".join(u) + ","
+        a = ",".join(u[:p]) if p <= h else head
+        c = ",".join(u[q - p :]) + "," if q - p < h else ""
+        edges += [(head + jw, c + d, a + b) for jw, b, d in joined[tail]]
+    return [",".join(ids) for ids, _ in layers.layer(p, None)], edges
 
 
 def higher_power(g: Graph, m: int) -> Graph:

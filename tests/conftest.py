@@ -160,7 +160,7 @@ def dual_word_to_path(g: Graph, p: int, q: int, mu: Path) -> Path:
     E(p,q) (or a vertex, for p >= 1) flattened back to a path of g, each dual
     id mapped back to its word of g; consecutive words overlap in p edges."""
     def words(k):
-        return {join_ids(ids): ids for ids, _, _ in _path_layer(g, k)}
+        return {join_ids(ids): ids for ids, _ in _path_layer(g, k)}
 
     if not mu.edge_ids:
         return Path(g, words(p)[mu.anchor]) if p else Path(g, (), mu.anchor)

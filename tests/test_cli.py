@@ -107,6 +107,31 @@ def test_parse_failure_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+MALFORMED_FILES = {
+    # UnicodeDecodeError, RecursionError and int()'s digit limit from json.load
+    "not_utf8": b"\xff",
+    "deep": b"[" * 100_000 + b"]" * 100_000,
+    "long_int": b'{"vertices": ["v"], "edges": [], "n": ' + b"9" * 5000 + b"}",
+    # json refuses a byte-order mark with its own message
+    "bom": b'\xef\xbb\xbf{"vertices": ["v"], "edges": []}',
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_FILES)
+def test_malformed_graph_file_refused(tmp_path, capsys, name):
+    if name == "long_int" and not getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        pytest.skip("this Python has no limit on int-string conversion")
+    path = tmp_path / "g.json"
+    path.write_bytes(MALFORMED_FILES[name])
+    assert cli.main(["transform", str(path), "--op", "opposite"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("ERROR structural: cannot parse graph file: ")
+    assert err.count("\n") == 1
+    if name == "bom":
+        assert "Unexpected UTF-8 BOM (decode using utf-8-sig)" in err
+
+
 BAD_GRAPH_DOCUMENTS = [
     {**SINGLE_LOOP, field: value}
     for field in ("vertices", "edges")
@@ -777,7 +802,7 @@ def test_transform_delay_is_counted_before_it_is_built(two_loop_file, capsys, mo
     def refuse(*a):
         raise AssertionError("the delay graph was built")
 
-    monkeypatch.setattr(cli, "delay", refuse)
+    monkeypatch.setattr(cli, "delay_triples", refuse)
     assert cli.main(["transform", two_loop_file, "--op", "delay:26"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,5 +1,7 @@
 """Graph and path combinatorics against brute-force oracles."""
 
+import itertools
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,8 @@ from suspquiver import (
     validate,
     vertex_path,
 )
-from suspquiver.graph import MAX_LAYER_IDS, check_layer_ids
+from suspquiver import graph
+from suspquiver.graph import MAX_LAYER_IDS, _layer_sizes, _path_layer, _path_layers, check_layer_ids
 
 from conftest import (
     brute_paths,
@@ -183,6 +186,47 @@ def test_enumerate_paths_past_the_last_nonempty_layer(single_edge):
 def test_enumerate_paths_unknown_range_vertex(two_loop):
     with pytest.raises(StructuralError):
         enumerate_paths(two_loop, 2, rng="nowhere")
+
+
+# the most paths that layers 1..n of one graph may hold for the layer tests
+# to walk them: n stops short of 9 on the densest drawn graphs
+LAYER_TEST_PATHS = 20_000
+
+
+@given(g=small_graphs())
+@settings(max_examples=150, deadline=None)
+def test_path_layer_matches_the_layer_walk(g):
+    # each layer built from its two halves is the layer of the walk that
+    # extends every shorter one, less the parent indices, for any range
+    total = itertools.accumulate(itertools.chain(_layer_sizes(g), itertools.repeat(0)))
+    depth = sum(1 for _, t in zip(range(9), total) if t <= LAYER_TEST_PATHS)
+    for rng in (None, *g.vertices):
+        walked = list(itertools.islice(_path_layers(g, rng), depth))
+        walked += [[]] * (depth - len(walked))
+        for n, layer in enumerate(walked, 1):
+            assert _path_layer(g, n, rng) == [(ids, src) for ids, src, _ in layer]
+    for n in range(1, 10):
+        with pytest.raises(StructuralError, match="unknown vertex id 'nowhere'"):
+            _path_layer(g, n, "nowhere")
+
+
+@pytest.mark.parametrize("rng", [None, "u"])
+def test_path_layer_builds_logarithmically_many_layers(three_cycle, monkeypatch, rng):
+    # one path per start vertex, 4096 edges long; a walk through every
+    # shorter layer (or two uncached halves per length) builds thousands
+    tables = []
+    real_init = graph._HalfLayers.__init__
+    monkeypatch.setattr(
+        graph._HalfLayers, "__init__", lambda self, g: tables.append(self) or real_init(self, g)
+    )
+    words = {x: (x, y, z) * 1365 + (x,) for x, y, z in ("acb", "bac", "cba")}
+    expected = [(words["a"], "u"), (words["b"], "v"), (words["c"], "w")]
+    assert _path_layer(three_cycle, 4096, rng) == (expected if rng is None else expected[2:])
+    (table,) = tables
+    # lengths 4096, 2048, ..., 1 and no other, each with range None or one
+    # of the three vertices
+    assert {k for k, _ in table.layers} == {2**i for i in range(13)}
+    assert len(table.layers) <= 4 * 13
 
 
 @given(seed=st.integers(0, 10**6), n=st.integers(0, 4))

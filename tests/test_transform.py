@@ -20,10 +20,16 @@ from suspquiver import (
     opposite,
 )
 
-from suspquiver.graph import _layer_sizes
-from suspquiver.transform import delay_layer_sizes
+from suspquiver.graph import _layer_sizes, _path_layers
+from suspquiver.transform import delay_layer_sizes, delay_triples, higher_dual_triples
 
-from conftest import dual_word_to_path, no_sink_source_graphs, reference_higher_dual, small_graphs
+from conftest import (
+    dual_word_to_path,
+    no_sink_source_graphs,
+    odd_id_graphs,
+    reference_higher_dual,
+    small_graphs,
+)
 
 def test_opposite_swaps_range_and_source(cycle_plus_loop):
     g = cycle_plus_loop
@@ -66,6 +72,25 @@ def test_delay_chain_structure(three_cycle):
     assert d.s("f(a,1)") == "w(a,1)"
     assert d.r("f(a,2)") == "w(a,1)"
     assert d.s("f(a,2)") == g.s("a")
+
+
+def test_delay_refuses_a_vertex_named_like_a_chain_vertex():
+    # D_2(E) would hold w(e,1) twice: once from E, once on e's chain
+    g = Graph(["v", "w(e,1)"], [("e", "v", "v")])
+    for build in (delay, delay_triples):
+        with pytest.raises(StructuralError, match="duplicate vertex ids"):
+            build(g, 2)
+    assert delay_triples(g, 1) == (["v", "w(e,1)"], [("e", "v", "v")])
+
+
+def test_delay_wraps_its_triples(three_cycle):
+    for n in (1, 2, 5):
+        vertices, edges = delay_triples(three_cycle, n)
+        d = delay(three_cycle, n)
+        assert (list(d.vertices), [(e.id, e.src, e.dst) for e in d.edges]) == (vertices, edges)
+        assert [d.vertex_labels[v] for v in vertices] == [("vertex", v) for v in "uvw"] + [
+            ("w", e, j) for e in "abc" for j in range(1, n)
+        ]
 
 
 def test_delay_embed_preserves_endpoints(three_cycle):
@@ -145,6 +170,32 @@ def test_higher_dual_matches_path_reference(g, pq):
 def test_higher_dual_matches_path_reference_on_comma_ids(p, q):
     g = Graph(["v"], [("a", "v", "v"), ("a,a", "v", "v")])
     assert _dual_data(higher_dual(g, p, q)) == _dual_data(reference_higher_dual(g, p, q))
+
+
+def _per_word_dual(g, p, q):
+    """E(p,q) as vertex ids and edge triples, each id joined from its whole
+    word of the layer-by-layer walk."""
+    layers = list(itertools.islice(_path_layers(g), q))
+    layers += [[]] * (q - len(layers))
+    top = layers[q - 1]
+    if p == 0:
+        return list(g.vertices), [(join_ids(w), src, g.r(w[0])) for w, src, _ in top]
+    return [join_ids(w) for w, _, _ in layers[p - 1]], [
+        (join_ids(w), join_ids(w[q - p :]), join_ids(w[:p])) for w, _, _ in top
+    ]
+
+
+@given(g=st.one_of(small_graphs(), odd_id_graphs()))
+@settings(max_examples=100, deadline=None)
+def test_higher_dual_triples_match_the_per_word_construction(g):
+    # ids joined from the two halves of each word (comma-free ids), or from
+    # the whole word (join_ids' escaping), for p on either side of the split;
+    # q stops where the layers up to it would hold over 20,000 paths
+    total = itertools.accumulate(itertools.chain(_layer_sizes(g), itertools.repeat(0)))
+    depth = sum(1 for _, t in zip(range(8), total) if t <= 20_000)
+    for q in range(1, depth + 1):
+        for p in range(q):
+            assert higher_dual_triples(g, p, q) == _per_word_dual(g, p, q)
 
 
 def test_higher_dual_of_comma_ids_is_a_graph():
