@@ -6,6 +6,7 @@ failed check; 2 precondition or hypothesis unmet, or a malformed command line.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import itertools
 import json
@@ -15,7 +16,6 @@ import random
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 from .errors import PreconditionError, StructuralError, SuspensionError
 from . import flow as flowmod
@@ -24,7 +24,7 @@ from . import opalg
 from .graph import Graph, Path, check_layer_ids, enumerate_paths, path_count, validate
 from .graph import _layer_sizes, check_layer_sizes
 from .operators import build_rep
-from .quiver import fibre_layer, fibre_paths, openness_report
+from .quiver import fibre_halves, fibre_paths, openness_report
 from .report import RunReport, rat_str
 from .transform import delay_layer_sizes, delay_triples, higher_dual_triples, opposite
 
@@ -40,9 +40,7 @@ MAX_SUITE_SIZE = 10**5
 # The most vertices plus edges that `transform --op delay:N` builds, counted
 # from E before the build: D_N(E) has |V| + (N-1)|E| vertices and N|E| edges.
 # On two loops at one vertex (one fresh interpreter, 2-CPU machine) delay:25000
-# (99,999 of them) is written from its edge triples in 0.19-0.28 s and 44 MB
-# (0.44-0.53 s and 73 MB from a built D_N(E)); delay:100000 took 3.9 s and
-# 269 MB.
+# (99,999 of them) is written one edge chain at a time in 0.27-0.31 s and 37 MB.
 MAX_DELAY_SIZE = 10**5
 
 EXIT_OK = 0
@@ -77,23 +75,36 @@ def parse_graph_file(path: str) -> Graph:
     return Graph(vertices, edges)
 
 
-def graph_to_json(vertices, edges) -> str:
-    """The canonical form of a graph of vertex ids and (id, src, dst) edge
-    triples: json.dumps(doc, indent=2, sort_keys=True) and a newline, for
-    doc = {"vertices": [...], "edges": [{"id", "src", "dst"}]}.
-
-    The layout is written directly, since with indent json.dumps runs its
-    pure-Python encoder; each string goes through the same ASCII escaping.
+def write_graph(out, vertices, blocks) -> None:
+    """Write json.dumps(doc, indent=2, sort_keys=True) and a newline to out,
+    doc = {"vertices": [...], "edges": [{"id", "src", "dst"}]}, a block at a
+    time: a block (None, ws) holds the (id, src, dst) triples ws, and ((h, a),
+    ws) the edges (h + j, d, a) for (j, d) in ws, one ws serving many blocks
+    (see transform.higher_dual_triples).  The layout is written directly, as
+    json.dumps with indent runs its pure-Python encoder; its ASCII escaping
+    goes one code point at a time, so enc(h + j) = enc(h)[:-1] + enc(j)[1:].
     """
     enc = encode_basestring_ascii
-    edges = ",\n".join(
-        f'    {{\n      "dst": {enc(dst)},\n      "id": {enc(i)},\n'
-        f'      "src": {enc(src)}\n    }}'
-        for i, src, dst in edges
-    )
+    tails, sep = {}, "\n"  # id(ws) -> ws and the text of each (j, d) in it
+    out.write('{\n  "edges": [')
+    for u, ws in blocks:
+        if u is None:
+            head, edges = "", [
+                f'    {{\n      "dst": {enc(dst)},\n      "id": {enc(i)},\n'
+                f'      "src": {enc(src)}\n    }}'
+                for i, src, dst in ws
+            ]
+        else:
+            if id(ws) not in tails:
+                tails[id(ws)] = ws, [f'{enc(j)[1:]},\n      "src": {enc(d)}\n    }}' for j, d in ws]
+            head = f'    {{\n      "dst": {enc(u[1])},\n      "id": {enc(u[0])[:-1]}'
+            edges = tails[id(ws)][1]
+        if edges:
+            out.write(sep + head + (",\n" + head).join(edges))
+            sep = ",\n"
     vertices = ",\n".join("    " + enc(v) for v in vertices)
-    return (
-        '{\n  "edges": ' + (f"[\n{edges}\n  ]" if edges else "[]")
+    out.write(
+        ("]" if sep == "\n" else "\n  ]")
         + ',\n  "vertices": ' + (f"[\n{vertices}\n  ]" if vertices else "[]")
         + "\n}\n"
     )
@@ -135,7 +146,7 @@ def cmd_transform(args) -> int:
     g = parse_graph_file(args.input)
     op = args.op
     if op == "opposite":
-        out = opposite(g)
+        vertices, blocks = g.vertices, [(None, [(e.id, e.src, e.dst) for e in opposite(g).edges])]
     elif op.startswith("delay:"):
         n = _int_param(op[6:])
         size = len(g.vertices) + (2 * n - 1) * len(g.edges)
@@ -144,30 +155,31 @@ def cmd_transform(args) -> int:
                 f"D_{n}(E) has {size} vertices and edges, over {MAX_DELAY_SIZE}; "
                 "refusing to build it"
             )
-        out = delay_triples(g, n)
+        vertices, chains = delay_triples(g, n)
+        blocks = ((None, chain) for chain in chains)
     elif op.startswith("power:"):
         m = _int_param(op[6:])
         check_layer_ids(g, m)
         if m < 1:  # as higher_power refuses it
             raise PreconditionError("higher_power requires m >= 1")
-        out = higher_dual_triples(g, 0, m)
+        vertices, blocks = higher_dual_triples(g, 0, m)
     elif op.startswith("dual:"):
         parts = op[5:].split(",")
         if len(parts) != 2:
             raise StructuralError("dual op needs two parameters p,q")
         p, q = _int_param(parts[0]), _int_param(parts[1])
         check_layer_ids(g, q if 0 <= p < q else 0)  # else higher_dual refuses p,q
-        out = higher_dual_triples(g, p, q)
+        vertices, blocks = higher_dual_triples(g, p, q)
     else:
         raise StructuralError(f"unknown op {op!r}")
-    if isinstance(out, Graph):  # opposite; D_N(E) and E(p,q) come as triples
-        out = out.vertices, [(e.id, e.src, e.dst) for e in out.edges]
-    text = graph_to_json(*out)
-    if args.output:
+    if not args.output:
+        write_graph(sys.stdout, vertices, blocks)
+        return EXIT_OK
+    try:  # opened after every refusal, so that a refused command leaves no file
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            write_graph(fh, vertices, blocks)
+    except OSError as exc:
+        raise StructuralError(f"cannot write {args.output!r}: {exc.strerror}") from exc
     return EXIT_OK
 
 
@@ -359,12 +371,23 @@ def cmd_quiver(args) -> int:
         else:
             m, n = args.m, args.n
             check_layer_ids(g, n * m + (t % 1 != 0))
-            layer, k = fibre_layer(g, m, t, n)
-            # window i is mu(im, (i+1)m + k): a "%s" per id, filled from its place in mu
-            fmt = "PATH " + " ".join(["(" + ")(".join(["%s"] * (m + k)) + ")"] * n)
-            ids_in_windows = itemgetter(*(i * m + j for i in range(n) for j in range(m + k)))
-            lines.append(f"{head}{len(layer)}")
-            lines.extend(fmt % ids_in_windows(ids) for ids, _ in layer)
+            left, right, k = fibre_halves(g, m, t, n)
+            # window i is mu(im, (i+1)m + k): a "%s" per id, filled from its
+            # place in mu.  The places run up, so a line is the format's first
+            # cut "%s" filled from its first half u = mu(0, j), the rest from w
+            j = (n * m + k) // 2
+            places = [i * m + x for i in range(n) for x in range(m + k)]
+            fmt = ("PATH " + " ".join(["(" + ")(".join(["%s"] * (m + k)) + ")"] * n)).split("%s")
+            cut = sum(x < j for x in places)
+            fmt_u, fmt_w = "%s".join(fmt[: cut + 1]), "%s".join(["", *fmt[cut + 1 :]])
+            tails = {v: [fmt_w % tuple([w[x - j] for x in places[cut:]]) for w, _ in ws]
+                     for v, ws in right.items()}
+            sys.stdout.write(f"{head}{sum(len(right[tail]) for _, tail in left)}\n")
+            for u, tail in left:
+                if tails[tail]:
+                    line = fmt_u % tuple([u[x] for x in places[:cut]])
+                    sys.stdout.write(line + ("\n" + line).join(tails[tail]) + "\n")
+            return EXIT_OK
     print("\n".join(lines))
     return EXIT_OK
 
@@ -506,7 +529,13 @@ def _run(argv) -> int:
         print(_usage(command), f"suspend: error: {reason}", sep="\n", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader gone before the end shows here, not at exit
+        return code
+    except BrokenPipeError:  # on os.devnull, the flush at exit cannot fail again
+        with contextlib.suppress(OSError, ValueError):  # a stdout with no fd
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_STRUCTURAL
     except StructuralError as exc:
         print(f"ERROR structural: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL

@@ -403,8 +403,8 @@ def path_count(g: Graph, n: int) -> int:
 # The most edge ids that layers 1..n of _path_layers may hold, summed as
 # k |E^k| over k <= n, before a command enumerates them (layer n alone, built
 # from its halves, holds n |E^n| of them).  Two loops at one vertex hold
-# 4,194,306 ids up to n = 17, and `transform --op power:17` builds and writes
-# layer 17 in 0.26-0.33 s and 87 MB (one fresh interpreter, 2-CPU machine).
+# 4,194,306 ids up to n = 17, and `transform --op power:17`, written from the
+# halves of layer 17, takes 0.11-0.20 s and 17 MB (fresh interpreter, 2 CPUs).
 MAX_LAYER_IDS = 2**23
 
 

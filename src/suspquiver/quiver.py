@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import CompositionError, PreconditionError, StructuralError
-from .graph import Graph, Path, _path_layer
+from .graph import Graph, Path, _HalfLayers, _path_layer
 
 
 def as_circle(t: Fraction) -> Fraction:
@@ -168,19 +168,24 @@ def fibre_words(g: Graph, m: int, t, n: int) -> list[tuple[tuple[str, ...], ...]
     SG[m]E^n_t, in the order of fibre_paths.
 
     Edge i of a fibre path is the window mu(im, (i+1)m + k) of one path mu of
-    E^{nm+k} (see fibre_layer): windows of one path compose, so they are
+    E^{nm+k} (see fibre_halves): windows of one path compose, so they are
     sliced from its edge ids and not checked.
     """
-    layer, k = fibre_layer(g, m, t, n)
-    return [tuple(ids[i * m : (i + 1) * m + k] for i in range(n)) for ids, _ in layer]
+    left, right, k = fibre_halves(g, m, t, n)
+    words = (u + w for u, tail in left for w, _ in right[tail])
+    return [tuple(ids[i * m : (i + 1) * m + k] for i in range(n)) for ids in words]
 
 
-def fibre_layer(g: Graph, m: int, t, n: int) -> tuple[list, int]:
-    """For n >= 1, the layer of E^{nm+k} that SG[m]E^n_t windows, and k (0 at t = 0, else 1)."""
+def fibre_halves(g: Graph, m: int, t, n: int) -> tuple[list, dict, int]:
+    """For n >= 1, (left, right, k): the paths u + w of E^{nm+k} that
+    SG[m]E^n_t windows (k = 0 at t = 0, else 1), as the layer of their first
+    halves u and their second halves w by range (see graph._HalfLayers)."""
     if m < 1 or n < 1:
         raise PreconditionError("fibre_words requires m >= 1 and n >= 1")
     k = 0 if as_circle(Fraction(t)) == 0 else 1
-    return _path_layer(g, n * m + k), k
+    if n * m + k == 1:  # u is empty, and its "source" None
+        return [((), None)], {None: _path_layer(g, 1)}, k
+    return *_HalfLayers(g).halves(n * m + k, None), k
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,10 @@ what they encode.  Dual-graph ids are the edge-id tuples joined with ","
 (see join_ids: a one-edge path keeps its edge id, and ids that themselves
 hold a comma are escaped, so that distinct paths of one length never share
 an id).  transform writes D_n(E) and E(p,q) from their vertex ids and edge
-triples (delay_triples, higher_dual_triples).  As a Graph, D_n(E) is a
-LabeledGraph whose vertices keep their layer, because the morita suite reads
-it back: a vertex of E is ("vertex", v) in layer 0 and the j-th chain vertex
-of e is ("w", e, j) in layer j.  Delay ids are formatted "w(e,j)" / "f(e,j)".
+triples, a block at a time (delay_triples, higher_dual_triples).  As a Graph,
+D_n(E) is a LabeledGraph whose vertices keep their layer, as the morita suite
+reads it back: a vertex of E is ("vertex", v) in layer 0 and the j-th chain
+vertex of e ("w", e, j) in layer j.  Delay ids are formatted "w(e,j)"/"f(e,j)".
 """
 
 from __future__ import annotations
@@ -45,16 +45,16 @@ def delay_edge_id(e: str, j: int) -> str:
 def delay(g: Graph, n: int) -> LabeledGraph:
     """D_n(E) as a LabeledGraph: see delay_triples.  A vertex of E is labelled
     ("vertex", v), and the j-th chain vertex of e ("w", e, j)."""
-    vertices, edges = delay_triples(g, n)
+    vertices, chains = delay_triples(g, n)
     labels = {v: ("vertex", v) for v in g.vertices}
     chain = (("w", e.id, j) for e in g.edges for j in range(1, n))
     labels.update(zip(vertices[len(g.vertices) :], chain))
-    return LabeledGraph(vertices, edges, labels)
+    return LabeledGraph(vertices, (t for c in chains for t in c), labels)
 
 
-def delay_triples(g: Graph, n: int) -> tuple[list[str], list[tuple[str, str, str]]]:
-    """D_n(E) as vertex ids and (id, src, dst) edge triples: each edge
-    subdivided into an n-edge chain through new vertices.
+def delay_triples(g: Graph, n: int) -> tuple[list[str], list[list[tuple[str, str, str]]]]:
+    """D_n(E) as vertex ids and (id, src, dst) edge triples, one list per
+    edge of E: each edge subdivided into an n-edge chain through new vertices.
 
     r(f_{e,1}) = r(e), r(f_{e,j}) = w_{e,j-1} for j >= 2,
     s(f_{e,j}) = w_{e,j} for j < n, s(f_{e,n}) = s(e).  D_1(E) keeps the edge
@@ -64,16 +64,16 @@ def delay_triples(g: Graph, n: int) -> tuple[list[str], list[tuple[str, str, str
     if n < 1:
         raise PreconditionError("delay requires n >= 1")
     vertices = list(g.vertices)
-    edges: list[tuple[str, str, str]] = []
+    chains: list[list[tuple[str, str, str]]] = []
     for e in g.edges:
         # the chain's vertices from its range end: r(e), w_{e,1}, ..., s(e)
         chain = [e.dst, *(delay_vertex_id(e.id, j) for j in range(1, n)), e.src]
         vertices += chain[1:-1]
         ids = [delay_edge_id(e.id, j) for j in range(1, n + 1)] if n > 1 else [e.id]
-        edges += zip(ids, chain[1:], chain)
+        chains.append(list(zip(ids, chain[1:], chain)))
     if len(set(vertices)) != len(vertices):
         raise StructuralError("duplicate vertex ids")
-    return vertices, edges
+    return vertices, chains
 
 
 def delay_layer_sizes(g: Graph, n: int) -> Iterator[int]:
@@ -107,55 +107,61 @@ def join_ids(ids: tuple[str, ...]) -> str:
 
 
 def higher_dual(g: Graph, p: int, q: int) -> Graph:
-    """E(p,q) as a Graph: see higher_dual_triples."""
-    return Graph(*higher_dual_triples(g, p, q))
+    """E(p,q) as a Graph, its edges those of the blocks of higher_dual_triples."""
+    vertices, blocks = higher_dual_triples(g, p, q)
+    edges: list[tuple[str, str, str]] = []
+    for u, ws in blocks:
+        edges += ws if u is None else [(u[0] + j, d, u[1]) for j, d in ws]
+    return Graph(vertices, edges)
 
 
-def higher_dual_triples(g: Graph, p: int, q: int) -> tuple[list[str], list[tuple[str, str, str]]]:
-    """E(p,q) as vertex ids (p-paths) and (id, src, dst) edge triples (q-paths).
+def higher_dual_triples(g: Graph, p: int, q: int) -> tuple[list[str], Iterator[tuple]]:
+    """E(p,q) as vertex ids (p-paths) and its edges (q-paths) in blocks (u, ws),
+    made as they are asked for: one per left half u of the q-words, for the
+    right halves w with range s(u) in order (see graph._HalfLayers).
 
     For p >= 1 the range of the edge e_1...e_q is e_1...e_p and its source is
-    e_{q-p+1}...e_q; for p = 0 they are r(e_1) and s(e_q).  Both are read off
-    the edge-id words of the layers of g, with no Path built.  When no edge
-    id holds a comma, each id is joined from the two halves of its word (see
-    graph._HalfLayers), each half joined once, not once per word.
+    e_{q-p+1}...e_q; for p = 0 they are r(e_1) and s(e_q).  If no edge id
+    holds a comma and p <= q // 2, the range is read off u and the source off
+    w: u = (id head, range) and ws holds an (id tail, source) per w, one list
+    for every u with one s(u).  Otherwise u is None and ws holds the triples.
     """
     if p < 0 or q <= p:
         raise PreconditionError("higher_dual requires 0 <= p < q")
     dst = {e.id: e.dst for e in g.edges}
     layers = _HalfLayers(g)
-    if q == 1 or any("," in e.id for e in g.edges):  # join_ids escapes whole words
-        layer = layers.layer(q, None)
-        if p == 0:
-            return list(g.vertices), [(join_ids(ids), src, dst[ids[0]]) for ids, src in layer]
-        vid = {ids: join_ids(ids) for ids, _ in layers.layer(p, None)}
-        return list(vid.values()), [
-            (join_ids(ids), vid[ids[q - p :]], vid[ids[:p]]) for ids, _ in layer
-        ]
-    # join_ids is ",".join on every word: a word u + w is joined as u, ",", w
+    vertices = list(g.vertices) if p == 0 else [join_ids(ids) for ids, _ in layers.layer(p, None)]
+    if q == 1:  # E itself
+        return vertices, iter([(None, [(e, src, dst[e]) for (e,), src in layers.layer(1, None)])])
     h = q // 2
     left, right = layers.halves(q, None)
-    edges: list[tuple[str, str, str]] = []
-    if p == 0:
-        joined = {v: [(",".join(w), src) for w, src in ws] for v, ws in right.items()}
-        for u, tail in left:
-            head, r = ",".join(u) + ",", dst[u[0]]
-            edges += [(head + jw, src, r) for jw, src in joined[tail]]
-        return list(g.vertices), edges
-    # The range p-word is u's first p edges if p <= h, else u, ",", the first
-    # p - h of w; the source p-word is w's last p edges if q - p >= h, else
-    # u's last h - (q - p), ",", w.  So range = a + b and source = c + d, a
-    # and c from u, b and d from w, the ones not needed empty.
+    if any("," in e.id for e in g.edges):  # join_ids escapes whole words
+        vid = dict(zip([ids for ids, _ in layers.layer(p, None)], vertices)) if p else {}
+        return vertices, ((None, [
+            (join_ids(ids), *((vid[ids[q - p :]], vid[ids[:p]]) if p else (src, dst[ids[0]])))
+            for w, src in right[tail] for ids in [u + w]
+        ]) for u, tail in left)
+    if p <= h:  # an id is u, ",", w (join_ids); the range is in u, the source in w
+        tails = {
+            v: [(",".join(w), ",".join(w[q - p - h :]) if p else src) for w, src in ws]
+            for v, ws in right.items()
+        }
+        return vertices, (
+            ((",".join(u) + ",", ",".join(u[:p]) if p else dst[u[0]]), tails[tail])
+            for u, tail in left
+        )
+    # The range p-word is u, ",", w's first p - h edges (b), and the source
+    # p-word w's last p edges (d), after u's last h - (q - p) and "," (c).
     joined = {
-        v: [(",".join(w), ",".join(w[: max(p - h, 0)]), ",".join(w[max(q - p - h, 0) :])) for w, _ in ws]
+        v: [(",".join(w), ",".join(w[: p - h]), ",".join(w[max(q - p - h, 0) :])) for w, _ in ws]
         for v, ws in right.items()
     }
-    for u, tail in left:
-        head = ",".join(u) + ","
-        a = ",".join(u[:p]) if p <= h else head
-        c = ",".join(u[q - p :]) + "," if q - p < h else ""
-        edges += [(head + jw, c + d, a + b) for jw, b, d in joined[tail]]
-    return [",".join(ids) for ids, _ in layers.layer(p, None)], edges
+    return vertices, (
+        (None, [(head + jw, c + d, head + b) for jw, b, d in joined[tail]])
+        for u, tail in left
+        for head in [",".join(u) + ","]
+        for c in [",".join(u[q - p :]) + "," if q - p < h else ""]
+    )
 
 
 def higher_power(g: Graph, m: int) -> Graph:

@@ -3,21 +3,25 @@
 import contextlib
 import gc
 import io
+import itertools
 import json
 import os
 import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from suspquiver import Graph, cli, fibre_paths, flow, opalg, operators, transform
+from suspquiver import Graph, StructuralError, cli, delay, fibre_paths, fibre_words, flow, opalg
+from suspquiver import operators, opposite, transform
+from suspquiver.graph import _layer_sizes
 from suspquiver.report import rat_str
 
-from conftest import odd_id_graphs, small_graphs
+from conftest import odd_id_graphs, reference_higher_dual, small_graphs
 
 TWO_LOOP = {
     "vertices": ["v"],
@@ -60,6 +64,9 @@ ODD_IDS = {
 }
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+# D_2(E) would hold the vertex w(e,1) twice
+CHAIN_NAMED = {"vertices": ["v", "w(e,1)"], "edges": [{"id": "e", "src": "v", "dst": "v"}]}
 
 SINGLE_EDGE = {
     "vertices": ["u", "v"],
@@ -161,12 +168,14 @@ def test_graph_roundtrip_is_canonical(tmp_path, capsys):
 
 
 def _write_graph(g: Graph) -> str:
-    """graph_to_json on g's own vertex ids and edge triples."""
-    return cli.graph_to_json(g.vertices, [(e.id, e.src, e.dst) for e in g.edges])
+    """write_graph on g's own vertex ids and edge triples, as one block."""
+    out = io.StringIO()
+    cli.write_graph(out, g.vertices, [(None, [(e.id, e.src, e.dst) for e in g.edges])])
+    return out.getvalue()
 
 
 def _dumps_graph(g: Graph) -> str:
-    """The oracle of graph_to_json: the same document through json.dumps."""
+    """The oracle of write_graph: the same document through json.dumps."""
     doc = {
         "vertices": list(g.vertices),
         "edges": [{"id": e.id, "src": e.src, "dst": e.dst} for e in g.edges],
@@ -441,10 +450,9 @@ def _main_stdout(g: Graph, *argv: str) -> str:
         path = os.path.join(tmp, "g.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(_dumps_graph(g))
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert cli.main([argv[0], path, *argv[1:]]) == 0
-    return out.getvalue()
+        code, out, _ = _run_main(argv[0], path, *argv[1:])
+    assert code == 0
+    return out
 
 
 @given(
@@ -481,6 +489,151 @@ def test_transform_builds_only_the_input_graph(two_loop_file, capsys, monkeypatc
     assert cli.main(["transform", two_loop_file, "--op", op]) == 0
     assert capsys.readouterr().out
     assert len(built) == 1
+
+
+def _run_main(*argv: str) -> tuple[int, str, str]:
+    """cli.main(argv) in this process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _fibre_word_lines(g, m, t, n) -> str:
+    """The quiver line format, written from the windows of fibre_words."""
+    words = fibre_words(g, m, t, n)
+    lines = [f"FIBRE m={m} t={rat_str(t % 1)} n={n} count={len(words)}"]
+    lines += ["PATH " + " ".join("(" + ")(".join(w) + ")" for w in ws) for ws in words]
+    return "\n".join(lines) + "\n"
+
+
+@given(g=st.one_of(small_graphs(), odd_id_graphs()))
+@settings(max_examples=40, deadline=None)
+def test_streamed_output_matches_the_whole_document(g):
+    # each op of transform against json.dumps of the graph it writes (E(p,q)
+    # built path by path), and each fibre against its formatted windows,
+    # where the layers they stream hold at most 2,000 paths
+    small = lambda k: sum(itertools.islice(_layer_sizes(g), k)) <= 2000
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(_dumps_graph(g))
+        ops = {"opposite": lambda: opposite(g)}
+        ops.update({f"delay:{n}": lambda n=n: delay(g, n) for n in (1, 2, 3)})
+        ops.update({
+            f"dual:{p},{q}": lambda p=p, q=q: reference_higher_dual(g, p, q)
+            for q in range(1, 7) for p in range(q) if small(q)
+        })
+        ops.update({f"power:{q}": ops[f"dual:0,{q}"] for q in range(1, 7) if small(q)})
+        for op, build in ops.items():
+            try:
+                expected = 0, _dumps_graph(build()), ""
+            except StructuralError as exc:  # a vertex named like a chain vertex
+                expected = 1, "", f"ERROR structural: {exc}\n"
+            assert _run_main("transform", path, "--op", op) == expected
+        for m, t, n in itertools.product((1, 2, 3), ("0", "1/3", "5/2"), range(7)):
+            r = cli.parse_rational(t)
+            if small(n * m + (r % 1 != 0)):
+                lines = _fibre_word_lines if n else _fibre_path_lines
+                argv = ("--m", str(m), "--t", t, "--n", str(n))
+                assert _run_main("quiver", path, *argv) == (0, lines(g, m, r, n), "")
+
+
+def test_transform_output_file_matches_stdout(two_loop_file, tmp_path):
+    for op in ("power:9", "dual:2,9", "dual:6,9", "delay:4", "opposite"):
+        target = tmp_path / "out.json"
+        assert _run_main("transform", two_loop_file, "--op", op, "-o", str(target)) == (0, "", "")
+        assert target.read_text(encoding="utf-8") == _run_main("transform", two_loop_file, "--op", op)[1]
+
+
+REFUSED = {
+    # a vertex of E named like a chain vertex of D_2(E)
+    "delay_chain_name": ("transform", CHAIN_NAMED, "--op", "delay:2"),
+    "delay_zero": ("transform", TWO_LOOP, "--op", "delay:0"),
+    "delay_over_the_cap": ("transform", TWO_LOOP, "--op", "delay:100000"),
+    "power_zero": ("transform", TWO_LOOP, "--op", "power:0"),
+    "power_over_the_cap": ("transform", TWO_LOOP, "--op", "power:40"),
+    "dual_order": ("transform", TWO_LOOP, "--op", "dual:3,2"),
+    "dual_one_param": ("transform", TWO_LOOP, "--op", "dual:1"),
+    "dual_over_the_cap": ("transform", TWO_LOOP, "--op", "dual:1,40"),
+    "unknown_op": ("transform", TWO_LOOP, "--op", "frob:2"),
+    "quiver_over_the_cap": ("quiver", TWO_LOOP, "--m", "2", "--t", "1/3", "--n", "9"),
+    "quiver_m_zero": ("quiver", TWO_LOOP, "--m", "0", "--n", "3"),
+    "quiver_n_negative": ("quiver", TWO_LOOP, "--n", "-1"),
+    "quiver_bad_t": ("quiver", TWO_LOOP, "--t", "2/4", "--n", "3"),
+}
+
+
+@pytest.mark.parametrize("argv", REFUSED.values(), ids=REFUSED.keys())
+def test_refused_commands_write_nothing(tmp_path, argv):
+    command, doc, *options = argv
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run_main(command, str(path), *options)
+    assert code in (1, 2) and out == "" and err.startswith("ERROR ")
+    if command == "transform":  # and -o opens no file
+        target = tmp_path / "out.json"
+        assert _run_main(command, str(path), *options, "-o", str(target)) == (code, out, err)
+        assert not target.exists()
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "."])
+def test_transform_refuses_an_output_it_cannot_write(two_loop_file, tmp_path, target):
+    code, out, err = _run_main("transform", two_loop_file, "--op", "power:3", "-o", str(tmp_path / target))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"ERROR structural: cannot write {str(tmp_path / target)!r}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "doc,argv",
+    [
+        (TWO_LOOP, ["transform", "--op", "power:14"]),
+        (COMMA_LOOPS, ["transform", "--op", "power:14"]),
+        (TWO_LOOP, ["quiver", "--m", "2", "--t", "1/3", "--n", "6"]),
+    ],
+    ids=["power", "power_comma_ids", "quiver"],
+)
+def test_streamed_output_is_not_held_in_memory(tmp_path, doc, argv):
+    # 16,384 edges of E(0,14), and 8,192 fibre paths of 13 edges on two
+    # loops: what is held at once is the half layers and one block of text;
+    # transform writes to its -o file, quiver to stdout sent to a file
+    path, stdout, out = tmp_path / "g.json", tmp_path / "stdout.txt", tmp_path / "out.json"
+    path.write_text(json.dumps(doc))
+    if argv[0] == "transform":
+        argv = [*argv, "-o", str(out)]
+    with open(stdout, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+        tracemalloc.start()
+        try:
+            assert cli.main([argv[0], str(path), *argv[1:]]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    written = (out if argv[0] == "transform" else stdout).stat().st_size
+    assert peak < written / 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quiver", "--m", "2", "--t", "1/3", "--n", "7"],
+        ["transform", "--op", "power:16"],
+        ["flow", "--start", "e,e,e,e", "--step", "0", "--count", "100000"],
+    ],
+)
+def test_a_closed_pipe_ends_quietly(two_loop_file, argv):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "suspquiver.cli", argv[0], two_loop_file, *argv[1:]],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.readline()
+    proc.stdout.close()  # as `| head -1` does
+    err = proc.stderr.read().decode()
+    assert proc.wait() in (0, 1, 2)
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 @pytest.mark.parametrize(

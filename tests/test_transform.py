@@ -18,6 +18,7 @@ from suspquiver import (
     higher_power,
     join_ids,
     opposite,
+    path_count,
 )
 
 from suspquiver.graph import _layer_sizes, _path_layers
@@ -80,13 +81,15 @@ def test_delay_refuses_a_vertex_named_like_a_chain_vertex():
     for build in (delay, delay_triples):
         with pytest.raises(StructuralError, match="duplicate vertex ids"):
             build(g, 2)
-    assert delay_triples(g, 1) == (["v", "w(e,1)"], [("e", "v", "v")])
+    assert delay_triples(g, 1) == (["v", "w(e,1)"], [[("e", "v", "v")]])
 
 
 def test_delay_wraps_its_triples(three_cycle):
     for n in (1, 2, 5):
-        vertices, edges = delay_triples(three_cycle, n)
+        vertices, chains = delay_triples(three_cycle, n)
         d = delay(three_cycle, n)
+        assert [len(chain) for chain in chains] == [n] * 3
+        edges = [t for chain in chains for t in chain]
         assert (list(d.vertices), [(e.id, e.src, e.dst) for e in d.edges]) == (vertices, edges)
         assert [d.vertex_labels[v] for v in vertices] == [("vertex", v) for v in "uvw"] + [
             ("w", e, j) for e in "abc" for j in range(1, n)
@@ -195,7 +198,25 @@ def test_higher_dual_triples_match_the_per_word_construction(g):
     depth = sum(1 for _, t in zip(range(8), total) if t <= 20_000)
     for q in range(1, depth + 1):
         for p in range(q):
-            assert higher_dual_triples(g, p, q) == _per_word_dual(g, p, q)
+            # higher_dual is the edges of the blocks of higher_dual_triples
+            vertices, edges = _dual_data(higher_dual(g, p, q))
+            assert (list(vertices), edges) == _per_word_dual(g, p, q)
+
+
+@pytest.mark.parametrize("p,q", [(0, 7), (2, 7), (3, 7), (4, 7), (0, 8), (4, 8)])
+def test_higher_dual_blocks_share_their_right_halves(cycle_plus_loop, p, q):
+    # one block per left half u of the q-words; for p <= q // 2 the right
+    # halves of a block are the one list of those with range s(u)
+    g = cycle_plus_loop
+    vertices, blocks = higher_dual_triples(g, p, q)
+    blocks = list(blocks)
+    assert len(blocks) == path_count(g, q // 2)
+    if p <= q // 2:
+        assert all(u is not None for u, _ in blocks)
+        assert len({id(ws) for _, ws in blocks}) == len(g.vertices)
+    else:
+        assert all(u is None for u, _ in blocks)
+    assert sum(len(ws) for _, ws in blocks) == path_count(g, q)
 
 
 def test_higher_dual_of_comma_ids_is_a_graph():
