@@ -303,10 +303,11 @@ def cmd_verify(args) -> int:
     for suite, p, q, at in reps:
         if _has_sources(g, p, q):
             break
-        # |E^(p + k(q-p))| over k <= at, stopped once past the cap
+        # |E^(p + k(q-p))| over k <= at, stopped once past the cap or after
+        # the last nonempty layer; at may be past sys.maxsize, islice's limit
         sizes = itertools.chain([len(g.vertices)], _layer_sizes(g))
         basis = 0
-        for k, size in enumerate(itertools.islice(sizes, p, p + at * (q - p) + 1, q - p)):
+        for k, size in zip(range(at + 1), itertools.islice(sizes, p, None, q - p)):
             basis += size
             if basis > MAX_SUITE_SIZE:
                 raise PreconditionError(

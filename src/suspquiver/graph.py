@@ -281,15 +281,9 @@ def enumerate_paths(
         return [vertex_path(g, v) for v in verts]
     return [
         Path._composed(g, ids)
-        for ids, tail in _path_layer(g, n, rng)
+        for ids, tail in _HalfLayers(g).layer(n, rng)
         if src is None or tail == src
     ]
-
-
-def _path_layer(g: Graph, n: int, rng: Optional[str] = None) -> list:
-    """Layer n >= 1 of _path_layers(g, rng) as (edge ids, source vertex)
-    pairs, with no parent indices, built from its halves (see _HalfLayers)."""
-    return _HalfLayers(g).layer(n, rng)
 
 
 class _HalfLayers:
@@ -328,8 +322,11 @@ class _HalfLayers:
         return out
 
     def halves(self, n: int, rng: Optional[str]) -> tuple[list, dict]:
-        """For n >= 2, layer n // 2 with range rng, and layer n - n // 2 as a
-        dict from range vertex to its layer (empty beside an empty left half)."""
+        """For n >= 1, layer n // 2 with range rng, and layer n - n // 2 as a
+        dict from range vertex to its layer (empty beside an empty left half).
+        For n = 1 the left half is the empty word, its "source" rng."""
+        if n == 1:
+            return [((), rng)], {rng: self.layer(1, rng)}
         left = self.layer(n // 2, rng)
         if not left:
             return left, {}
@@ -337,30 +334,6 @@ class _HalfLayers:
         if k not in self.by_range:
             self.by_range[k] = {v: self.layer(k, v) for v in self.received}
         return left, self.by_range[k]
-
-
-def _path_layers(g: Graph, rng: Optional[str] = None) -> Iterator[list]:
-    """The paths of length 1, 2, ... with range rng (any range for None), one
-    lexicographically ordered list of (edge ids, source vertex, parent) per
-    length, parent the position in the layer before of the path less its last
-    edge (None in the first layer).
-
-    Each layer extends the last outward from the range end: the first edge
-    has r(e) = rng, and each later edge f has r(f) = s of the edge before.
-    The layers stop before the first empty one, as every longer one is empty.
-    """
-    received = _received_by_id(g)
-    if rng is not None and rng not in received:
-        raise StructuralError(f"unknown vertex id {rng!r}")
-    starts = [rng] if rng is not None else g.vertices
-    layer = sorted(((eid,), src, None) for v in starts for eid, src in received[v])
-    while layer:
-        yield layer
-        layer = [
-            (ids + (eid,), src, i)
-            for i, (ids, tail, _) in enumerate(layer)
-            for eid, src in received[tail]
-        ]
 
 
 def _received_by_id(g: Graph) -> dict[str, list[tuple[str, str]]]:
@@ -376,9 +349,9 @@ def _received_by_id(g: Graph) -> dict[str, list[tuple[str, str]]]:
 
 
 def _layer_sizes(g: Graph) -> Iterator[int]:
-    """|E^1|, |E^2|, ... up to the last nonzero one, as _path_layers stops:
-    ways[v] counts the paths of the current length with source v, and each
-    received edge f at v extends them to source s(f)."""
+    """|E^1|, |E^2|, ... up to the last nonzero one: ways[v] counts the
+    paths of the current length with source v, and each received edge f at
+    v extends them to source s(f)."""
     ways = {v: len(g.emitted(v)) for v in g.vertices}
     while any(ways.values()):
         yield sum(ways.values())
@@ -400,9 +373,9 @@ def path_count(g: Graph, n: int) -> int:
     return next(itertools.islice(_layer_sizes(g), n - 1, None), 0)
 
 
-# The most edge ids that layers 1..n of _path_layers may hold, summed as
-# k |E^k| over k <= n, before a command enumerates them (layer n alone, built
-# from its halves, holds n |E^n| of them).  Two loops at one vertex hold
+# The most edge ids that path layers 1..n may hold, summed as k |E^k| over
+# k <= n, before a command enumerates them (layer n alone, built from its
+# halves, holds n |E^n| of them).  Two loops at one vertex hold
 # 4,194,306 ids up to n = 17, and `transform --op power:17`, written from the
 # halves of layer 17, takes 0.11-0.20 s and 17 MB (fresh interpreter, 2 CPUs).
 MAX_LAYER_IDS = 2**23

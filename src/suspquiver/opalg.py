@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError, StructuralError
-from .graph import Graph, Path, _path_layers, enumerate_paths, validate, vertex_path
+from .graph import Graph, Path, _HalfLayers, enumerate_paths, validate, vertex_path
 from .ktheory import hypothesis_check
 from .operators import (
     SparseOperator,
@@ -626,12 +626,13 @@ def morita_combinatorics(g: Graph, m: int, n: int, L: int) -> RunReport:
         raise PreconditionError("need a graph with no sinks and no sources")
     D = delay(g, n)
     out = RunReport()
-    # (i) partition shift law on all delay-graph paths of length <= L, in one
-    # pass over the layers: s(lambda) is the tail, r(lambda) that of its first edge
+    # (i) partition shift law on all delay-graph paths of length <= L, layer
+    # by layer: s(lambda) is the tail, r(lambda) that of its first edge
+    layers = _HalfLayers(D)
     ok_shift = all(
         _delay_layer(D, tail) == (_delay_layer(D, D.r(ids[0])) + length) % n
-        for length, layer in zip(range(1, L + 1), _path_layers(D))
-        for ids, tail, _ in layer
+        for length in range(1, L + 1)
+        for ids, tail in layers.layer(length, None)
     )
     out.add(
         "morita.partition_shift",

@@ -25,7 +25,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import PreconditionError, StructuralError
-from .graph import Graph, Path, _path_layers, validate, vertex_path
+from .graph import Graph, Path, _received_by_id, validate, vertex_path
+from .ktheory import _coker_ker_rows
 
 if TYPE_CHECKING:
     import numpy as np
@@ -232,30 +233,16 @@ def _agree(x: SparseOperator, y: SparseOperator, max_len: Optional[int]) -> bool
 
 
 def rank_on_columns(op: SparseOperator, cols: Iterable[int]) -> int:
-    """Rank over the rationals of the submatrix with the given columns (all rows)."""
-    cols = list(cols)
+    """Rank over the rationals of the submatrix with the given columns (all
+    rows): the column count less the free rank of the kernel of its integer
+    numerators, one common denominator being no change of rank."""
     wanted = set(cols)
-    by_col: dict[int, dict[int, Fraction]] = {}
-    for (r, c), val in op.entries.items():
+    rows: dict[int, dict[int, int]] = {}
+    for (r, c), val in op.num.items():
         if c in wanted:
-            by_col.setdefault(c, {})[r] = val
-    pivots: list[tuple[int, dict[int, Fraction]]] = []  # (pivot row, reduced column)
-    for c in cols:
-        vec = dict(by_col.get(c, {}))
-        for prow, pvec in pivots:
-            coeff = vec.get(prow)
-            if coeff:
-                for r, v in pvec.items():
-                    s = vec.get(r, 0) - coeff * v
-                    if s:
-                        vec[r] = s
-                    else:
-                        vec.pop(r, None)
-        if vec:
-            prow = min(vec)
-            pivot = vec[prow]
-            pivots.append((prow, {r: v / pivot for r, v in vec.items()}))
-    return len(pivots)
+            rows.setdefault(r, {})[c] = val
+    _, ker = _coker_ker_rows(list(rows.values()), len(wanted))
+    return len(wanted) - ker.free_rank
 
 
 class TruncatedRep:
@@ -275,25 +262,33 @@ class TruncatedRep:
         # one pass over the lengths, each layer extending the last, so every
         # word composes by construction and no Path is built; each path of
         # length n >= 1 is its parent of length n - 1 (a vertex for n = 1)
-        # followed by its last edge, and _child maps (parent, edge) to it
+        # followed by its last edge, and _child maps (parent, edge) to it.
+        # Layer 1 is in edge-id order; each later layer takes the columns of
+        # the one before in order, each followed by the edges received at its
+        # source in id order, so every layer is in lexicographic order.
         keys: list = [((), v) for v in sorted(graph.vertices)]
         ranges = [v for _, v in keys]  # r(p) of each column
+        tails = list(ranges)  # s(p) of each column
         self._last: list = [None] * len(keys)  # the last edge of each column
         self._parent: list[int] = [-1] * len(keys)
         self._child: dict[tuple[int, str], int] = {}
         column = {v: i for i, v in enumerate(ranges)}
-        dst = {e.id: e.dst for e in graph.edges}
-        before = 0  # the column where the layer before this one starts
-        for _, layer in zip(range(L), _path_layers(graph)):
+        received = _received_by_id(graph)
+        # (edge, source, parent) per column of the next layer
+        layer = sorted((e.id, e.src, column[e.dst]) for e in graph.edges)
+        for _ in range(L):
             start = len(keys)
-            for ids, _, up in layer:
-                parent = column[dst[ids[0]]] if up is None else before + up
-                self._child[(parent, ids[-1])] = len(keys)
+            for eid, src, parent in layer:
+                self._child[(parent, eid)] = len(keys)
                 self._parent.append(parent)
-                self._last.append(ids[-1])
+                self._last.append(eid)
                 ranges.append(ranges[parent])
-                keys.append((ids, None))
-            before = start
+                tails.append(src)
+                keys.append((keys[parent][0] + (eid,), None))
+            # made as the next pass reads it, so no layer past L is built
+            layer = (
+                (eid, src, i) for i in range(start, len(keys)) for eid, src in received[tails[i]]
+            )
         self.basis = Basis._of_keys(graph, keys)
         # basis columns grouped by range vertex, in basis (so length) order
         self._by_range: dict[str, list[int]] = {v: [] for v in graph.vertices}

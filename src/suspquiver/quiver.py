@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import CompositionError, PreconditionError, StructuralError
-from .graph import Graph, Path, _HalfLayers, _path_layer
+from .graph import Graph, Path, _HalfLayers
 
 
 def as_circle(t: Fraction) -> Fraction:
@@ -183,8 +183,6 @@ def fibre_halves(g: Graph, m: int, t, n: int) -> tuple[list, dict, int]:
     if m < 1 or n < 1:
         raise PreconditionError("fibre_words requires m >= 1 and n >= 1")
     k = 0 if as_circle(Fraction(t)) == 0 else 1
-    if n * m + k == 1:  # u is empty, and its "source" None
-        return [((), None)], {None: _path_layer(g, 1)}, k
     return *_HalfLayers(g).halves(n * m + k, None), k
 
 

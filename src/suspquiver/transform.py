@@ -121,21 +121,21 @@ def higher_dual_triples(g: Graph, p: int, q: int) -> tuple[list[str], Iterator[t
     right halves w with range s(u) in order (see graph._HalfLayers).
 
     For p >= 1 the range of the edge e_1...e_q is e_1...e_p and its source is
-    e_{q-p+1}...e_q; for p = 0 they are r(e_1) and s(e_q).  If no edge id
-    holds a comma and p <= q // 2, the range is read off u and the source off
-    w: u = (id head, range) and ws holds an (id tail, source) per w, one list
-    for every u with one s(u).  Otherwise u is None and ws holds the triples.
+    e_{q-p+1}...e_q; for p = 0 they are r(e_1) and s(e_q).  If q >= 2, no
+    edge id holds a comma and p <= q // 2, the range is read off u and the
+    source off w: u = (id head, range) and ws holds an (id tail, source) per
+    w, one list for every u with one s(u).  Otherwise u is None and ws holds
+    the triples.
     """
     if p < 0 or q <= p:
         raise PreconditionError("higher_dual requires 0 <= p < q")
     dst = {e.id: e.dst for e in g.edges}
     layers = _HalfLayers(g)
     vertices = list(g.vertices) if p == 0 else [join_ids(ids) for ids, _ in layers.layer(p, None)]
-    if q == 1:  # E itself
-        return vertices, iter([(None, [(e, src, dst[e]) for (e,), src in layers.layer(1, None)])])
     h = q // 2
     left, right = layers.halves(q, None)
-    if any("," in e.id for e in g.edges):  # join_ids escapes whole words
+    # join_ids escapes whole words, and at q = 1 the left half u is empty
+    if not h or any("," in e.id for e in g.edges):
         vid = dict(zip([ids for ids, _ in layers.layer(p, None)], vertices)) if p else {}
         return vertices, ((None, [
             (join_ids(ids), *((vid[ids[q - p :]], vid[ids[:p]]) if p else (src, dst[ids[0]])))

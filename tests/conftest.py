@@ -41,7 +41,6 @@ from suspquiver import (
     validate,
     vertex_path,
 )
-from suspquiver.graph import _path_layer
 from suspquiver.ktheory import HypothesisResult, _divisor_chain, _eliminate
 from suspquiver.opalg import _delay_layer
 
@@ -160,7 +159,7 @@ def dual_word_to_path(g: Graph, p: int, q: int, mu: Path) -> Path:
     E(p,q) (or a vertex, for p >= 1) flattened back to a path of g, each dual
     id mapped back to its word of g; consecutive words overlap in p edges."""
     def words(k):
-        return {join_ids(ids): ids for ids, _ in _path_layer(g, k)}
+        return {join_ids(ids): ids for ids in brute_paths(g, k)}
 
     if not mu.edge_ids:
         return Path(g, words(p)[mu.anchor]) if p else Path(g, (), mu.anchor)

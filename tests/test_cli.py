@@ -856,7 +856,15 @@ def _loops_file(tmp_path, k, extra=()):
       "limits builds E(1,8) at L=3 on 4227330 basis paths, over 100000"),
      (10, ["--suite", "kappa"], "kappa builds E(1,2) at L=4 on 111110 basis paths, over 100000"),
      (2, ["--suite", "all", "--L", "17"],
-      "tck builds E at L=17 on at least 131071 basis paths, over 100000")],
+      "tck builds E at L=17 on at least 131071 basis paths, over 100000"),
+     # L = sys.maxsize (2^63 - 1 on 64-bit builds) put the stop of the count's
+     # islice past sys.maxsize: a ValueError traceback
+     (2, ["--suite", "tck", "--L", str(sys.maxsize)],
+      f"tck builds E at L={sys.maxsize} on at least 131071 basis paths, over 100000"),
+     (2, ["--suite", "tck", "--L", str(sys.maxsize - 1)],
+      f"tck builds E at L={sys.maxsize - 1} on at least 131071 basis paths, over 100000"),
+     (2, ["--suite", "all", "--L", str(sys.maxsize)],
+      f"tck builds E at L={sys.maxsize} on at least 131071 basis paths, over 100000")],
 )
 def test_verify_representations_over_the_cap_are_refused_unbuilt(
     tmp_path, capsys, monkeypatch, k, args, message

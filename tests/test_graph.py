@@ -23,7 +23,7 @@ from suspquiver import (
     vertex_path,
 )
 from suspquiver import graph
-from suspquiver.graph import MAX_LAYER_IDS, _layer_sizes, _path_layer, _path_layers, check_layer_ids
+from suspquiver.graph import MAX_LAYER_IDS, _layer_sizes, check_layer_ids
 
 from conftest import (
     brute_paths,
@@ -196,18 +196,24 @@ LAYER_TEST_PATHS = 20_000
 @given(g=small_graphs())
 @settings(max_examples=150, deadline=None)
 def test_path_layer_matches_the_layer_walk(g):
-    # each layer built from its two halves is the layer of the walk that
-    # extends every shorter one, less the parent indices, for any range
+    # each layer built from its two halves is the brute-force layer, each
+    # word with its source, for any range
     total = itertools.accumulate(itertools.chain(_layer_sizes(g), itertools.repeat(0)))
     depth = sum(1 for _, t in zip(range(9), total) if t <= LAYER_TEST_PATHS)
+    layers = graph._HalfLayers(g)
+    for n in range(1, depth + 1):
+        walked = brute_paths(g, n)
+        for rng in (None, *g.vertices):
+            assert layers.layer(n, rng) == [
+                (ids, g.s(ids[-1])) for ids in walked if rng in (None, g.r(ids[0]))
+            ]
+    # the halves of layer 1: the empty word u, its "source" the range, and
+    # layer 1 with that range as the right halves
     for rng in (None, *g.vertices):
-        walked = list(itertools.islice(_path_layers(g, rng), depth))
-        walked += [[]] * (depth - len(walked))
-        for n, layer in enumerate(walked, 1):
-            assert _path_layer(g, n, rng) == [(ids, src) for ids, src, _ in layer]
+        assert layers.halves(1, rng) == ([((), rng)], {rng: layers.layer(1, rng)})
     for n in range(1, 10):
         with pytest.raises(StructuralError, match="unknown vertex id 'nowhere'"):
-            _path_layer(g, n, "nowhere")
+            graph._HalfLayers(g).layer(n, "nowhere")
 
 
 @pytest.mark.parametrize("rng", [None, "u"])
@@ -221,7 +227,8 @@ def test_path_layer_builds_logarithmically_many_layers(three_cycle, monkeypatch,
     )
     words = {x: (x, y, z) * 1365 + (x,) for x, y, z in ("acb", "bac", "cba")}
     expected = [(words["a"], "u"), (words["b"], "v"), (words["c"], "w")]
-    assert _path_layer(three_cycle, 4096, rng) == (expected if rng is None else expected[2:])
+    layer = graph._HalfLayers(three_cycle).layer(4096, rng)
+    assert layer == (expected if rng is None else expected[2:])
     (table,) = tables
     # lengths 4096, 2048, ..., 1 and no other, each with range None or one
     # of the three vertices

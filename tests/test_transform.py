@@ -21,10 +21,11 @@ from suspquiver import (
     path_count,
 )
 
-from suspquiver.graph import _layer_sizes, _path_layers
+from suspquiver.graph import _layer_sizes
 from suspquiver.transform import delay_layer_sizes, delay_triples, higher_dual_triples
 
 from conftest import (
+    brute_paths,
     dual_word_to_path,
     no_sink_source_graphs,
     odd_id_graphs,
@@ -175,16 +176,13 @@ def test_higher_dual_matches_path_reference_on_comma_ids(p, q):
     assert _dual_data(higher_dual(g, p, q)) == _dual_data(reference_higher_dual(g, p, q))
 
 
-def _per_word_dual(g, p, q):
+def _per_word_dual(g, p, q, words):
     """E(p,q) as vertex ids and edge triples, each id joined from its whole
-    word of the layer-by-layer walk."""
-    layers = list(itertools.islice(_path_layers(g), q))
-    layers += [[]] * (q - len(layers))
-    top = layers[q - 1]
+    word of words[k], the brute-force paths of length k."""
     if p == 0:
-        return list(g.vertices), [(join_ids(w), src, g.r(w[0])) for w, src, _ in top]
-    return [join_ids(w) for w, _, _ in layers[p - 1]], [
-        (join_ids(w), join_ids(w[q - p :]), join_ids(w[:p])) for w, _, _ in top
+        return list(g.vertices), [(join_ids(w), g.s(w[-1]), g.r(w[0])) for w in words[q]]
+    return [join_ids(w) for w in words[p]], [
+        (join_ids(w), join_ids(w[q - p :]), join_ids(w[:p])) for w in words[q]
     ]
 
 
@@ -196,11 +194,12 @@ def test_higher_dual_triples_match_the_per_word_construction(g):
     # q stops where the layers up to it would hold over 20,000 paths
     total = itertools.accumulate(itertools.chain(_layer_sizes(g), itertools.repeat(0)))
     depth = sum(1 for _, t in zip(range(8), total) if t <= 20_000)
+    words = [brute_paths(g, k) for k in range(depth + 1)]
     for q in range(1, depth + 1):
         for p in range(q):
             # higher_dual is the edges of the blocks of higher_dual_triples
             vertices, edges = _dual_data(higher_dual(g, p, q))
-            assert (list(vertices), edges) == _per_word_dual(g, p, q)
+            assert (list(vertices), edges) == _per_word_dual(g, p, q, words)
 
 
 @pytest.mark.parametrize("p,q", [(0, 7), (2, 7), (3, 7), (4, 7), (0, 8), (4, 8)])
