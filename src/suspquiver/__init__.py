@@ -66,7 +66,6 @@ from .operators import (
 )
 from .opalg import (
     FunctionOnEdges,
-    FunctionOnVertices,
     check_tck,
     edge_fn_interpolated,
     eta_generators,

@@ -303,19 +303,21 @@ class HypothesisResult:
     ok: bool
 
 
-def _hypothesis_reach(g: Graph, m: int) -> tuple[set[str], set[str]]:
-    """The seeds W = {w : |E1 w| >= 2} and the vertices v that are the source
-    of some path mu with |mu| in m*{1,2,...} and r(mu) in W.
+def hypothesis_check(g: Graph, m: int) -> HypothesisResult:
+    """For each v: does some mu with |mu| in m*{1,2,...}, s(mu) = v, have
+    |E1 r(mu)| >= 2?
 
-    One reverse breadth-first search over the states (vertex, |path| mod m),
-    in O(m (|V| + |E|)): a path of E^{km} ending in W is a walk from some
-    (w, 0) that follows received edges r(e) -> s(e), stepping the residue by
-    one, and comes back to residue 0 after at least one step.
+    This is reachability in E(0,m) from the seed W = {w : |E1 w| >= 2},
+    traversing edges range -> source and requiring at least one step; it is
+    computed on E itself, without building E(0,m), by one reverse
+    breadth-first search over the states (vertex, |path| mod m), in
+    O(m (|V| + |E|)): a path of E^{km} ending in W is a walk from some (w, 0)
+    that follows received edges r(e) -> s(e), stepping the residue by one,
+    and comes back to residue 0 after at least one step.
     """
     if m < 1:
         raise PreconditionError("hypothesis_check requires m >= 1")
-    seeds = {w for w in g.vertices if len(g.emitted(w)) >= 2}
-    seen = {(w, 0) for w in seeds}
+    seen = {(w, 0) for w in g.vertices if len(g.emitted(w)) >= 2}
     frontier = list(seen)
     reached: set[str] = set()
     for u, j in frontier:  # grows while it is walked
@@ -326,18 +328,6 @@ def _hypothesis_reach(g: Graph, m: int) -> tuple[set[str], set[str]]:
             if (e.src, step) not in seen:
                 seen.add((e.src, step))
                 frontier.append((e.src, step))
-    return seeds, reached
-
-
-def hypothesis_check(g: Graph, m: int) -> HypothesisResult:
-    """For each v: does some mu with |mu| in m*{1,2,...}, s(mu) = v, have
-    |E1 r(mu)| >= 2?
-
-    This is reachability in E(0,m) from the seed W = {w : |E1 w| >= 2},
-    traversing edges range -> source and requiring at least one step; it is
-    computed on E itself, without building E(0,m).
-    """
-    _, reached = _hypothesis_reach(g, m)
     per_vertex = {v: v in reached for v in g.vertices}
     return HypothesisResult(per_vertex, all(per_vertex.values()))
 

@@ -35,35 +35,6 @@ from .transform import (
 )
 
 
-class FunctionOnVertices:
-    """A function on SG{E}^0: vertex values, interpolated affinely along each edge.
-
-    a([e,t]) = (1-t) a([r(e)]) + t a([s(e)]), so the gluing [e,0] = [r(e)],
-    [e,1] = [s(e)] holds by construction.  Vertices missing from values read 0.
-    """
-
-    def __init__(self, g: Graph, values: dict):
-        vals = self.values = {v: Fraction(values.get(v, 0)) for v in g.vertices}
-        # (lo, slope) numerators over den per edge: a([e,t]) = (lo + slope t) / den
-        self.den, num = _over_one_den(vals)
-        self._lines = {e.id: (num[e.dst], num[e.src] - num[e.dst]) for e in g.edges}
-
-    def at_edge(self, e: str, t) -> Fraction:
-        return _on_line(self._lines, self.den, e, t, "edge")
-
-    def at_base(self, v: str) -> Fraction:
-        try:
-            return self.values[v]
-        except KeyError:
-            raise StructuralError(f"unknown vertex {v!r}") from None
-
-
-def _over_one_den(values: dict) -> tuple[int, dict]:
-    """(den, {k: a}) with values[k] = a / den, den the lcm of the denominators."""
-    den = math.lcm(*(x.denominator for x in values.values()))
-    return den, {k: x.numerator * (den // x.denominator) for k, x in values.items()}
-
-
 def _unit_parts(t, what: str) -> tuple[int, int]:
     """The ints (tn, td) with t = tn / td, td > 0, for t in [0,1]."""
     if type(t) is not Fraction:
@@ -74,26 +45,12 @@ def _unit_parts(t, what: str) -> tuple[int, int]:
     return tn, td
 
 
-def _on_line(lines: dict, den: int, key, t, what: str) -> Fraction:
-    """(lo + slope t) / den for the (lo, slope) numerators of key, t in [0,1]."""
-    tn, td = _unit_parts(t, what)
-    try:
-        lo, slope = lines[key]
-    except KeyError:
-        raise StructuralError(f"unknown {what} {key!r}") from None
-    return Fraction(lo * td + slope * tn, den * td)
-
-
-def vertex_fn_interpolated(g: Graph, values: dict) -> FunctionOnVertices:
-    """The FunctionOnVertices of these vertex values, affine along each edge."""
-    return FunctionOnVertices(g, values)
-
-
 class FunctionOnEdges:
     """A function on SG[m]E^1: lattice weights, interpolated affinely along each word.
 
-    weights is keyed by m-tuples of edge ids (by vertex ids when m = 0); words
-    missing from it weigh 0.  xi([w]) = weights[w] for w in E^m and
+    weights is keyed by m-tuples of edge ids (by vertex ids when m = 0, where
+    this is a function on SG{E}^0); words missing from it weigh 0.
+    xi([w]) = weights[w] for w in E^m and
     xi([mu,t]) = (1-t) xi([mu(0,m)]) + t xi([mu(1,m+1)]) for mu in E^{m+1},
     so the gluing xi([mu,1]) = xi([mu(1,m+1) f, 0]) holds by construction.
     """
@@ -105,14 +62,20 @@ class FunctionOnEdges:
         keys = [w.edge_ids if m else w.anchor for w in enumerate_paths(g, m)]
         wts = self.weights = {k: Fraction(weights.get(k, 0)) for k in keys}
         # (lo, slope) numerators over den per word mu: xi([mu,t]) = (lo + slope t) / den
-        self.den, num = _over_one_den(wts)
+        den = self.den = math.lcm(*(x.denominator for x in wts.values()))
+        num = {k: x.numerator * (den // x.denominator) for k, x in wts.items()}
         self._lines = {}
         for mu in enumerate_paths(g, m + 1):
             lo, hi = (mu.edge_ids[:m], mu.edge_ids[1:]) if m else (mu.r, mu.s)
             self._lines[mu.edge_ids] = (num[lo], num[hi] - num[lo])
 
     def at_word(self, word: tuple, t) -> Fraction:
-        return _on_line(self._lines, self.den, tuple(word), t, "word")
+        tn, td = _unit_parts(t, "word")
+        try:
+            lo, slope = self._lines[tuple(word)]
+        except KeyError:
+            raise StructuralError(f"unknown word {tuple(word)!r}") from None
+        return Fraction(lo * td + slope * tn, self.den * td)
 
     def at_lattice(self, w: Path) -> Fraction:
         key = w.edge_ids if self.m else w.anchor
@@ -120,6 +83,23 @@ class FunctionOnEdges:
             return self.weights[key]
         except KeyError:
             raise StructuralError(f"unknown lattice word {key!r}") from None
+
+    def limit(self, g: Graph, end: int) -> dict:
+        """The values at t -> 0+ (end 0) or t -> 1- (end 1), keyed by word of
+        E^{m+1}, read off the lattice weights: at 0 each w in E^m extends to
+        we with r(e) = s(w), at 1 to ew with s(e) = r(w)."""
+        words = enumerate_paths(g, self.m)
+        at = self.at_lattice
+        if end == 0:
+            return {w.edge_ids + (e.id,): at(w) for w in words for e in g.received(w.s)}
+        return {(e.id,) + w.edge_ids: at(w) for w in words for e in g.emitted(w.r)}
+
+
+def vertex_fn_interpolated(g: Graph, values: dict) -> FunctionOnEdges:
+    """The function a on SG{E}^0 = SG[0]E^1 of these vertex values: the
+    FunctionOnEdges at m = 0, read a([e,t]) = (1-t) a([r(e)]) + t a([s(e)])
+    on the one-edge word (e,)."""
+    return FunctionOnEdges(g, 0, values)
 
 
 def edge_fn_interpolated(g: Graph, m: int, weights: dict) -> FunctionOnEdges:
@@ -332,29 +312,32 @@ def _jmath_tables(g: Graph, p: int, q: int, rep: TruncatedRep):
 # ---------------------------------------------------------------------------
 
 
-def _on_generators(
-    rep: TruncatedRep, rho_coeffs: dict, psi_coeffs: dict
+def _fibre_pair(
+    rep: TruncatedRep, a: FunctionOnEdges, xi: FunctionOnEdges, coeffs
 ) -> tuple[SparseOperator, SparseOperator]:
-    """(sum_e c_e Q_e, sum_mu c_mu T_mu) on E(1,m+1), the coefficients keyed
-    by edge id and by the edge ids of mu in E^{m+1}."""
-    rho = combo(rep, [(c, rep.Q[e]) for e, c in rho_coeffs.items()])
-    psi = combo(rep, [(c, rep.T[join_ids(mu)]) for mu, c in psi_coeffs.items()])
-    return rho, psi
+    """(rho, psi) on E(1,m+1): for a with Q and xi with T, the sum over the
+    words k of coeffs(fn) (one-edge words (e,) for a, words of E^{m+1} for xi)
+    of coeffs(fn)[k] times the generator of id join_ids(k)."""
+    return tuple(
+        combo(rep, [(c, gens[join_ids(k)]) for k, c in coeffs(fn).items()])
+        for fn, gens in ((a, rep.Q), (xi, rep.T))
+    )
 
 
-def _fibre_coeffs(
-    g: Graph, t: Fraction, a: FunctionOnVertices, xi: FunctionOnEdges, words: list
-) -> tuple[dict, dict]:
-    """The coefficients a([e,t]) of Q_e and xi([mu,t]) of T_mu, mu in words."""
-    return {e.id: a.at_edge(e.id, t) for e in g.edges}, {mu: xi.at_word(mu, t) for mu in words}
+def _fibre_rep(
+    g: Graph, m: int, L: int, a: FunctionOnEdges, xi: FunctionOnEdges
+) -> TruncatedRep:
+    """The E(1,m+1) representation of dual_rep, for a at m = 0 and xi at m."""
+    if (a.m, xi.m) != (0, m):
+        raise PreconditionError(f"need a at m = 0 and xi at m = {m}, not at {a.m} and {xi.m}")
+    return dual_rep(g, 1, m + 1, L)
 
 
 def _fibre_rho_psi(
-    rep: TruncatedRep, g: Graph, m: int, t: Fraction, a: FunctionOnVertices, xi: FunctionOnEdges
+    rep: TruncatedRep, t: Fraction, a: FunctionOnEdges, xi: FunctionOnEdges
 ) -> tuple[SparseOperator, SparseOperator]:
     """rho = sum_e a([e,t]) Q_e, psi = sum_{mu in E^{m+1}} xi([mu,t]) T_mu on E(1,m+1)."""
-    words = [mu.edge_ids for mu in enumerate_paths(g, m + 1)]
-    return _on_generators(rep, *_fibre_coeffs(g, t, a, xi, words))
+    return _fibre_pair(rep, a, xi, lambda fn: {k: fn.at_word(k, t) for k in fn._lines})
 
 
 # ---------------------------------------------------------------------------
@@ -374,57 +357,36 @@ class LimitReport:
     report: RunReport = field(default_factory=RunReport)
 
 
-def _limit_coeffs(
-    g: Graph, m: int, a: FunctionOnVertices, xi: FunctionOnEdges, end: int
-) -> tuple[dict, dict]:
-    """The coefficients of Q_e and T_mu in the limits of the fibre pair at
-    t -> 0+ (end 0) or t -> 1- (end 1), keyed as in _on_generators.
-
-    At 0 each word w in E^m extends to we with r(e) = s(w), at 1 to ew with s(e) = r(w).
-    """
-    words = enumerate_paths(g, m)
-    if end == 0:
-        rho = {e.id: a.at_base(e.dst) for e in g.edges}
-        psi = {w.edge_ids + (e.id,): xi.at_lattice(w) for w in words for e in g.received(w.s)}
-    else:
-        rho = {e.id: a.at_base(e.src) for e in g.edges}
-        psi = {(e.id,) + w.edge_ids: xi.at_lattice(w) for w in words for e in g.emitted(w.r)}
-    return rho, psi
-
-
 def _limit_ops(
-    rep: TruncatedRep, g: Graph, m: int, a: FunctionOnVertices, xi: FunctionOnEdges, end: int
+    rep: TruncatedRep, g: Graph, a: FunctionOnEdges, xi: FunctionOnEdges, end: int
 ) -> tuple[SparseOperator, SparseOperator]:
     """The limits (rho, psi) of the fibre pair at t -> 0+ (end 0) or t -> 1- (end 1),
     built once per rep."""
-    build = lambda: _on_generators(rep, *_limit_coeffs(g, m, a, xi, end))  # noqa: E731
-    return _once(rep, ("limit", m, a, xi, end), build)
+    build = lambda: _fibre_pair(rep, a, xi, lambda fn: fn.limit(g, end))  # noqa: E731
+    return _once(rep, ("limit", a, xi, end), build)
 
 
-def _limit_errors(
-    rep: TruncatedRep, g: Graph, m: int, a: FunctionOnVertices, xi: FunctionOnEdges
-):
+def _limit_errors(rep: TruncatedRep, g: Graph, a: FunctionOnEdges, xi: FunctionOnEdges):
     """err(t, end) = (||rho(t) - eps_rho||^2, ||psi(t) - eps_psi||^2), eps the
     limit at end 0 or 1, exact and with no error operator formed.
 
     Each error sums one table of generators (the Q_e for rho, the T_mu for
     psi, keyed by every generator of the fibre pair or of a limit) with the
     coefficient differences c_k(t) - eps_k.  For t = tn / td these are the
-    ints lo td + slope tn - eps td over den td, from the (lo, slope)
-    numerators over den of the lines of a or xi, and sum_sq_norm takes the
-    squared norm of the sum from them.
+    ints lo td + slope tn - eps td over den td, with the (lo, slope) numerators
+    of the lines of a or xi and the limit values eps over den, the lcm of their
+    denominators, and sum_sq_norm takes the squared norm of the sum from them.
     """
-    limits = [_limit_coeffs(g, m, a, xi, end) for end in (0, 1)]
     sides = []
-    for fn, gen, lims in (
-        (a, lambda e: rep.Q[e], [rho for rho, _ in limits]),
-        (xi, lambda mu: rep.T[join_ids(mu)], [psi for _, psi in limits]),
-    ):
+    for fn, gens in ((a, rep.Q), (xi, rep.T)):
+        lims = [fn.limit(g, end) for end in (0, 1)]
         keys = list(dict.fromkeys([*fn._lines, *lims[0], *lims[1]]))
+        den = math.lcm(fn.den, *(x.denominator for lim in lims for x in lim.values()))
+        scale = den // fn.den
         lines = [fn._lines.get(k, (0, 0)) for k in keys]
-        # each limit value is a value of fn, so a whole multiple of 1/den
-        eps = [[int(lim.get(k, 0) * fn.den) for k in keys] for lim in lims]
-        sides.append((fn.den, lines, eps, sum_sq_norm([gen(k) for k in keys])))
+        lines = [(lo * scale, slope * scale) for lo, slope in lines]
+        eps = [[int(lim.get(k, 0) * den) for k in keys] for lim in lims]
+        sides.append((den, lines, eps, sum_sq_norm([gens[join_ids(k)] for k in keys])))
 
     def err(t: Fraction, end: int) -> tuple[Fraction, Fraction]:
         tn, td = _unit_parts(t, "fibre")
@@ -440,23 +402,24 @@ def _limit_errors(
 
 
 def _jmath_image(
-    rep: TruncatedRep, g: Graph, m: int, a: FunctionOnVertices, xi: FunctionOnEdges
+    rep: TruncatedRep, g: Graph, a: FunctionOnEdges, xi: FunctionOnEdges
 ) -> tuple[SparseOperator, SparseOperator]:
     """The jmath images sum_v a([v]) q_v and sum_w xi([w]) t_w of the E(0,m)
-    fibre, built once per rep."""
+    fibre, built once per rep: the tables are keyed as the weights, by vertex
+    and by the edge ids of w in E^m."""
 
     def build():
-        q_table, t_table, _ = _jmath_tables(g, 1, m + 1, rep)
-        rho = combo(rep, [(a.at_base(v), q_table[v]) for v in g.vertices])
-        words = enumerate_paths(g, m)
-        psi = combo(rep, [(xi.at_lattice(w), t_table[w.edge_ids]) for w in words])
-        return rho, psi
+        q_table, t_table, _ = _jmath_tables(g, 1, xi.m + 1, rep)
+        return tuple(
+            combo(rep, [(c, table[k]) for k, c in fn.weights.items()])
+            for fn, table in ((a, q_table), (xi, t_table))
+        )
 
-    return _once(rep, ("image", m, a, xi), build)
+    return _once(rep, ("image", a, xi), build)
 
 
 def limit_formulas(
-    g: Graph, m: int, L: int, a: FunctionOnVertices, xi: FunctionOnEdges, K: int = 10
+    g: Graph, m: int, L: int, a: FunctionOnEdges, xi: FunctionOnEdges, K: int = 10
 ) -> LimitReport:
     """Closed-form limit operators at t -> 0+ and t -> 1-, with exact error decay.
 
@@ -470,12 +433,12 @@ def limit_formulas(
         raise PreconditionError("limit_formulas requires m >= 1")
     if K < 1:
         raise PreconditionError("limit_formulas requires K >= 1")
-    rep = dual_rep(g, 1, m + 1, L)
-    eps0_rho, eps0_psi = _limit_ops(rep, g, m, a, xi, 0)
-    eps1_rho, eps1_psi = _limit_ops(rep, g, m, a, xi, 1)
+    rep = _fibre_rep(g, m, L, a, xi)
+    eps0_rho, eps0_psi = _limit_ops(rep, g, a, xi, 0)
+    eps1_rho, eps1_psi = _limit_ops(rep, g, a, xi, 1)
     out = RunReport()
     # the t -> 0+ limits are the jmath images of the E(0,m) fibre operators
-    want_rho, want_psi = _jmath_image(rep, g, m, a, xi)
+    want_rho, want_psi = _jmath_image(rep, g, a, xi)
     out.add("limits.eps0_rho_is_jmath_image", eps0_rho == want_rho, "exact")
     out.add("limits.eps0_psi_is_jmath_image", eps0_psi == want_psi, "exact")
     # a and xi are affine in t, so each error operator is d times a fixed
@@ -487,7 +450,7 @@ def limit_formulas(
         "rho_at_1": [],
         "psi_at_1": [],
     }
-    err = _limit_errors(rep, g, m, a, xi)
+    err = _limit_errors(rep, g, a, xi)
     for d in dists:
         for end, t in ((0, d), (1, 1 - d)):
             rho_sq, psi_sq = err(t, end)
@@ -516,7 +479,6 @@ def limit_formulas(
 @dataclass
 class EtaTables:
     rep: TruncatedRep
-    w: dict
     x: dict
     y: dict
     z: dict
@@ -524,12 +486,11 @@ class EtaTables:
 
 
 def eta_generators(g: Graph, m: int, L: int) -> EtaTables:
-    """w_v, x_v, y_mu, z_mu in the E(1,m+1) representation, with their relations."""
+    """x_v, y_mu, z_mu in the E(1,m+1) representation, with their relations."""
     if m < 1:
         raise PreconditionError("eta_generators requires m >= 1")
     rep = dual_rep(g, 1, m + 1, L)
     out = RunReport()
-    w_table = {v: combo(rep, [(1, rep.Q[e.id]) for e in g.emitted(v)]) for v in g.vertices}
     x_table = {v: combo(rep, [(1, rep.Q[e.id]) for e in g.received(v)]) for v in g.vertices}
     words = enumerate_paths(g, m)
     y_table = {}
@@ -552,7 +513,7 @@ def eta_generators(g: Graph, m: int, L: int) -> EtaTables:
     ok_z = all(z_table[mu.edge_ids] == t_table[mu.edge_ids] for mu in words)
     out.add("eta.x=jmath(Q)", ok_x, "exact")
     out.add("eta.z=jmath(T)", ok_z, "exact")
-    return EtaTables(rep, w_table, x_table, y_table, z_table, out)
+    return EtaTables(rep, x_table, y_table, z_table, out)
 
 
 @dataclass
@@ -564,7 +525,7 @@ class KappaResult:
 
 
 def kappa_eval(
-    g: Graph, m: int, L: int, a: FunctionOnVertices, xi: FunctionOnEdges, t
+    g: Graph, m: int, L: int, a: FunctionOnEdges, xi: FunctionOnEdges, t
 ) -> KappaResult:
     """The three-case fibre evaluation of (rho(a), psi(xi)) on E(1,m+1)^{<=L}.
 
@@ -576,7 +537,7 @@ def kappa_eval(
         raise PreconditionError("kappa is evaluated on [0,1]")
     if m < 1:
         raise PreconditionError("kappa_eval requires m >= 1")
-    rep = dual_rep(g, 1, m + 1, L)
+    rep = _fibre_rep(g, m, L, a, xi)
     out = RunReport()
     hyp = _once(g, ("hypothesis", m), lambda: hypothesis_check(g, m))
     out.add(
@@ -585,20 +546,20 @@ def kappa_eval(
         f"hypothesis_check(g,{m}) = {hyp.ok} (recorded, not gating; cannot fail)",
     )
     if t == 0:
-        eps0_rho, eps0_psi = _limit_ops(rep, g, m, a, xi, 0)
-        rho, psi = _jmath_image(rep, g, m, a, xi)
+        eps0_rho, eps0_psi = _limit_ops(rep, g, a, xi, 0)
+        rho, psi = _jmath_image(rep, g, a, xi)
         out.add(
             "kappa.t0_in_jmath_span",
             rho == eps0_rho and psi == eps0_psi,
             "value at 0 built from jmath tables; equals the eps0 limit exactly",
         )
     elif t == 1:
-        rho, psi = _limit_ops(rep, g, m, a, xi, 1)
+        rho, psi = _limit_ops(rep, g, a, xi, 1)
         out.add(
             "kappa.t1_is_eps1", True, "value at 1 is the eps1 limit by the case split; cannot fail"
         )
     else:
-        rho, psi = _fibre_rho_psi(rep, g, m, t, a, xi)
+        rho, psi = _fibre_rho_psi(rep, t, a, xi)
     return KappaResult(rho, psi, rep, out)
 
 

@@ -11,6 +11,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -939,6 +940,50 @@ def test_morita_dropped_defect_term_fails_only_ps_ck(tmp_path, capsys, monkeypat
     assert [line.split()[:3] for line in failing] == [
         line.split()[:2] + ["FAIL" if "PS_ck_at_V0" in line else "PASS"] for line in passing
     ]
+
+
+EPS0_FAILS = {"limits.monotone_convergence", "kappa.t0_in_jmath_span"}
+
+
+@pytest.mark.parametrize("delta", [1, Fraction(1, 8)], ids=["1", "1/8"])
+@pytest.mark.parametrize(
+    "side,end,fails",
+    [("a", 0, EPS0_FAILS | {"limits.eps0_rho_is_jmath_image"}),
+     ("xi", 0, EPS0_FAILS | {"limits.eps0_psi_is_jmath_image"}),
+     ("a", 1, {"limits.monotone_convergence"}),
+     ("xi", 1, {"limits.monotone_convergence"})],
+    ids=["a-end0", "xi-end0", "a-end1", "xi-end1"],
+)
+def test_perturbed_limit_coefficient_fails_its_checks(
+    tmp_path, capsys, monkeypatch, side, end, fails, delta
+):
+    # one coefficient of one limit, moved by delta, fails exactly the checks
+    # that read it; at the default seed a's values are quarters, so a move of
+    # a's limit by 1/8 shows only if the limit errors are summed over a
+    # denominator shared by the lines and the limits, with nothing rounded
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(CYCLE_PLUS_LOOP))
+    real = opalg.FunctionOnEdges.limit
+
+    def perturbed(fn, g, at):
+        lim = real(fn, g, at)
+        if at == end and (fn.m == 0) == (side == "a"):
+            first = next(iter(lim))
+            lim[first] += delta
+        return lim
+
+    monkeypatch.setattr(opalg.FunctionOnEdges, "limit", perturbed)
+    assert cli.main(["verify", str(path), "--suite", "all", "--l", "2/3"]) == 1
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert {name for _, name, verdict, *_ in lines if verdict == "FAIL"} == fails
+
+
+@pytest.mark.parametrize("L", ["0", "-3"])
+def test_verify_truncation_length_below_one_is_refused(two_loop_file, capsys, L):
+    assert cli.main(["verify", two_loop_file, "--L", L]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ERROR precondition: truncation length must be >= 1\n"
 
 
 def test_verify_tck_runs_at_a_large_l(two_loop_file, capsys):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from suspquiver import (
     FunctionOnEdges,
-    FunctionOnVertices,
     Graph,
     Path,
     PreconditionError,
@@ -48,11 +47,12 @@ from conftest import (
 def test_vertex_fn_interpolation(cycle_plus_loop):
     g = cycle_plus_loop
     a = vertex_fn_interpolated(g, {"u": Fraction(1, 2), "v": Fraction(1, 4)})
-    assert a.at_base("u") == Fraction(1, 2) and type(a.at_base("u")) is Fraction
+    u, v = vertex_path(g, "u"), vertex_path(g, "v")
+    assert a.at_lattice(u) == Fraction(1, 2) and type(a.at_lattice(u)) is Fraction
     # p runs u -> v, so [p,t] interpolates from r(p) = v to s(p) = u
-    assert a.at_edge("p", Fraction(1, 2)) == Fraction(3, 8)
-    assert a.at_edge("p", 0) == a.at_base("v")
-    assert a.at_edge("p", 1) == a.at_base("u")
+    assert a.at_word(("p",), Fraction(1, 2)) == Fraction(3, 8)
+    assert a.at_word(("p",), 0) == a.at_lattice(v)
+    assert a.at_word(("p",), 1) == a.at_lattice(u)
 
 
 def test_edge_fn_interpolation(two_loop):
@@ -78,10 +78,10 @@ def test_functions_match_callable_references(seed, m, data):
     a_ref, xi_ref = reference_vertex_fn(g, values), reference_edge_fn(g, m, weights)
     ts = [Fraction(0), Fraction(1), data.draw(st.fractions(min_value=0, max_value=1))]
     for t in ts:
-        assert all(a.at_edge(e.id, t) == a_ref.at_edge(e.id, t) for e in g.edges)
+        assert all(a.at_word((e.id,), t) == a_ref.at_edge(e.id, t) for e in g.edges)
         for mu in enumerate_paths(g, m + 1):
             assert xi.at_word(mu.edge_ids, t) == xi_ref.at_word(mu.edge_ids, t)
-    assert all(a.at_base(v) == a_ref.at_base(v) for v in g.vertices)
+    assert all(a.at_lattice(vertex_path(g, v)) == a_ref.at_base(v) for v in g.vertices)
     for w in enumerate_paths(g, m):
         assert xi.at_lattice(w) == xi_ref.at_lattice(w)
 
@@ -89,7 +89,7 @@ def test_functions_match_callable_references(seed, m, data):
 def test_unknown_edge_or_word_refused(two_loop, cycle_plus_loop):
     a = vertex_fn_interpolated(two_loop, {"v": 1})
     with pytest.raises(StructuralError):
-        a.at_edge("p", Fraction(1, 2))
+        a.at_word(("p",), Fraction(1, 2))
     xi = edge_fn_interpolated(cycle_plus_loop, 1, {("p",): 1})
     # pp does not compose (s(p) = u, r(p) = v), and p is a word of length 1
     with pytest.raises(StructuralError):
@@ -103,7 +103,7 @@ def test_unknown_edge_or_word_refused(two_loop, cycle_plus_loop):
 def test_unknown_vertex_refused_at_base(cycle_plus_loop):
     a = vertex_fn_interpolated(cycle_plus_loop, {"u": 1})
     with pytest.raises(StructuralError):
-        a.at_base("x")
+        a.at_lattice(vertex_path(Graph(["x"], []), "x"))
 
 
 def test_uncovered_word_refused_at_lattice(two_loop):
@@ -121,7 +121,7 @@ def test_coordinate_outside_unit_interval_refused(t, two_loop):
     a = vertex_fn_interpolated(two_loop, {"v": 1})
     xi = edge_fn_interpolated(two_loop, 1, {("e",): 1})
     with pytest.raises(PreconditionError):
-        a.at_edge("e", t)
+        a.at_word(("e",), t)
     with pytest.raises(PreconditionError):
         xi.at_word(("e", "f"), t)
 
@@ -130,9 +130,10 @@ def test_values_without_edges_read_as_given():
     # w is isolated, and u receives no edge, so the lattice word e (s(e) = u)
     # has no extension ef; each still reads the value it was given
     g = Graph(["u", "v", "w"], [("e", "u", "v")])
-    a = FunctionOnVertices(g, {"u": Fraction(1, 2), "w": Fraction(3, 4)})
-    assert a.at_base("w") == Fraction(3, 4) and a.at_base("v") == 0
-    assert a.at_edge("e", 1) == a.at_base("u") == Fraction(1, 2)
+    a = vertex_fn_interpolated(g, {"u": Fraction(1, 2), "w": Fraction(3, 4)})
+    assert a.at_lattice(vertex_path(g, "w")) == Fraction(3, 4)
+    assert a.at_lattice(vertex_path(g, "v")) == 0
+    assert a.at_word(("e",), 1) == a.at_lattice(vertex_path(g, "u")) == Fraction(1, 2)
     xi = FunctionOnEdges(g, 1, {("e",): Fraction(2, 3)})
     assert xi.at_lattice(Path(g, ("e",))) == Fraction(2, 3)
     xi0 = FunctionOnEdges(g, 0, {"w": Fraction(1, 5), "u": 1})
@@ -168,7 +169,7 @@ def test_rho_identity_function(two_loop):
     a = vertex_fn_interpolated(g, {"v": 1})
     xi = edge_fn_interpolated(g, 1, {})
     rep = build_rep(higher_dual(g, 1, 2), 3)
-    rho, _ = _fibre_rho_psi(rep, g, 1, Fraction(1, 3), a, xi)
+    rho, _ = _fibre_rho_psi(rep, Fraction(1, 3), a, xi)
     assert rho == rep.identity()
 
 
@@ -178,7 +179,7 @@ def test_psi_prepends_with_coefficients(two_loop):
     xi = edge_fn_interpolated(g, 1, {("e",): Fraction(1, 2), ("f",): Fraction(1, 4)})
     t = Fraction(1, 2)
     rep = build_rep(higher_dual(g, 1, 2), 3)
-    _, psi = _fibre_rho_psi(rep, g, 1, t, a, xi)
+    _, psi = _fibre_rho_psi(rep, t, a, xi)
     # column over the dual vertex e: psi h_[e] = sum_mu xi([mu,t]) h_mu with
     # mu ranging over the dual edges with source e
     col = psi.column(rep.vertex_index("e"))
@@ -204,8 +205,8 @@ def test_rotation_covariance_on_reduced_single_loop():
     xi = edge_fn_interpolated(C, 1, {(e.id,): 1 for e in C.edges})
     t = Fraction(1, 2)
     rep = build_rep(higher_dual(C, 1, 2), 4)
-    rho_a, psi = _fibre_rho_psi(rep, C, 1, t, a, xi)
-    rho_rot, _ = _fibre_rho_psi(rep, C, 1, t, a_rot, xi)
+    rho_a, psi = _fibre_rho_psi(rep, t, a, xi)
+    rho_rot, _ = _fibre_rho_psi(rep, t, a_rot, xi)
     assert psi @ rho_a == rho_rot @ psi
 
 
@@ -214,7 +215,7 @@ def test_psi_norm_bound(two_loop):
     a = vertex_fn_interpolated(g, {"v": 1})
     xi = edge_fn_interpolated(g, 1, {("e",): Fraction(1, 2), ("f",): Fraction(1, 2)})
     t = Fraction(1, 3)
-    _, psi = _fibre_rho_psi(build_rep(higher_dual(g, 1, 2), 4), g, 1, t, a, xi)
+    _, psi = _fibre_rho_psi(build_rep(higher_dual(g, 1, 2), 4), t, a, xi)
     # ||psi(xi)|| <= ||xi||_inf * #words of length m+1 on which xi is supported
     words = [w.edge_ids for w in enumerate_paths(g, 2)]
     sup = max(abs(xi.at_word(w, t)) for w in words)
@@ -261,12 +262,12 @@ def test_limit_errors_match_fibre_minus_limit(seed, m, k, data):
     a = vertex_fn_interpolated(g, {v: data.draw(value) for v in g.vertices})
     weights = {w.edge_ids: data.draw(value) for w in enumerate_paths(g, m)}
     xi = edge_fn_interpolated(g, m, weights)
-    err = _limit_errors(rep, g, m, a, xi)
+    err = _limit_errors(rep, g, a, xi)
     d = Fraction(1, 2**k)
     t = data.draw(st.fractions(min_value=0, max_value=1, max_denominator=12))
     for end, at in ((0, d), (1, 1 - d), (0, t), (1, t)):
-        rho, psi = _fibre_rho_psi(rep, g, m, at, a, xi)
-        eps_rho, eps_psi = _limit_ops(rep, g, m, a, xi, end)
+        rho, psi = _fibre_rho_psi(rep, at, a, xi)
+        eps_rho, eps_psi = _limit_ops(rep, g, a, xi, end)
         assert err(at, end) == (norm_squared(rho - eps_rho), norm_squared(psi - eps_psi))
     # every a and xi is affine, so the closed form ||err||^2 = C d^2 holds
     lim = limit_formulas(g, m, 2, a, xi, K=3)
@@ -299,6 +300,17 @@ def test_limit_constants_vacuous(two_loop):
         c.detail for c in lim.report.checks if c.name == "limits.monotone_convergence"
     )
     assert "rho_at_0=vacuous" in detail and "psi_at_0=1/16" in detail
+
+
+def test_functions_at_another_m_refused(two_loop):
+    # a is the function at m = 0 and xi the one at m: each swap or mismatch
+    # is refused before any representation is read
+    a, xi = _test_functions(two_loop, 1)
+    for bad_a, bad_xi, m in ((a, xi, 2), (xi, xi, 1), (a, a, 1)):
+        with pytest.raises(PreconditionError):
+            limit_formulas(two_loop, m, 2, bad_a, bad_xi, K=2)
+        with pytest.raises(PreconditionError):
+            kappa_eval(two_loop, m, 2, bad_a, bad_xi, Fraction(1, 2))
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -336,7 +348,7 @@ def test_kappa_interior_matches_fibre(two_loop):
     a, xi = _test_functions(two_loop, 1)
     t = Fraction(2, 5)
     res = kappa_eval(two_loop, 1, 3, a, xi, t)
-    rho, psi = _fibre_rho_psi(res.rep, two_loop, 1, t, a, xi)
+    rho, psi = _fibre_rho_psi(res.rep, t, a, xi)
     assert res.rho == rho and res.psi == psi
 
 
