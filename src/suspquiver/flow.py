@@ -8,29 +8,31 @@ raise PrecisionError instead of silently extending.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterator, Union
 
 from .errors import PrecisionError, PreconditionError
-from .graph import Graph, Path, enumerate_paths
+from .graph import Graph, Path, _Frozen, enumerate_paths
 from .report import RunReport, rat_str
 from .transform import delay, delay_embed_path
 
 
-@dataclass(frozen=True)
-class FlowPoint:
+class FlowPoint(_Frozen):
     """[x,t] with x known up to |prefix| symbols and t in [0,1)."""
 
-    prefix: Path
-    t: Fraction
-    exact: bool = True
+    __slots__ = ("prefix", "t", "exact")
+    _key = attrgetter(*__slots__)
 
-    def __post_init__(self) -> None:
-        if len(self.prefix) == 0:
+    def __init__(self, prefix: Path, t: Fraction, exact: bool = True):
+        if len(prefix) == 0:
             raise PreconditionError("flow point needs a nonempty prefix")
-        if not 0 <= self.t < 1:
+        if not 0 <= t < 1:
             raise PreconditionError("flow time must lie in [0,1)")
+        init = object.__setattr__
+        init(self, "prefix", prefix)
+        init(self, "t", t)
+        init(self, "exact", exact)
 
     def __repr__(self) -> str:
         return f"FlowPoint({' '.join(self.prefix.edge_ids)}, t={self.t})"

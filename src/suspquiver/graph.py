@@ -14,14 +14,13 @@ Conventions are fixed once and used literally everywhere:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from operator import attrgetter
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import CompositionError, PreconditionError, StructuralError
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: str
     src: str
     dst: str
@@ -79,31 +78,58 @@ class Graph:
         return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
-@dataclass(frozen=True)
-class Path:
+class _Frozen:
+    """Base of the immutable value classes.  Each sets its __slots__ once, with
+    object.__setattr__, and compares and hashes by the tuple of fields that its
+    class attribute _key (an attrgetter) reads."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Path(_Frozen):
     """A composable edge sequence mu_1 ... mu_n; length 0 carries an anchor vertex.
 
     Equality and hashing compare the combinatorial data only (edge ids and, for
     length 0, the anchor vertex); paths are always used within a single graph.
     """
 
-    graph: Graph = field(compare=False, hash=False, repr=False)
-    edge_ids: tuple[str, ...]
-    anchor: Optional[str] = None
+    __slots__ = ("graph", "edge_ids", "anchor")
+    _key = attrgetter("edge_ids", "anchor")
 
-    def __post_init__(self) -> None:
-        g = self.graph
-        if self.edge_ids:
-            if self.anchor is not None:
+    def __init__(self, graph: Graph, edge_ids: tuple[str, ...], anchor: Optional[str] = None):
+        if edge_ids:
+            if anchor is not None:
                 raise StructuralError("nonempty path must not carry an anchor")
-            for a, b in zip(self.edge_ids, self.edge_ids[1:]):
-                if g.s(a) != g.r(b):
+            for a, b in zip(edge_ids, edge_ids[1:]):
+                if graph.s(a) != graph.r(b):
                     raise CompositionError(f"edges {a!r},{b!r} not composable")
         else:
-            if self.anchor is None:
+            if anchor is None:
                 raise StructuralError("length-0 path needs an anchor vertex")
-            if self.anchor not in g._received:
-                raise StructuralError(f"unknown anchor vertex {self.anchor!r}")
+            if anchor not in graph._received:
+                raise StructuralError(f"unknown anchor vertex {anchor!r}")
+        init = object.__setattr__
+        init(self, "graph", graph)
+        init(self, "edge_ids", edge_ids)
+        init(self, "anchor", anchor)
 
     @classmethod
     def _composed(cls, graph: Graph, edge_ids: tuple[str, ...]) -> "Path":
@@ -252,8 +278,7 @@ class IntMatrix:
         return "IntMatrix[\n  " + "\n  ".join(rows) + "\n]"
 
 
-@dataclass(frozen=True)
-class Diagnostics:
+class Diagnostics(NamedTuple):
     sinks: frozenset[str]
     sources: frozenset[str]
     ok_for_suspension: bool

@@ -12,27 +12,28 @@ stored).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from operator import attrgetter
+from typing import NamedTuple, Optional
 
 from .errors import PreconditionError
-from .graph import Graph, IntMatrix, validate
+from .graph import Graph, IntMatrix, _Frozen, validate
 from .transform import higher_dual, opposite
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(_Frozen):
     """Z^free_rank (+) Z/d1 (+) ... with d1 | d2 | ... and every di >= 2."""
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("free_rank", "torsion")
+    _key = attrgetter(*__slots__)
 
-    def __post_init__(self) -> None:
-        if self.free_rank < 0 or any(d < 2 for d in self.torsion):
+    def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
+        if free_rank < 0 or any(d < 2 for d in torsion):
             raise PreconditionError("bad group data")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise PreconditionError("invariant factors must form a divisor chain")
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
 
     def __str__(self) -> str:
         parts = []
@@ -66,8 +67,7 @@ def direct_sum(a: AbelianGroup, b: AbelianGroup) -> AbelianGroup:
     return AbelianGroup(a.free_rank + b.free_rank, _divisor_chain(a.torsion + b.torsion))
 
 
-@dataclass
-class SNFResult:
+class SNFResult(NamedTuple):
     U: IntMatrix
     S: IntMatrix
     V: IntMatrix
@@ -297,8 +297,7 @@ def homology(g: Graph) -> tuple[AbelianGroup, AbelianGroup]:
     return H0, H1
 
 
-@dataclass(frozen=True)
-class HypothesisResult:
+class HypothesisResult(NamedTuple):
     per_vertex: dict
     ok: bool
 
@@ -332,16 +331,15 @@ def hypothesis_check(g: Graph, m: int) -> HypothesisResult:
     return HypothesisResult(per_vertex, all(per_vertex.values()))
 
 
-@dataclass
-class SuspensionKReport:
+class SuspensionKReport(NamedTuple):
     l_num: int
     l_den: int
     k0: AbelianGroup
     k1: AbelianGroup
     route: str
     hypotheses_met: bool
-    hypothesis_table: dict = field(default_factory=dict)
-    flags: list = field(default_factory=list)
+    hypothesis_table: dict
+    flags: list
 
 
 # The most decimal digits that a torsion order of a K-group may reach by
@@ -410,8 +408,7 @@ def suspension_K(g: Graph, m: int, n: int) -> SuspensionKReport:
     )
 
 
-@dataclass
-class DualKReport:
+class DualKReport(NamedTuple):
     dual_K: tuple
     power_K: tuple
     isomorphic: bool

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import PreconditionError, StructuralError
-from .graph import Graph, Path, _HalfLayers, enumerate_paths, validate, vertex_path
+from .graph import Graph, Path, enumerate_paths, validate, vertex_path
 from .ktheory import hypothesis_check
 from .operators import (
     SparseOperator,
@@ -200,15 +200,14 @@ def _product_formula_spot_check(rep: TruncatedRep, rng: random.Random, trials: i
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class JmathTables:
+class JmathTables(NamedTuple):
     graph: Graph
     p: int
     q: int
     rep: TruncatedRep
     q_table: dict
     t_table: dict
-    report: RunReport = field(default_factory=RunReport)
+    report: RunReport
 
 
 def jmath(g: Graph, p: int, q: int, L: int) -> JmathTables:
@@ -345,8 +344,7 @@ def _fibre_rho_psi(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LimitReport:
+class LimitReport(NamedTuple):
     rep: TruncatedRep
     eps0_rho: SparseOperator
     eps0_psi: SparseOperator
@@ -354,7 +352,7 @@ class LimitReport:
     eps1_psi: SparseOperator
     errors: dict
     constants: dict
-    report: RunReport = field(default_factory=RunReport)
+    report: RunReport
 
 
 def _limit_ops(
@@ -476,13 +474,12 @@ def limit_formulas(
     )
 
 
-@dataclass
-class EtaTables:
+class EtaTables(NamedTuple):
     rep: TruncatedRep
     x: dict
     y: dict
     z: dict
-    report: RunReport = field(default_factory=RunReport)
+    report: RunReport
 
 
 def eta_generators(g: Graph, m: int, L: int) -> EtaTables:
@@ -516,12 +513,11 @@ def eta_generators(g: Graph, m: int, L: int) -> EtaTables:
     return EtaTables(rep, x_table, y_table, z_table, out)
 
 
-@dataclass
-class KappaResult:
+class KappaResult(NamedTuple):
     rho: SparseOperator
     psi: SparseOperator
     rep: TruncatedRep
-    report: RunReport = field(default_factory=RunReport)
+    report: RunReport
 
 
 def kappa_eval(
@@ -587,14 +583,17 @@ def morita_combinatorics(g: Graph, m: int, n: int, L: int) -> RunReport:
         raise PreconditionError("need a graph with no sinks and no sources")
     D = delay(g, n)
     out = RunReport()
-    # (i) partition shift law on all delay-graph paths of length <= L, layer
-    # by layer: s(lambda) is the tail, r(lambda) that of its first edge
-    layers = _HalfLayers(D)
-    ok_shift = all(
-        _delay_layer(D, tail) == (_delay_layer(D, D.r(ids[0])) + length) % n
-        for length in range(1, L + 1)
-        for ids, tail in layers.layer(length, None)
-    )
+    # (i) partition shift law on all delay-graph paths of length <= L: it
+    # reads only (r(lambda), s(lambda), |lambda|), so it runs over the distinct
+    # (range, source) pairs of each length, those of length k + 1 being the
+    # pairs of length k extended by each edge received at their source
+    pairs = {(v, v): None for v in D.vertices}
+    ok_shift = True
+    for length in range(1, L + 1):
+        pairs = dict.fromkeys((r, e.src) for r, s in pairs for e in D.received(s))
+        ok_shift = ok_shift and all(
+            _delay_layer(D, s) == (_delay_layer(D, r) + length) % n for r, s in pairs
+        )
     out.add(
         "morita.partition_shift",
         ok_shift,

@@ -13,12 +13,12 @@ edge-id words; fibre_paths builds the same fibre as QuiverPaths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from operator import attrgetter
+from typing import NamedTuple, Optional
 
 from .errors import CompositionError, PreconditionError, StructuralError
-from .graph import Graph, Path, _HalfLayers
+from .graph import Graph, Path, _Frozen, _HalfLayers
 
 
 def as_circle(t: Fraction) -> Fraction:
@@ -26,14 +26,21 @@ def as_circle(t: Fraction) -> Fraction:
     return Fraction(t) % 1
 
 
-@dataclass(frozen=True)
-class SuspensionVertex:
+class SuspensionVertex(_Frozen):
     """Either Base(v) = the class [v], or Interior(e,t) = [e,t] with 0 < t < 1."""
 
-    kind: str  # "base" | "interior"
-    vertex: Optional[str] = None
-    edge: Optional[str] = None
-    t: Fraction = Fraction(0)
+    __slots__ = ("kind", "vertex", "edge", "t")  # kind: "base" | "interior"
+    _key = attrgetter(*__slots__)
+
+    def __init__(
+        self, kind: str, vertex: Optional[str] = None, edge: Optional[str] = None,
+        t: Fraction = Fraction(0),
+    ):
+        init = object.__setattr__
+        init(self, "kind", kind)
+        init(self, "vertex", vertex)
+        init(self, "edge", edge)
+        init(self, "t", t)
 
     def __repr__(self) -> str:
         if self.kind == "base":
@@ -45,17 +52,21 @@ def base_vertex(v: str) -> SuspensionVertex:
     return SuspensionVertex("base", vertex=v)
 
 
-@dataclass(frozen=True)
-class QuiverEdge:
+class QuiverEdge(_Frozen):
     """Canonical representative of [mu,t] with integer parameter m >= 0.
 
     Lattice kind: t = 0 and the word has length m (a vertex anchor if m = 0).
     Interior kind: 0 < t < 1 and the word has length m + 1.
     """
 
-    m: int
-    word: Path
-    t: Fraction
+    __slots__ = ("m", "word", "t")
+    _key = attrgetter(*__slots__)
+
+    def __init__(self, m: int, word: Path, t: Fraction):
+        init = object.__setattr__
+        init(self, "m", m)
+        init(self, "word", word)
+        init(self, "t", t)
 
     @property
     def kind(self) -> str:
@@ -92,27 +103,32 @@ def edge_source(alpha: QuiverEdge) -> SuspensionVertex:
     return SuspensionVertex("interior", edge=alpha.word.edge_ids[alpha.m], t=alpha.t)
 
 
-@dataclass(frozen=True)
-class QuiverPath:
+class QuiverPath(_Frozen):
     """A composable sequence of QuiverEdges sharing parameter and time."""
 
-    m: int
-    t: Fraction
-    edges: tuple[QuiverEdge, ...]
-    anchor: Optional[SuspensionVertex] = None  # only for length 0
+    __slots__ = ("m", "t", "edges", "anchor")  # an anchor only for length 0
+    _key = attrgetter(*__slots__)
 
-    def __post_init__(self) -> None:
-        if self.edges:
-            if self.anchor is not None:
+    def __init__(
+        self, m: int, t: Fraction, edges: tuple[QuiverEdge, ...],
+        anchor: Optional[SuspensionVertex] = None,
+    ):
+        if edges:
+            if anchor is not None:
                 raise StructuralError("nonempty quiver path must not carry an anchor")
-            for a in self.edges:
-                if a.m != self.m or a.t != self.t:
+            for a in edges:
+                if a.m != m or a.t != t:
                     raise StructuralError("mixed parameter or time in quiver path")
-            for a, b in zip(self.edges, self.edges[1:]):
+            for a, b in zip(edges, edges[1:]):
                 if edge_source(a) != edge_range(b):
                     raise CompositionError("quiver edges not composable")
-        elif self.anchor is None:
+        elif anchor is None:
             raise StructuralError("length-0 quiver path needs an anchor vertex")
+        init = object.__setattr__
+        init(self, "m", m)
+        init(self, "t", t)
+        init(self, "edges", edges)
+        init(self, "anchor", anchor)
 
     @classmethod
     def _composed(cls, m: int, t: Fraction, edges: tuple[QuiverEdge, ...]) -> "QuiverPath":
@@ -186,8 +202,7 @@ def fibre_halves(g: Graph, m: int, t, n: int) -> tuple[list, dict, int]:
     return *_HalfLayers(g).halves(n * m + k, None), k
 
 
-@dataclass(frozen=True)
-class OpennessRecord:
+class OpennessRecord(NamedTuple):
     s_open: bool
     r_open: bool
 

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple, Optional
 
 
 def rat_str(x) -> str:
@@ -13,8 +13,7 @@ def rat_str(x) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -24,9 +23,14 @@ class Check:
         return f"CHECK {self.name} {status}" + (f" {self.detail}" if self.detail else "")
 
 
-@dataclass
 class RunReport:
-    checks: list[Check] = field(default_factory=list)
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: Optional[list[Check]] = None):
+        self.checks = [] if checks is None else checks
+
+    def __repr__(self) -> str:
+        return f"RunReport(checks={self.checks!r})"
 
     def add(self, name: str, passed: bool, detail: str = "") -> Check:
         c = Check(name, bool(passed), detail)

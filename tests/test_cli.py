@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from suspquiver import Graph, StructuralError, cli, delay, fibre_paths, fibre_words, flow, opalg
 from suspquiver import operators, opposite, transform
 from suspquiver.graph import _layer_sizes
-from suspquiver.report import rat_str
+from suspquiver.report import Check, RunReport, rat_str
 
 from conftest import odd_id_graphs, reference_higher_dual, small_graphs
 
@@ -79,6 +79,13 @@ SINGLE_EDGE = {
 def two_loop_file(tmp_path):
     path = tmp_path / "two_loop.json"
     path.write_text(json.dumps(TWO_LOOP))
+    return str(path)
+
+
+@pytest.fixture
+def cycle_plus_loop_file(tmp_path):
+    path = tmp_path / "cycle_plus_loop.json"
+    path.write_text(json.dumps(CYCLE_PLUS_LOOP))
     return str(path)
 
 
@@ -812,6 +819,95 @@ def test_morita_misreported_endpoint_layer_fails_only_fullness(two_loop_file, ca
     assert "CHECK morita.fullness_reachability FAIL 4 vertices witnessed" in failing
 
 
+def _verdicts(argv, capsys):
+    code = cli.main(argv)
+    return code, [line.split()[:3] for line in capsys.readouterr().out.splitlines()]
+
+
+def _failing(passing, names):
+    """The verdicts of passing with exactly the checks of these names failed."""
+    assert {name for _, name, _ in passing} >= names
+    return [[c, name, "FAIL" if name in names else verdict] for c, name, verdict in passing]
+
+
+def test_morita_misreported_layer_fails_only_partition_shift(two_loop_file, capsys, monkeypatch):
+    # the first layer read is that of a pair endpoint in the partition-shift
+    # step, which no later step reads again
+    argv = ["verify", two_loop_file, "--suite", "morita", "--l", "2/3"]
+    code, passing = _verdicts(argv, capsys)
+    assert code == 0 and all(verdict == "PASS" for _, _, verdict in passing)
+    real = opalg._delay_layer
+    calls = []
+
+    def misreported(D, v):
+        calls.append(v)
+        return (real(D, v) + (len(calls) == 1)) % 3
+
+    monkeypatch.setattr(opalg, "_delay_layer", misreported)
+    assert _verdicts(argv, capsys) == (1, _failing(passing, {"morita.partition_shift"}))
+
+
+def _column_moved(op, rep):
+    """op with its first nonzero column of length <= L - 1 moved to the first
+    zero one: op op* is unchanged, op* op is not."""
+    interior = [c for c, n in enumerate(rep.basis.lengths) if n <= rep.L - 1]
+    used = {c for _, c in op.num}
+    old = next(c for c in interior if c in used)
+    new = next(c for c in interior if c not in used)
+    num = {(r, new if c == old else c): v for (r, c), v in op.num.items()}
+    return operators.SparseOperator._of(op.basis, num, op.den)
+
+
+def test_tck_moved_generator_column_fails_only_tstar_t(cycle_plus_loop_file, capsys, monkeypatch):
+    # a column of T_p moved from Q_u's support (paths with range u) to Q_v's
+    argv = ["verify", cycle_plus_loop_file, "--suite", "tck"]
+    code, passing = _verdicts(argv, capsys)
+    assert code == 0
+    real = opalg.check_tck
+
+    def faulty(rep, rng):
+        rep.T["p"] = _column_moved(rep.T["p"], rep)
+        return real(rep, rng)
+
+    monkeypatch.setattr(opalg, "check_tck", faulty)
+    assert _verdicts(argv, capsys) == (1, _failing(passing, {"tck.T*T=Q_s"}))
+
+
+def test_tck_defect_off_the_vacuum_fails_only_defect_is_vacuum(two_loop_file, capsys, monkeypatch):
+    # the defect's one unit moved from the vacuum h_v to the column of a path
+    # of length 1: still a 0/1 diagonal of rank 1
+    argv = ["verify", two_loop_file, "--suite", "tck"]
+    code, passing = _verdicts(argv, capsys)
+    assert code == 0
+    real = operators.TruncatedRep.delta
+
+    def moved(rep, v):
+        h = rep.vertex_index(v)
+        c = rep.basis.lengths.index(1)
+        moved_unit = operators.SparseOperator(rep.basis, {(h, h): -1, (c, c): 1})
+        return operators.combo(rep, [(1, real(rep, v)), (1, moved_unit)])
+
+    monkeypatch.setattr(operators.TruncatedRep, "delta", moved)
+    assert _verdicts(argv, capsys) == (1, _failing(passing, {"tck.defect_is_vacuum"}))
+
+
+def test_jmath_moved_image_column_fails_only_tstar_t(cycle_plus_loop_file, capsys, monkeypatch):
+    # at each (p,q) a column of one image generator t_mu moved out of the
+    # support of q_s(mu): the defect identity reads t t* alone and still holds
+    argv = ["verify", cycle_plus_loop_file, "--suite", "jmath"]
+    code, passing = _verdicts(argv, capsys)
+    assert code == 0 and sum(name == "jmath.t*t=delta_q" for _, name, _ in passing) == 3
+    real = opalg._jmath_tables
+
+    def faulty(g, p, q, rep):
+        q_table, t_table, heads = real(g, p, q, rep)
+        first = next(iter(t_table))
+        return q_table, {**t_table, first: _column_moved(t_table[first], rep)}, heads
+
+    monkeypatch.setattr(opalg, "_jmath_tables", faulty)
+    assert _verdicts(argv, capsys) == (1, _failing(passing, {"jmath.t*t=delta_q"}))
+
+
 @pytest.mark.parametrize("l", ["5", "6"])
 def test_verify_all_refuses_the_morita_basis_before_any_suite(two_loop_file, capsys, l):
     # limits, eta and kappa at l = 5 ran for a minute before morita refused
@@ -1213,6 +1309,30 @@ def test_cli_import_leaves_out_argparse():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_loads_no_generated_code_or_numpy():
+    # python -S: no site-packages, so no .pth file imports anything first
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    unwanted = ["ast", "dataclasses", "dis", "inspect", "numpy"]
+    code = (
+        f"import sys\nsys.path.insert(0, {src!r})\nimport suspquiver.cli\n"
+        f"print(sorted(set({unwanted!r}) & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_run_reports_never_share_a_checks_list():
+    first, second = RunReport(), RunReport()
+    check = first.add("x.y", 1, "detail")
+    assert check == Check("x.y", True, "detail") and check.line() == "CHECK x.y PASS detail"
+    assert first.checks == [check] and second.checks == [] and RunReport().checks == []
+    second.extend(first)
+    assert second.checks == [check] and second.checks is not first.checks
+    with pytest.raises(AttributeError):
+        check.passed = False
 
 
 @pytest.mark.parametrize(

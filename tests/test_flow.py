@@ -132,6 +132,23 @@ def test_lattice_decomposition_matches_reference(g, mn, L):
     )
 
 
+def test_flow_point_contract(two_loop):
+    x = Path(two_loop, ("e", "f"))
+    p = FlowPoint(x, Fraction(1, 3))
+    assert p == FlowPoint(Path(make_two_loop(), ("e", "f")), Fraction(1, 3), exact=True)
+    assert hash(p) == hash(FlowPoint(x, Fraction(1, 3)))
+    assert p != FlowPoint(x, Fraction(1, 3), exact=False) and p.exact
+    for name in ("prefix", "t", "exact"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, None)
+    assert repr(p) == "FlowPoint(e f, t=1/3)"
+    for t in (Fraction(-1, 3), Fraction(1), Fraction(4, 3)):
+        with pytest.raises(PreconditionError, match=r"^flow time must lie in \[0,1\)$"):
+            FlowPoint(x, t)
+    with pytest.raises(PreconditionError, match="^flow point needs a nonempty prefix$"):
+        FlowPoint(Path(two_loop, (), "v"), Fraction(0))
+
+
 def test_lattice_decomposition_rejects_non_coprime(two_loop):
     with pytest.raises(PreconditionError):
         lattice_decomposition_check(two_loop, 2, 4, 3)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from suspquiver import (
     CompositionError,
+    Edge,
     Graph,
     IntMatrix,
     Path,
@@ -28,6 +29,7 @@ from suspquiver.graph import MAX_LAYER_IDS, _layer_sizes, check_layer_ids
 from conftest import (
     brute_paths,
     make_single_loop,
+    make_three_cycle,
     random_no_sink_source_graph,
     recursive_paths,
     small_graphs,
@@ -77,6 +79,45 @@ def test_concatenate(three_cycle):
     assert concatenate(mu, vertex_path(g, "u")) == mu
     with pytest.raises(CompositionError):
         concatenate(mu, Path(g, ("b",)))
+
+
+def test_path_compares_and_hashes_by_edges_and_anchor_alone(three_cycle):
+    copy = make_three_cycle()
+    assert Path(three_cycle, ("a", "c")) == Path(copy, ("a", "c"))
+    assert hash(Path(three_cycle, ("a", "c"))) == hash(Path(copy, ("a", "c")))
+    assert vertex_path(three_cycle, "u") == vertex_path(copy, "u") != vertex_path(copy, "v")
+    assert Path(three_cycle, ("a",)) != Path(three_cycle, ("a", "c"))
+    assert Path._composed(copy, ("c", "b")) == Path(three_cycle, ("c", "b"))
+    assert len({Path(three_cycle, ("b",)), Path(copy, ("b",)), vertex_path(copy, "w")}) == 2
+
+
+def test_edge_compares_and_hashes_by_all_its_fields():
+    assert Edge("e", "u", "v") == Edge("e", "u", "v")
+    assert hash(Edge("e", "u", "v")) == hash(Edge("e", "u", "v"))
+    assert Edge("e", "u", "v") != Edge("e", "v", "u")
+    assert Edge("e", "u", "v") != Edge("f", "u", "v")
+
+
+def test_path_and_edge_fields_cannot_be_assigned(three_cycle):
+    mu = Path(three_cycle, ("a", "c"))
+    edge = three_cycle.edges[0]
+    for obj, name in [(mu, "edge_ids"), (mu, "anchor"), (mu, "graph"), (edge, "id")]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+    assert mu.edge_ids == ("a", "c") and mu.graph is three_cycle
+
+
+def test_path_validation_errors_and_repr(three_cycle):
+    with pytest.raises(CompositionError, match="^edges 'a','b' not composable$"):
+        Path(three_cycle, ("a", "b"))
+    with pytest.raises(StructuralError, match="^nonempty path must not carry an anchor$"):
+        Path(three_cycle, ("a",), "v")
+    with pytest.raises(StructuralError, match="^length-0 path needs an anchor vertex$"):
+        Path(three_cycle, ())
+    with pytest.raises(StructuralError, match="^unknown anchor vertex 'x'$"):
+        Path(three_cycle, (), "x")
+    assert repr(Path(three_cycle, ("a", "c"))) == "Path(a c)"
+    assert repr(Path(three_cycle, (), anchor="w")) == "Path(@w)"
 
 
 def test_received_emitted_in_edge_order_with_many_loops():

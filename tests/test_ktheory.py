@@ -59,6 +59,26 @@ def test_abelian_group_str():
         AbelianGroup(0, (4, 6))  # 6 not divisible by 4
 
 
+def test_abelian_group_contract():
+    # compared and hashed by rank and factors, frozen, refused with the same
+    # errors, and printed as before
+    assert AbelianGroup(1, (2, 4)) == AbelianGroup(1, (2, 4)) != AbelianGroup(0, (2, 4))
+    assert AbelianGroup(0) != AbelianGroup(0, (2,))
+    assert hash(AbelianGroup(1, (2, 4))) == hash(AbelianGroup(1, (2, 4)))
+    assert len({AbelianGroup(0), AbelianGroup(free_rank=0, torsion=()), AbelianGroup(1)}) == 2
+    group = AbelianGroup(3, (2, 2, 6))
+    for name in ("free_rank", "torsion"):
+        with pytest.raises(AttributeError):
+            setattr(group, name, 1)
+    assert str(group) == "Z^3 (+) Z/2 (+) Z/2 (+) Z/6"
+    assert str(AbelianGroup(0, (5,))) == "Z/5"
+    with pytest.raises(PreconditionError, match="^invariant factors must form a divisor chain$"):
+        AbelianGroup(1, (2, 3))
+    for rank, torsion in [(-1, ()), (0, (1,)), (0, (0, 2))]:
+        with pytest.raises(PreconditionError, match="^bad group data$"):
+            AbelianGroup(rank, torsion)
+
+
 def test_direct_sum_recanonicalizes():
     s = direct_sum(AbelianGroup(1, (4,)), AbelianGroup(0, (6,)))
     assert s == AbelianGroup(1, (2, 12))

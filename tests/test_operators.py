@@ -329,8 +329,13 @@ def test_generators_match_reference_on_a_long_single_loop(single_loop):
 def test_generators_build_no_path_per_column(cycle_plus_loop, monkeypatch):
     dual = higher_dual(cycle_plus_loop, 1, 3)
     built = []
-    init = Path.__post_init__
-    monkeypatch.setattr(Path, "__post_init__", lambda p: (built.append(p), init(p)))
+    init = Path.__init__
+
+    def counted(p, *args):
+        built.append(p)
+        init(p, *args)
+
+    monkeypatch.setattr(Path, "__init__", counted)
     rep = build_rep(dual, 4)
     # the basis enumeration builds each label once; Q and T build none
     assert len(built) <= len(rep.basis)

@@ -9,7 +9,9 @@ from suspquiver import (
     Graph,
     Path,
     PreconditionError,
+    QuiverEdge,
     QuiverPath,
+    StructuralError,
     SuspensionVertex,
     base_vertex,
     edge_range,
@@ -146,6 +148,44 @@ def test_quiver_path_refuses_non_composable_edges(two_loop, cycle_plus_loop):
     p = normalize_edge(Path(cycle_plus_loop, ("p",)), 0, 1)
     with pytest.raises(CompositionError):
         QuiverPath(1, Fraction(0), (p, p))
+
+
+def test_quiver_path_validation_errors(two_loop):
+    t = Fraction(1, 3)
+    a = normalize_edge(Path(two_loop, ("e", "f")), t, 1)
+    b = normalize_edge(Path(two_loop, ("f", "e")), t, 1)
+    assert QuiverPath(1, t, (a, b)).edges == (a, b)
+    with pytest.raises(StructuralError, match="^nonempty quiver path must not carry an anchor$"):
+        QuiverPath(1, t, (a,), anchor=edge_range(a))
+    with pytest.raises(StructuralError, match="^mixed parameter or time in quiver path$"):
+        QuiverPath(1, Fraction(2, 3), (a,))
+    with pytest.raises(StructuralError, match="^length-0 quiver path needs an anchor vertex$"):
+        QuiverPath(1, t, ())
+    with pytest.raises(CompositionError, match="^quiver edges not composable$"):
+        QuiverPath(1, t, (a, a))
+
+
+def test_quiver_values_compare_hash_and_print_as_before(two_loop):
+    t = Fraction(1, 3)
+    interior = SuspensionVertex("interior", edge="e", t=t)
+    assert interior == SuspensionVertex("interior", None, "e", Fraction(1, 3))
+    assert hash(interior) == hash(SuspensionVertex("interior", edge="e", t=t))
+    assert interior != SuspensionVertex("interior", edge="f", t=t)
+    assert base_vertex("v") == SuspensionVertex("base", vertex="v") != base_vertex("w")
+    assert SuspensionVertex("base", vertex="v").t == 0
+    alpha = normalize_edge(Path(two_loop, ("e", "f", "e")), Fraction(4, 3), 1)
+    same = QuiverEdge(1, Path(make_two_loop(), ("f", "e")), t)
+    assert alpha == same and hash(alpha) == hash(same)
+    assert alpha != QuiverEdge(1, Path(two_loop, ("f", "e")), Fraction(2, 3))
+    assert alpha != QuiverEdge(2, Path(two_loop, ("f", "e")), t)
+    lattice = normalize_edge(Path(two_loop, ("e", "f")), 0, 0)
+    assert len({alpha, same, lattice}) == 2
+    assert QuiverPath(1, t, (alpha,)) == QuiverPath(1, t, (same,))
+    assert repr(interior) == "[e,1/3]" and repr(base_vertex("v")) == "[v]"
+    assert repr(alpha) == "[f e; t=1/3; m=1]" and repr(lattice) == "[@v; t=0; m=0]"
+    for obj, name in [(interior, "t"), (alpha, "word"), (QuiverPath(1, t, (alpha,)), "edges")]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
 
 
 def test_vertex_along(three_cycle):
