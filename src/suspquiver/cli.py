@@ -40,7 +40,7 @@ MAX_SUITE_SIZE = 10**5
 # The most vertices plus edges that `transform --op delay:N` builds, counted
 # from E before the build: D_N(E) has |V| + (N-1)|E| vertices and N|E| edges.
 # On two loops at one vertex (one fresh interpreter, 2-CPU machine) delay:25000
-# (99,999 of them) is written one edge chain at a time in 0.27-0.31 s and 37 MB.
+# (99,999 of them) is written a chain at a time, each made as written, in 31 MB.
 MAX_DELAY_SIZE = 10**5
 
 EXIT_OK = 0

@@ -128,7 +128,8 @@ def check_tck(rep: TruncatedRep, rng: random.Random) -> RunReport:
     for v, d in deltas.items():
         if any(r != c or val != 1 for (r, c), val in d.entries.items()):
             ok2 = False
-        unit = SparseOperator(rep.basis, {(rep.vertex_index(v), rep.vertex_index(v)): 1})
+        h = rep.basis.find((), v)
+        unit = SparseOperator(rep.basis, {(h, h): 1})
         if not d.equal_on_columns(unit, rep.L - 1):
             okv = False
     out.add("tck.defect_diagonal_01", ok2, "TCK2 positivity: defects are 0/1 diagonal")

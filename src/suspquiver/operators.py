@@ -24,7 +24,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import PreconditionError, StructuralError
+from .errors import PreconditionError
 from .graph import Graph, Path, _received_by_id, validate, vertex_path
 from .ktheory import _coker_ker_rows
 
@@ -44,40 +44,38 @@ def _parts(c: RatLike) -> tuple[int, int]:
 
 
 class Basis:
-    """An ordered path basis, indexed by (edge ids, anchor), with path lengths.
+    """The paths of length at most L as a trie that TruncatedRep fills in basis
+    order: column i is a vertex (the first columns, sorted; parent[i] = -1) or
+    the path parent[i] followed by the edge last[i], and child maps (parent,
+    edge id) to i.  No column stores its word; labels, the Paths, are built on read."""
 
-    The basis Paths themselves, labels, are built on the first read.
-    """
-
-    def __init__(self, labels: Sequence[Path]):
-        labels = tuple(labels)
-        self._index(labels[0].graph if labels else None, [(p.edge_ids, p.anchor) for p in labels])
-        self._labels = labels
-
-    @classmethod
-    def _of_keys(cls, graph: Graph, keys: list) -> "Basis":
-        """The basis of the paths of graph keyed (edge ids, anchor), in order,
-        which the caller built composable: no Path is built."""
-        basis = cls.__new__(cls)
-        basis._index(graph, keys)
-        return basis
-
-    def _index(self, graph: Optional[Graph], keys: list) -> None:
+    def __init__(self, graph: Graph):
         self.graph = graph
-        self.index: dict[tuple[tuple[str, ...], Optional[str]], int] = {
-            k: i for i, k in enumerate(keys)
-        }
-        if len(self.index) != len(keys):
-            raise StructuralError("duplicate basis labels")
-        self.lengths: tuple[int, ...] = tuple(len(ids) for ids, _ in keys)
+        self.column: dict[str, int] = {v: i for i, v in enumerate(sorted(graph.vertices))}
+        self.lengths: list[int] = [0] * len(self.column)
+        self.parent: list[int] = [-1] * len(self.column)
+        self.last: list[Optional[str]] = [None] * len(self.column)
+        self.child: dict[tuple[int, str], int] = {}
         self._labels: Optional[tuple[Path, ...]] = None
+
+    def find(self, word: Sequence[str], anchor: Optional[str] = None) -> int:
+        """The column of the path word with range anchor (r(word[0]) if None;
+        the vertex anchor for an empty word), one child step per edge;
+        KeyError if the basis holds no such path."""
+        i = self.column[self.graph.r(word[0]) if anchor is None else anchor]
+        for eid in word:
+            i = self.child[(i, eid)]
+        return i
 
     @property
     def labels(self) -> tuple[Path, ...]:
         if self._labels is None:
-            g = self.graph
-            self._labels = tuple(
-                Path._composed(g, ids) if ids else vertex_path(g, v) for ids, v in self.index
+            g, nv = self.graph, len(self.column)
+            words: list = [()] * nv
+            for p, eid in zip(self.parent[nv:], self.last[nv:]):
+                words.append(words[p] + (eid,))
+            self._labels = tuple(vertex_path(g, v) for v in self.column) + tuple(
+                Path._composed(g, w) for w in words[nv:]
             )
         return self._labels
 
@@ -260,36 +258,30 @@ class TruncatedRep:
         self.graph = graph
         self.L = L
         # one pass over the lengths, each layer extending the last, so every
-        # word composes by construction and no Path is built; each path of
-        # length n >= 1 is its parent of length n - 1 (a vertex for n = 1)
-        # followed by its last edge, and _child maps (parent, edge) to it.
-        # Layer 1 is in edge-id order; each later layer takes the columns of
-        # the one before in order, each followed by the edges received at its
-        # source in id order, so every layer is in lexicographic order.
-        keys: list = [((), v) for v in sorted(graph.vertices)]
-        ranges = [v for _, v in keys]  # r(p) of each column
+        # word composes by construction and no Path is built.  Layer 1 is in
+        # edge-id order; each later layer takes the columns of the one before
+        # in order, each followed by the edges received at its source in id
+        # order, so every layer is in lexicographic order.
+        self.basis = basis = Basis(graph)
+        lengths, parents, last, child = basis.lengths, basis.parent, basis.last, basis.child
+        ranges = list(basis.column)  # r(p) of each column
         tails = list(ranges)  # s(p) of each column
-        self._last: list = [None] * len(keys)  # the last edge of each column
-        self._parent: list[int] = [-1] * len(keys)
-        self._child: dict[tuple[int, str], int] = {}
-        column = {v: i for i, v in enumerate(ranges)}
         received = _received_by_id(graph)
         # (edge, source, parent) per column of the next layer
-        layer = sorted((e.id, e.src, column[e.dst]) for e in graph.edges)
-        for _ in range(L):
-            start = len(keys)
+        layer = sorted((e.id, e.src, basis.column[e.dst]) for e in graph.edges)
+        for n in range(1, L + 1):
+            start = len(lengths)
             for eid, src, parent in layer:
-                self._child[(parent, eid)] = len(keys)
-                self._parent.append(parent)
-                self._last.append(eid)
+                child[(parent, eid)] = len(lengths)
+                lengths.append(n)
+                parents.append(parent)
+                last.append(eid)
                 ranges.append(ranges[parent])
                 tails.append(src)
-                keys.append((keys[parent][0] + (eid,), None))
             # made as the next pass reads it, so no layer past L is built
             layer = (
-                (eid, src, i) for i in range(start, len(keys)) for eid, src in received[tails[i]]
+                (eid, src, i) for i in range(start, len(lengths)) for eid, src in received[tails[i]]
             )
-        self.basis = Basis._of_keys(graph, keys)
         # basis columns grouped by range vertex, in basis (so length) order
         self._by_range: dict[str, list[int]] = {v: [] for v in graph.vertices}
         for i, v in enumerate(ranges):
@@ -321,8 +313,8 @@ class TruncatedRep:
         In basis order a parent p' comes before p = p' f, and word p is the
         child of word p' by f, so each row is one lookup from the row before.
         """
-        lengths, last = self.basis.lengths, self._last
-        parent, child = self._parent, self._child
+        basis = self.basis
+        lengths, parent, last, child = basis.lengths, basis.parent, basis.last, basis.child
         cap = self.L - len(word)
         row: dict[int, int] = {}
         for i in self._by_range.get(src, ()):
@@ -331,8 +323,8 @@ class TruncatedRep:
             if lengths[i]:
                 row[i] = child[(row[parent[i]], last[i])]
             else:
-                row[i] = self.basis.index[(word, None)]
-        return SparseOperator._of(self.basis, {(r, i): 1 for i, r in row.items()})
+                row[i] = basis.find(word)
+        return SparseOperator._of(basis, {(r, i): 1 for i, r in row.items()})
 
     def delta(self, v: str) -> SparseOperator:
         """Defect projection Q_v - sum_{e in vE1} T_e T_e*."""
@@ -344,12 +336,6 @@ class TruncatedRep:
 
     def interior_cols(self, depth: int):
         return [i for i, n in enumerate(self.basis.lengths) if n <= self.L - depth]
-
-    def basis_vector(self, p: Path) -> int:
-        return self.basis.index[(p.edge_ids, p.anchor)]
-
-    def vertex_index(self, v: str) -> int:
-        return self.basis.index[((), v)]
 
 
 def build_rep(g: Graph, L: int) -> TruncatedRep:

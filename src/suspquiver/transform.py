@@ -13,6 +13,7 @@ vertex of e ("w", e, j) in layer j.  Delay ids are formatted "w(e,j)"/"f(e,j)".
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator
 
 from .errors import PreconditionError, StructuralError
@@ -46,34 +47,41 @@ def delay(g: Graph, n: int) -> LabeledGraph:
     """D_n(E) as a LabeledGraph: see delay_triples.  A vertex of E is labelled
     ("vertex", v), and the j-th chain vertex of e ("w", e, j)."""
     vertices, chains = delay_triples(g, n)
+    vertices = list(vertices)
     labels = {v: ("vertex", v) for v in g.vertices}
     chain = (("w", e.id, j) for e in g.edges for j in range(1, n))
     labels.update(zip(vertices[len(g.vertices) :], chain))
     return LabeledGraph(vertices, (t for c in chains for t in c), labels)
 
 
-def delay_triples(g: Graph, n: int) -> tuple[list[str], list[list[tuple[str, str, str]]]]:
+def delay_triples(g: Graph, n: int) -> tuple[Iterator[str], Iterator[list[tuple[str, str, str]]]]:
     """D_n(E) as vertex ids and (id, src, dst) edge triples, one list per
-    edge of E: each edge subdivided into an n-edge chain through new vertices.
+    edge of E, each made as it is read: each edge subdivided into an n-edge
+    chain through new vertices.
 
     r(f_{e,1}) = r(e), r(f_{e,j}) = w_{e,j-1} for j >= 2,
     s(f_{e,j}) = w_{e,j} for j < n, s(f_{e,n}) = s(e).  D_1(E) keeps the edge
     ids of E.  The vertices are those of E, then each edge's chain vertices
-    in edge order; a vertex of E named like a chain vertex is refused.
+    in edge order.  "w(e,j)" splits at its last comma into e and j, so a
+    vertex of E named like a chain vertex is found, and refused, up front.
     """
     if n < 1:
         raise PreconditionError("delay requires n >= 1")
-    vertices = list(g.vertices)
-    chains: list[list[tuple[str, str, str]]] = []
-    for e in g.edges:
-        # the chain's vertices from its range end: r(e), w_{e,1}, ..., s(e)
-        chain = [e.dst, *(delay_vertex_id(e.id, j) for j in range(1, n)), e.src]
-        vertices += chain[1:-1]
-        ids = [delay_edge_id(e.id, j) for j in range(1, n + 1)] if n > 1 else [e.id]
-        chains.append(list(zip(ids, chain[1:], chain)))
-    if len(set(vertices)) != len(vertices):
-        raise StructuralError("duplicate vertex ids")
-    return vertices, chains
+    for v in g.vertices:
+        e, _, j = v[2:-1].rpartition(",")
+        if j.isdecimal() and len(j) <= len(str(n)) and 0 < int(j) < n and e in g._by_id:
+            if v == delay_vertex_id(e, int(j)):
+                raise StructuralError("duplicate vertex ids")
+
+    def chains() -> Iterator[list[tuple[str, str, str]]]:
+        for e in g.edges:
+            # the chain's vertices from its range end: r(e), w_{e,1}, ..., s(e)
+            chain = [e.dst, *(delay_vertex_id(e.id, j) for j in range(1, n)), e.src]
+            ids = [delay_edge_id(e.id, j) for j in range(1, n + 1)] if n > 1 else [e.id]
+            yield list(zip(ids, chain[1:], chain))
+
+    inner = (delay_vertex_id(e.id, j) for e in g.edges for j in range(1, n))
+    return itertools.chain(g.vertices, inner), chains()
 
 
 def delay_layer_sizes(g: Graph, n: int) -> Iterator[int]:

@@ -882,13 +882,58 @@ def test_tck_defect_off_the_vacuum_fails_only_defect_is_vacuum(two_loop_file, ca
     real = operators.TruncatedRep.delta
 
     def moved(rep, v):
-        h = rep.vertex_index(v)
+        h = rep.basis.find((), v)
         c = rep.basis.lengths.index(1)
         moved_unit = operators.SparseOperator(rep.basis, {(h, h): -1, (c, c): 1})
         return operators.combo(rep, [(1, real(rep, v)), (1, moved_unit)])
 
     monkeypatch.setattr(operators.TruncatedRep, "delta", moved)
     assert _verdicts(argv, capsys) == (1, _failing(passing, {"tck.defect_is_vacuum"}))
+
+
+def test_tck_doubled_long_creation_fails_only_product_formula(two_loop_file, capsys, monkeypatch):
+    # T_mu of a word of length >= 2 off by a factor of 2: the generators T_e,
+    # which the other checks read, are untouched.  The six sampled products
+    # must differ in how many long factors they have on each side, which at
+    # the default seed first happens at L = 10
+    argv = ["verify", two_loop_file, "--suite", "tck", "--L", "10"]
+    code, passing = _verdicts(argv, capsys)
+    assert code == 0
+    real = operators.TruncatedRep.creation
+
+    def doubled(rep, mu):
+        return real(rep, mu).scale(2) if len(mu) >= 2 else real(rep, mu)
+
+    monkeypatch.setattr(operators.TruncatedRep, "creation", doubled)
+    assert _verdicts(argv, capsys) == (1, _failing(passing, {"tck.product_formula"}))
+
+
+def test_tck_defect_off_the_diagonal_fails_only_defect_diagonal(two_loop_file, capsys, monkeypatch):
+    # one off-diagonal entry in a column of length L, outside the interior
+    # mask that the vacuum and rank checks read
+    argv = ["verify", two_loop_file, "--suite", "tck"]
+    code, passing = _verdicts(argv, capsys)
+    assert code == 0
+    real = operators.TruncatedRep.delta
+
+    def off_diagonal(rep, v):
+        c = rep.basis.lengths.index(rep.L)
+        stray = operators.SparseOperator(rep.basis, {(c - 1, c): 1})
+        return operators.combo(rep, [(1, real(rep, v)), (1, stray)])
+
+    monkeypatch.setattr(operators.TruncatedRep, "delta", off_diagonal)
+    assert _verdicts(argv, capsys) == (1, _failing(passing, {"tck.defect_diagonal_01"}))
+
+
+def test_tck_elimination_dropping_a_row_fails_only_rank(two_loop_file, capsys, monkeypatch):
+    # the elimination behind rank_on_columns loses its first row, so each
+    # defect's one interior row is never seen
+    argv = ["verify", two_loop_file, "--suite", "tck"]
+    code, passing = _verdicts(argv, capsys)
+    assert code == 0
+    real = operators._coker_ker_rows
+    monkeypatch.setattr(operators, "_coker_ker_rows", lambda rows, n: real(rows[1:], n))
+    assert _verdicts(argv, capsys) == (1, _failing(passing, {"ck.defect_interior_rank_1"}))
 
 
 def test_jmath_moved_image_column_fails_only_tstar_t(cycle_plus_loop_file, capsys, monkeypatch):
@@ -997,6 +1042,27 @@ def test_verify_representation_at_the_cap_runs(two_loop_file, capsys, monkeypatc
     assert capsys.readouterr().err.endswith(
         f" on {basis} basis paths, over {basis - 1}; refusing to build it\n"
     )
+
+
+def test_verify_tck_on_a_long_cycle_fits_in_512_mb(single_loop_file):
+    # a basis that stored each column's word held L^2/2 edge ids on a cycle:
+    # at L = 20000 it died of a MemoryError traceback under this limit.  The
+    # trie keeps a parent and a last edge per column
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "suspquiver.cli", "verify", single_loop_file,
+         "--suite", "tck", "--L", "20000"],
+        env=env, capture_output=True, text=True, preexec_fn=limit, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -182,7 +182,7 @@ def test_psi_prepends_with_coefficients(two_loop):
     _, psi = _fibre_rho_psi(rep, t, a, xi)
     # column over the dual vertex e: psi h_[e] = sum_mu xi([mu,t]) h_mu with
     # mu ranging over the dual edges with source e
-    col = psi.column(rep.vertex_index("e"))
+    col = psi.column(rep.basis.find((), "e"))
     dual = {rep.basis.labels[i].edge_ids[0]: val for i, val in col.items()}
     assert dual == {
         "e,e": xi.at_word(("e", "e"), t),

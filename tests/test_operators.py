@@ -11,7 +11,6 @@ from suspquiver import (
     Path,
     PreconditionError,
     SparseOperator,
-    StructuralError,
     build_rep,
     combo,
     enumerate_paths,
@@ -103,13 +102,26 @@ def test_creation_prepends(two_loop):
     rep = build_rep(g, 3)
     mu = Path(g, ("e", "f"))
     T = rep.creation(mu)
-    col = rep.basis_vector(vertex_path(g, "v"))
-    assert T.column(col) == {rep.basis_vector(mu): 1}
+    col = rep.basis.find((), "v")
+    assert T.column(col) == {rep.basis.find(mu.edge_ids): 1}
     # products of single-edge generators agree with the direct builder
     assert rep.T["e"] @ rep.T["f"] == T
     # annihilation past the cap
-    long_col = rep.basis_vector(Path(g, ("e", "f")))
+    long_col = rep.basis.find(("e", "f"))
     assert T.column(long_col) == {}
+
+
+def test_basis_find_walks_the_trie(cycle_plus_loop):
+    rep = build_rep(cycle_plus_loop, 2)
+    basis = rep.basis
+    for i, p in enumerate(basis.labels):
+        assert basis.find(p.edge_ids, p.anchor) == basis.find(p.edge_ids, p.r) == i
+        if p.edge_ids:
+            assert basis.child[(basis.parent[i], basis.last[i])] == i
+    # past L, not composable, and anchored off the range of the first edge
+    for word, anchor in ((("p", "l", "l"), None), (("p", "p"), None), (("p",), "u")):
+        with pytest.raises(KeyError):
+            basis.find(word, anchor)
 
 
 def test_adjoint_product(two_loop):
@@ -131,7 +143,7 @@ def test_delta_is_vacuum_projection(two_loop):
     d = rep.delta("v")
     interior = rep.interior_cols(1)
     assert rank_on_columns(d, interior) == 1
-    vac = rep.vertex_index("v")
+    vac = rep.basis.find((), "v")
     assert d.column(vac) == {vac: 1}
 
 
@@ -141,7 +153,7 @@ def test_matrix_unit_exact(two_loop):
     rep = build_rep(g, 4)
     mu, nu = Path(g, ("e", "f")), Path(g, ("f",))
     op = rep.creation(mu) @ rep.delta(mu.s) @ rep.creation(nu).adjoint()
-    assert op.entries == {(rep.basis_vector(mu), rep.basis_vector(nu)): 1}
+    assert op.entries == {(rep.basis.find(mu.edge_ids), rep.basis.find(nu.edge_ids)): 1}
 
 
 def test_rank_on_columns_exact(two_loop):
@@ -243,14 +255,6 @@ def test_operators_refuse_mixed_bases(two_loop, cycle_plus_loop):
         _ = a.T["e"] + b.T["p"]
 
 
-def test_basis_duplicate_labels_rejected(two_loop):
-    from suspquiver import Basis
-
-    p = Path(two_loop, ("e",))
-    with pytest.raises(StructuralError):
-        Basis([p, p])
-
-
 def _small_rep(seed: int, m: int, L: int):
     """A small random graph (m = 0) or its E(1,m+1) dual, truncated at
     L' = min(L, 4 - m): at most 341 basis paths."""
@@ -313,7 +317,7 @@ def test_generators_match_path_built_reference(seed, m, L):
         for e in mu.edge_ids:
             product = product @ rep.T[e]
         assert T_mu == product
-        assert rep.basis_vector(mu) == rep.basis.labels.index(mu)
+        assert rep.basis.find(mu.edge_ids, mu.anchor) == rep.basis.labels.index(mu)
 
 
 def test_generators_match_reference_on_a_long_single_loop(single_loop):
@@ -345,7 +349,7 @@ def test_generators_build_no_path_per_column(cycle_plus_loop, monkeypatch):
         rep.creation(mu)
     assert built == []
     for v in rep.graph.vertices:
-        assert mus[rep.vertex_index(v)] == vertex_path(rep.graph, v)
+        assert mus[rep.basis.find((), v)] == vertex_path(rep.graph, v)
 
 
 # coprime denominators, units and plain rationals

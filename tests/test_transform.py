@@ -22,7 +22,12 @@ from suspquiver import (
 )
 
 from suspquiver.graph import _layer_sizes
-from suspquiver.transform import delay_layer_sizes, delay_triples, higher_dual_triples
+from suspquiver.transform import (
+    delay_layer_sizes,
+    delay_triples,
+    delay_vertex_id,
+    higher_dual_triples,
+)
 
 from conftest import (
     brute_paths,
@@ -82,12 +87,31 @@ def test_delay_refuses_a_vertex_named_like_a_chain_vertex():
     for build in (delay, delay_triples):
         with pytest.raises(StructuralError, match="duplicate vertex ids"):
             build(g, 2)
-    assert delay_triples(g, 1) == (["v", "w(e,1)"], [[("e", "v", "v")]])
+    vertices, chains = delay_triples(g, 1)
+    assert (list(vertices), list(chains)) == (["v", "w(e,1)"], [[("e", "v", "v")]])
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["w(e,1)", "w(e,2)", "w(e,3)", "w(e,01)", "w(e,+1)", "w(e,0)", "w(e,1", "w(x,1)",
+     "w(e,1),1)", "w(a,b,2)", "w(e,١)", "w(e," + "9" * 5000 + ")", "w()", "u"],
+)
+def test_delay_refuses_exactly_the_vertices_a_chain_repeats(name):
+    # the clash is found from the names of E alone; the oracle builds every
+    # chain vertex of D_3(E) and looks for a repeat
+    g = Graph(["v", name], [("e", "v", "v"), ("a,b", "v", "v"), ("e,1)", "v", "v")])
+    chained = {delay_vertex_id(e.id, j) for e in g.edges for j in (1, 2)}
+    if name in chained:
+        with pytest.raises(StructuralError, match="duplicate vertex ids"):
+            delay_triples(g, 3)
+    else:
+        vertices, _ = delay_triples(g, 3)
+        assert len(set(vertices)) == 2 + len(chained)
 
 
 def test_delay_wraps_its_triples(three_cycle):
     for n in (1, 2, 5):
-        vertices, chains = delay_triples(three_cycle, n)
+        vertices, chains = map(list, delay_triples(three_cycle, n))
         d = delay(three_cycle, n)
         assert [len(chain) for chain in chains] == [n] * 3
         edges = [t for chain in chains for t in chain]
