@@ -50,9 +50,10 @@ EXIT_USAGE = 2
 
 
 def parse_graph_file(path: str) -> Graph:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+    try:  # the text of a text-mode read, newlines translated, with no text reader
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        doc = json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
     # ValueError is json's JSONDecodeError, a UnicodeDecodeError (bytes that
     # are not UTF-8) or an integer past Python's int-string digit limit, and
     # RecursionError arrays or objects nested too deep for the decoder
@@ -112,6 +113,11 @@ def write_graph(out, vertices, blocks) -> None:
 
 def parse_rational(s: str) -> Fraction:
     """Parse "m/n" (optional sign); the fraction must be in lowest terms."""
+    return Fraction(*_ratio(s))
+
+
+def _ratio(s: str) -> tuple[int, int]:
+    """parse_rational(s) as its pair of ints (m, n), n > 0, with no Fraction."""
     text = s.strip()
     try:
         if "/" in text:
@@ -127,7 +133,7 @@ def parse_rational(s: str) -> Fraction:
         raise PreconditionError(f"denominator exceeds {MAX_DENOMINATOR}")
     if math.gcd(abs(num), den) != 1:
         raise PreconditionError(f"rational {s!r} is not in lowest terms")
-    return Fraction(num, den)
+    return num, den
 
 
 def capped_L(L: int) -> int:
@@ -192,9 +198,10 @@ def _int_param(s: str) -> int:
 
 def cmd_ktheory(args) -> int:
     g = parse_graph_file(args.input)
-    l = parse_rational(args.l)
-    rep = kt.suspension_K(g, l.numerator, l.denominator)
-    lines = [f"L = {rat_str(l)}"]
+    m, n = _ratio(args.l)
+    rep = kt.suspension_K(g, m, n)
+    l = rat_str(m, n)
+    lines = [f"L = {l}"]
     for v in sorted(rep.hypothesis_table):
         lines.append(f"HYP {v} {rep.hypothesis_table[v]}")
     lines.append(f"ROUTE {rep.route}")
@@ -203,12 +210,12 @@ def cmd_ktheory(args) -> int:
     lines.append(f"K0 = {rep.k0}")
     lines.append(f"K1 = {rep.k1}")
     if not rep.hypotheses_met:
-        if l != 0 and len(g.edges) == len(g.vertices) == 1:
+        if m != 0 and len(g.edges) == len(g.vertices) == 1:
             lines.append("NOTE rotation-algebra regime: single loop at fractional l")
     text = "\n".join(lines)
     if args.json:
         doc = {
-            "l": rat_str(l),
+            "l": l,
             "hypotheses": rep.hypothesis_table,
             "route": rep.route,
             "flags": rep.flags,
@@ -255,8 +262,7 @@ def cmd_verify(args) -> int:
     if not g.edges:
         raise PreconditionError("verify needs a graph with at least one edge")
     L = capped_L(args.L)
-    l = parse_rational(args.l)
-    m, n = l.numerator, l.denominator
+    m, n = _ratio(args.l)
     if m < 1:
         raise PreconditionError("verify suites need a positive l")
     depth = {s: min(L, cap) for s, cap in caps.items() if args.suite in (s, "all")}
@@ -292,7 +298,7 @@ def cmd_verify(args) -> int:
     shifts = (m + n - 1) // n  # the most edges that flow drops from a path
     if cases and shifts >= depth["flow"]:
         raise PreconditionError(
-            f"flow at l={rat_str(l)} shifts each path by up to {shifts}, so it needs "
+            f"flow at l={rat_str(m, n)} shifts each path by up to {shifts}, so it needs "
             f"paths longer than {shifts}; L={L} gives length {depth['flow']}"
         )
     # Then each other representation in suite order, up to the first whose
@@ -342,14 +348,15 @@ def cmd_flow(args) -> int:
     if not ids:
         raise StructuralError("empty start prefix")
     prefix = Path(g, ids)
-    p = flowmod.make_flow_point(prefix, parse_rational(args.t))
-    step = parse_rational(args.step)
-    if step < 0:
+    t = _ratio(args.t)
+    flowmod.glue_shifts(prefix, *t)  # refused before the step is read
+    step = _ratio(args.step)
+    if step[0] < 0:
         raise PreconditionError("step must be >= 0")
     if args.count < 0:
         raise PreconditionError("count must be >= 0")
-    for line in flowmod.orbit_lines(p, step, args.count):
-        print(line)
+    lines = flowmod.orbit_lines(prefix, t, step, args.count)
+    sys.stdout.writelines(line + "\n" for line in lines)  # print writes twice a line
     return EXIT_OK
 
 
@@ -363,16 +370,19 @@ def cmd_quiver(args) -> int:
             lines.append(f"OPEN {eid} s_open={rec.s_open} r_open={rec.r_open}")
         lines.append(f"OPEN_ALL s={rep['s_open_everywhere']} r={rep['r_open_everywhere']}")
     else:
-        t = parse_rational(args.t)
-        head = f"FIBRE m={args.m} t={rat_str(t % 1)} n={args.n} count="
-        if args.n < 1:  # the VERTEX anchors, or refused by fibre_paths
-            anchors = fibre_paths(g, args.m, t, args.n)
+        num, den = _ratio(args.t)
+        m, n = args.m, args.n
+        if m < 1 or n < 0:
+            raise PreconditionError("quiver needs --m >= 1 and --n >= 0")
+        head = f"FIBRE m={m} t={rat_str(num % den, den)} n={n} count="
+        if n == 0:  # the VERTEX anchors
+            anchors = fibre_paths(g, m, Fraction(num, den), 0)
             lines.append(f"{head}{len(anchors)}")
             lines.extend(f"VERTEX {qp.anchor}" for qp in anchors)
         else:
-            m, n = args.m, args.n
-            check_layer_ids(g, n * m + (t % 1 != 0))
-            left, right, k = fibre_halves(g, m, t, n)
+            k = int(den > 1)  # t off the lattice: each window takes one more edge
+            check_layer_ids(g, n * m + k)
+            left, right = fibre_halves(g, m, n, k)
             # window i is mu(im, (i+1)m + k): a "%s" per id, filled from its
             # place in mu.  The places run up, so a line is the format's first
             # cut "%s" filled from its first half u = mu(0, j), the rest from w

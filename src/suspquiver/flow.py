@@ -41,15 +41,17 @@ class FlowPoint(_Frozen):
 def make_flow_point(prefix: Path, t) -> FlowPoint:
     """Canonical form: the glue (x,1) ~ (sigma x, 0) applied until t in [0,1)."""
     t = Fraction(t)
-    if t < 0:
+    k = glue_shifts(prefix, t.numerator, t.denominator)
+    return FlowPoint(prefix.window(k, len(prefix)) if k else prefix, t - k)
+
+
+def glue_shifts(prefix: Path, num: int, den: int) -> int:
+    """floor(t), t = num/den: the shifts that glue [x,t] to a time in [0,1)."""
+    if num < 0:
         raise PreconditionError("flow time must be >= 0")
-    k = int(t)
-    if k >= len(prefix):
+    if num // den >= len(prefix):
         raise PrecisionError("prefix too short to normalize this time")
-    if k:
-        prefix = prefix.window(k, len(prefix))
-        t -= k
-    return FlowPoint(prefix, t)
+    return num // den
 
 
 def apply_flow(p: FlowPoint, l: Union[Fraction, int, float]) -> FlowPoint:
@@ -66,22 +68,26 @@ def apply_flow(p: FlowPoint, l: Union[Fraction, int, float]) -> FlowPoint:
     return FlowPoint(prefix, total - k, exact=p.exact and not inexact)
 
 
-def orbit_lines(p: FlowPoint, step, count: int) -> Iterator[str]:
-    """Orbit trace: one "t<TAB>prefix" line per flow step, made as it is read.
+def orbit_lines(prefix: Path, t: tuple, step: tuple, count: int) -> Iterator[str]:
+    """Orbit trace of [x,t] by a step, t = a/b >= 0 and step = c/d >= 0 given
+    as pairs (a, b) and (c, d): one "t<TAB>prefix" line per flow step, made as
+    it is read, each point counted in integers over lcm(b, d).
 
     An orbit that runs past the prefix, t + count step >= |prefix|, is refused
     before its first line, with the PrecisionError of its first failing step.
     """
-    size, lf = len(p.prefix), Fraction(step)
-    if count > 0 and p.t + count * lf >= size:
-        j = math.ceil((size - p.t) / lf)  # the first step past the prefix
-        done = math.floor(p.t + (j - 1) * lf)  # the edges the steps before it dropped
-        k = math.floor(p.t + j * lf) - done
-        raise PrecisionError(f"needs {k} shifts but prefix has length {size - done}")
-    yield f"{rat_str(p.t)}\t{','.join(p.prefix.edge_ids)}"
-    for _ in range(count):
-        p = apply_flow(p, step)
-        yield f"{rat_str(p.t)}\t{','.join(p.prefix.edge_ids)}"
+    ids, (a, b), (c, d) = prefix.edge_ids, t, step
+    glue_shifts(prefix, a, b)
+    den = math.lcm(b, d)  # step i is at time (a + i c) / den
+    a, c, end = a * (den // b), c * (den // d), len(ids) * den
+    if count > 0 and a + count * c >= end:
+        j = -((a - end) // c)  # the first step past the prefix
+        done = (a + (j - 1) * c) // den  # the edges the steps before it dropped
+        k = (a + j * c) // den - done
+        raise PrecisionError(f"needs {k} shifts but prefix has length {len(ids) - done}")
+    for i in range(count + 1):
+        k, r = divmod(a + i * c, den)
+        yield f"{rat_str(r, den)}\t{','.join(ids[k:])}"
 
 
 def lattice_decomposition_check(g: Graph, m: int, n: int, L: int) -> RunReport:

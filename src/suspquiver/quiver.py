@@ -187,19 +187,19 @@ def fibre_words(g: Graph, m: int, t, n: int) -> list[tuple[tuple[str, ...], ...]
     E^{nm+k} (see fibre_halves): windows of one path compose, so they are
     sliced from its edge ids and not checked.
     """
-    left, right, k = fibre_halves(g, m, t, n)
+    if m < 1 or n < 1:
+        raise PreconditionError("fibre_words requires m >= 1 and n >= 1")
+    k = 0 if as_circle(t) == 0 else 1
+    left, right = fibre_halves(g, m, n, k)
     words = (u + w for u, tail in left for w, _ in right[tail])
     return [tuple(ids[i * m : (i + 1) * m + k] for i in range(n)) for ids in words]
 
 
-def fibre_halves(g: Graph, m: int, t, n: int) -> tuple[list, dict, int]:
-    """For n >= 1, (left, right, k): the paths u + w of E^{nm+k} that
+def fibre_halves(g: Graph, m: int, n: int, k: int) -> tuple[list, dict]:
+    """For m, n >= 1, (left, right): the paths u + w of E^{nm+k} that
     SG[m]E^n_t windows (k = 0 at t = 0, else 1), as the layer of their first
     halves u and their second halves w by range (see graph._HalfLayers)."""
-    if m < 1 or n < 1:
-        raise PreconditionError("fibre_words requires m >= 1 and n >= 1")
-    k = 0 if as_circle(Fraction(t)) == 0 else 1
-    return *_HalfLayers(g).halves(n * m + k, None), k
+    return _HalfLayers(g).halves(n * m + k, None)
 
 
 class OpennessRecord(NamedTuple):

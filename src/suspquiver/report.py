@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+import math
 from typing import NamedTuple, Optional
 
 
-def rat_str(x) -> str:
-    """Exact rational rendering "p/q" (plain integer when q = 1)."""
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+def rat_str(x, den: int = 1) -> str:
+    """x/den in lowest terms as "p/q", or "p" when q = 1, for x an int or a
+    Fraction; from ints it builds no Fraction."""
+    num, den = x.numerator, x.denominator * den
+    g = math.gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
 class Check(NamedTuple):

@@ -123,10 +123,16 @@ def test_parse_failure_exit_code(tmp_path, capsys):
 
 
 MALFORMED_FILES = {
-    # UnicodeDecodeError, RecursionError and int()'s digit limit from json.load
+    # UnicodeDecodeError, RecursionError and int()'s digit limit from the read
     "not_utf8": b"\xff",
+    # past the first 8 KiB, where a reader that decodes in chunks would give a
+    # position within its chunk
+    "not_utf8_far": b'{"vertices": ["v"], "edges": [], "pad": "' + b"a" * 9000 + b'\xff"}',
     "deep": b"[" * 100_000 + b"]" * 100_000,
     "long_int": b'{"vertices": ["v"], "edges": [], "n": ' + b"9" * 5000 + b"}",
+    # a position counted in the text with its newlines translated, "\r\n" one
+    # character
+    "crlf": b'{"vertices": ["v"],\r\n "edges": x}',
     # json refuses a byte-order mark with its own message
     "bom": b'\xef\xbb\xbf{"vertices": ["v"], "edges": []}',
 }
@@ -145,6 +151,10 @@ def test_malformed_graph_file_refused(tmp_path, capsys, name):
     assert err.count("\n") == 1
     if name == "bom":
         assert "Unexpected UTF-8 BOM (decode using utf-8-sig)" in err
+    if name == "not_utf8_far":  # the byte's offset in the file
+        assert "can't decode byte 0xff in position 9041: invalid start byte" in err
+    if name == "crlf":
+        assert err.endswith("Expecting value: line 2 column 11 (char 30)\n")
 
 
 BAD_GRAPH_DOCUMENTS = [
@@ -411,6 +421,12 @@ def test_flow_negative_count_refused(two_loop_file, capsys):
     assert capsys.readouterr().out == "0\te,f\n"
 
 
+@pytest.mark.parametrize("m,n", [(0, 3), (0, 0), (1, -1), (-2, 1)])
+def test_quiver_refuses_its_parameters_with_one_message(cycle_plus_loop_file, capsys, m, n):
+    assert cli.main(["quiver", cycle_plus_loop_file, "--m", str(m), "--n", str(n)]) == 2
+    assert capsys.readouterr() == ("", "ERROR precondition: quiver needs --m >= 1 and --n >= 0\n")
+
+
 def test_quiver_long_single_loop_fibre(single_loop_file, capsys):
     # a 1200-edge fibre path used to exhaust the recursion limit
     assert cli.main(["quiver", single_loop_file, "--n", "1200"]) == 0
@@ -505,6 +521,28 @@ def _run_main(*argv: str) -> tuple[int, str, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("transform", "--op", "dual:1,3"),
+        ("quiver", "--m", "2", "--t", "-5/2", "--n", "3"),
+        ("ktheory", "--l", "-1/2", "--json"),
+        ("flow", "--start", "l,q,p,l,q,p", "--t", "4/3", "--step", "2/7", "--count", "9"),
+    ],
+)
+def test_commands_build_no_fraction(cycle_plus_loop_file, monkeypatch, argv):
+    # rationals are parsed and stepped as pairs of ints on these commands:
+    # each prints the same with Fraction construction made to raise
+    code, out, err = _run_main(argv[0], cycle_plus_loop_file, *argv[1:])
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError(f"Fraction{args} built")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    assert _run_main(argv[0], cycle_plus_loop_file, *argv[1:]) == (code, out, err)
+    assert code == 0 and out.count("\n") > 5
 
 
 def _fibre_word_lines(g, m, t, n) -> str:

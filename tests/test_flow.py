@@ -1,6 +1,11 @@
 """Suspension flow: gluing, semigroup law, orbits, lattice decomposition."""
 
+import contextlib
+import io
+import json
 import math
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -17,6 +22,7 @@ from suspquiver import (
     make_flow_point,
     orbit_lines,
 )
+from suspquiver import cli
 from suspquiver.report import rat_str
 
 from conftest import (
@@ -66,9 +72,7 @@ def test_apply_flow_precision(single_loop):
 
 
 def test_orbit_lines(two_loop):
-    g = two_loop
-    p = FlowPoint(Path(g, ("e", "f", "e", "f")), Fraction(0))
-    lines = list(orbit_lines(p, Fraction(1, 2), 3))
+    lines = list(orbit_lines(Path(two_loop, ("e", "f", "e", "f")), (0, 1), (1, 2), 3))
     assert lines == [
         "0\te,f,e,f",
         "1/2\te,f,e,f",
@@ -79,26 +83,42 @@ def test_orbit_lines(two_loop):
 
 @given(
     size=st.integers(1, 6),
-    t0=st.fractions(min_value=0, max_value=Fraction(11, 12), max_denominator=12),
-    step=st.fractions(min_value=0, max_value=4, max_denominator=7),
+    t0=st.fractions(min_value=0, max_value=Fraction(23, 4), max_denominator=12),
+    step=st.just(Fraction(0)) | st.fractions(min_value=0, max_value=4, max_denominator=7),
     count=st.integers(0, 30),
 )
 @settings(max_examples=200, deadline=None)
 def test_orbit_lines_match_stepping(size, t0, step, count):
-    # the lines or the first step's PrecisionError, refused before any line
-    p = FlowPoint(Path(make_two_loop(), ("e",) * size), t0)
-    want, q = [p], p
+    # orbit_lines and `suspend flow` give the lines of make_flow_point and
+    # apply_flow stepping, or the PrecisionError of the first failing step
+    # (of make_flow_point for a t0 past the prefix), refused before any line
+    g, ids = make_two_loop(), tuple("ef"[i % 2] for i in range(size))
+    edges = [{"id": e.id, "src": e.src, "dst": e.dst} for e in g.edges]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"vertices": list(g.vertices), "edges": edges}, fh)
+        argv = ["flow", path, "--start", ",".join(ids), "--t", str(t0), "--step", str(step)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv + ["--count", str(count)])
+    t, dt = (t0.numerator, t0.denominator), (step.numerator, step.denominator)
+    orbit = orbit_lines(Path(g, ids), t, dt, count)
     try:
+        q = make_flow_point(Path(g, ids), t0)
+        want = [q]
         for _ in range(count):
             q = apply_flow(q, step)
             want.append(q)
     except PrecisionError as exc:
         with pytest.raises(PrecisionError) as got:
-            next(orbit_lines(p, step, count))
+            next(orbit)
         assert str(got.value) == str(exc)
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", f"ERROR precondition: {exc}\n")
         return
     lines = [f"{rat_str(q.t)}\t{','.join(q.prefix.edge_ids)}" for q in want]
-    assert list(orbit_lines(p, step, count)) == lines
+    assert list(orbit) == lines
+    assert (code, out.getvalue(), err.getvalue()) == (0, "".join(f"{x}\n" for x in lines), "")
 
 
 @pytest.mark.parametrize("m,n", [(1, 2), (2, 3)])
