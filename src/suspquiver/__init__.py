@@ -18,7 +18,6 @@ from .graph import (
     IntMatrix,
     Path,
     adjacency,
-    concatenate,
     enumerate_paths,
     path_count,
     validate,
@@ -42,7 +41,6 @@ from .quiver import (
     edge_range,
     edge_source,
     fibre_paths,
-    fibre_words,
     normalize_edge,
     openness_report,
 )
@@ -59,7 +57,6 @@ from .operators import (
     TruncatedRep,
     build_rep,
     combo,
-    norm_squared,
     operator_norm_est,
     rank_on_columns,
     sum_sq_norm,

@@ -344,9 +344,11 @@ def cmd_verify(args) -> int:
 
 def cmd_flow(args) -> int:
     g = parse_graph_file(args.input)
-    ids = tuple(x for x in args.start.split(",") if x)
-    if not ids:
+    ids = tuple(args.start.split(","))
+    if not any(ids):
         raise StructuralError("empty start prefix")
+    if "" in ids:  # no graph file holds an empty edge id
+        raise StructuralError(f"empty edge id in start prefix {args.start!r}")
     prefix = Path(g, ids)
     t = _ratio(args.t)
     flowmod.glue_shifts(prefix, *t)  # refused before the step is read

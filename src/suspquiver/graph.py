@@ -177,17 +177,6 @@ def vertex_path(g: Graph, v: str) -> Path:
     return Path(g, (), v)
 
 
-def concatenate(mu: Path, nu: Path) -> Path:
-    """mu nu, defined when s(mu) = r(nu); vertex operands act as identities."""
-    if nu.graph is not mu.graph:
-        raise StructuralError("paths belong to different graphs")
-    if mu.s != nu.r:
-        raise CompositionError(f"s(mu)={mu.s!r} != r(nu)={nu.r!r}")
-    if not mu.edge_ids and not nu.edge_ids:
-        return mu
-    return Path._composed(mu.graph, mu.edge_ids + nu.edge_ids)
-
-
 class IntMatrix:
     """Dense row-major matrix of arbitrary-precision integers."""
 
@@ -291,24 +280,14 @@ def validate(g: Graph) -> Diagnostics:
     return Diagnostics(sinks, sources, not sources)
 
 
-def enumerate_paths(
-    g: Graph, n: int, src: Optional[str] = None, rng: Optional[str] = None
-) -> list[Path]:
-    """All paths of length n, optionally filtered by source s(mu) and range r(mu).
-
-    The result is exactly the set rng E^n src, ordered lexicographically by
-    edge-id sequence (and by anchor vertex for n = 0).
-    """
+def enumerate_paths(g: Graph, n: int) -> list[Path]:
+    """All paths of length n, ordered lexicographically by edge-id sequence
+    (and by anchor vertex for n = 0)."""
     if n < 0:
         raise PreconditionError("n must be >= 0")
     if n == 0:
-        verts = [v for v in sorted(g.vertices) if src in (None, v) and rng in (None, v)]
-        return [vertex_path(g, v) for v in verts]
-    return [
-        Path._composed(g, ids)
-        for ids, tail in _HalfLayers(g).layer(n, rng)
-        if src is None or tail == src
-    ]
+        return [vertex_path(g, v) for v in sorted(g.vertices)]
+    return [Path._composed(g, ids) for ids, _ in _HalfLayers(g).layer(n, None)]
 
 
 class _HalfLayers:

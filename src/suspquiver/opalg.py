@@ -142,14 +142,14 @@ def check_tck(rep: TruncatedRep, rng: random.Random) -> RunReport:
     return out
 
 
-def _product_formula_spot_check(rep: TruncatedRep, rng: random.Random, trials: int = 6) -> RunReport:
+def _product_formula_spot_check(rep: TruncatedRep, rng: random.Random) -> RunReport:
     out = RunReport()
     g = rep.graph
     pool = [p for n in (1, 2) for p in enumerate_paths(g, n)]
     ok = True
     tried = 0
-    for _ in range(trials * 5):
-        if tried >= trials:
+    for _ in range(30):  # six spot checks, from at most 30 draws
+        if tried >= 6:
             break
         # sample each factor from the pool members still fitting the depth budget
         cand = [p for p in pool if len(p) + 3 <= rep.L]

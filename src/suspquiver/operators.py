@@ -174,9 +174,6 @@ class SparseOperator:
             self.basis, {rc: v for rc, v in self.num.items() if keep(rc[1])}, self.den
         )
 
-    def column(self, c: int) -> dict[int, Fraction]:
-        return {r: Fraction(v, self.den) for (r, k), v in self.num.items() if k == c}
-
     def to_dense(self) -> np.ndarray:
         import numpy as np
 
@@ -297,9 +294,6 @@ class TruncatedRep:
     def zero(self) -> SparseOperator:
         return SparseOperator(self.basis)
 
-    def identity(self) -> SparseOperator:
-        return SparseOperator._of(self.basis, {(i, i): 1 for i in range(len(self.basis))})
-
     def creation(self, mu: Path) -> SparseOperator:
         """T_mu = prepend mu (the product T_{mu_1} ... T_{mu_n}), built directly."""
         if not mu.edge_ids:
@@ -394,34 +388,13 @@ def _lincomb(
     return SparseOperator._of(basis, num, den)
 
 
-def norm_squared(op: SparseOperator) -> Fraction:
-    """Exact squared operator 2-norm ||A||^2 = max diag(A*A) when A*A is diagonal.
-
-    When no row of A holds two entries the columns have disjoint row supports,
-    so A*A is diagonal and its diagonal is the sum of a_rc^2 down each
-    column.  Otherwise A*A is formed exactly; an operator whose A*A is not
-    diagonal is refused rather than estimated.  No command calls it: it is
-    the reference that sum_sq_norm, which the limit sweep uses, is tested against.
-    """
-    num = op.num
-    if len({r for r, _ in num}) == len(num):
-        diag: dict[int, int] = {}
-        for (_, c), v in num.items():
-            diag[c] = diag.get(c, 0) + v * v
-        return Fraction(max(diag.values(), default=0), op.den * op.den)
-    gram = op.adjoint() @ op
-    if any(r != c for r, c in gram.num):
-        raise PreconditionError("norm_squared needs A*A diagonal")
-    return Fraction(max(gram.num.values(), default=0), gram.den)
-
-
 def sum_sq_norm(gens: Sequence[SparseOperator]):
     """sq with sq(c) = ||sum_k c_k G_k||^2 for int coefficients c_k, exact and
     with no operator formed, for integer matrices G_k no two of which share a
     row (checked here, once; PreconditionError if not).
 
-    The sum then has at most one entry per row, so as in norm_squared's
-    diagonal case its squared norm is the max over columns c of
+    The sum A then has at most one entry per row, so its columns have disjoint
+    row supports, A*A is diagonal, and ||A||^2 is the max over columns c of
     sum_k c_k^2 w_k(c), w_k(c) the sum of G_k's squared entries in column c.
     That sum depends on c through its profile ((k, w_k(c)) for w_k(c) != 0)
     alone, so each distinct profile is summed once.

@@ -7,8 +7,8 @@ mu(floor(t), ceil(t+m)), so equality is structural comparison.
 
 Only integer parameters are represented here.  A fractional parameter m/n
 is checked over the delay graph D_n(E) instead (transform.delay), by the
-morita and flow suites.  The fibre SG[m]E^n_t is listed by fibre_words as
-edge-id words; fibre_paths builds the same fibre as QuiverPaths.
+morita and flow suites.  The fibre SG[m]E^n_t is built by fibre_paths as
+QuiverPaths, each edge a window of one path of E (see fibre_halves).
 """
 
 from __future__ import annotations
@@ -171,28 +171,16 @@ def fibre_paths(g: Graph, m: int, t, n: int) -> list[QuiverPath]:
             QuiverPath(m, t, (), SuspensionVertex("interior", edge=e.id, t=t))
             for e in sorted(g.edges, key=lambda e: e.id)
         ]
-    return [
-        QuiverPath._composed(
-            m, t, tuple(QuiverEdge(m, Path._composed(g, w), t) for w in words)
-        )
-        for words in fibre_words(g, m, t, n)
-    ]
-
-
-def fibre_words(g: Graph, m: int, t, n: int) -> list[tuple[tuple[str, ...], ...]]:
-    """For n >= 1, the edge-id words of the n edges of each path of
-    SG[m]E^n_t, in the order of fibre_paths.
-
-    Edge i of a fibre path is the window mu(im, (i+1)m + k) of one path mu of
-    E^{nm+k} (see fibre_halves): windows of one path compose, so they are
-    sliced from its edge ids and not checked.
-    """
-    if m < 1 or n < 1:
-        raise PreconditionError("fibre_words requires m >= 1 and n >= 1")
-    k = 0 if as_circle(t) == 0 else 1
+    # edge i of a fibre path is the window mu(im, (i+1)m + k) of one path mu
+    # of E^{nm+k}: windows of one path compose, so they are sliced unchecked
+    k = 0 if t == 0 else 1
     left, right = fibre_halves(g, m, n, k)
-    words = (u + w for u, tail in left for w, _ in right[tail])
-    return [tuple(ids[i * m : (i + 1) * m + k] for i in range(n)) for ids in words]
+    return [
+        QuiverPath._composed(m, t, tuple(
+            QuiverEdge(m, Path._composed(g, ids[i * m : (i + 1) * m + k]), t) for i in range(n)
+        ))
+        for u, tail in left for w, _ in right[tail] for ids in [u + w]
+    ]
 
 
 def fibre_halves(g: Graph, m: int, n: int, k: int) -> tuple[list, dict]:

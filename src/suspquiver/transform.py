@@ -5,10 +5,11 @@ what they encode.  Dual-graph ids are the edge-id tuples joined with ","
 (see join_ids: a one-edge path keeps its edge id, and ids that themselves
 hold a comma are escaped, so that distinct paths of one length never share
 an id).  transform writes D_n(E) and E(p,q) from their vertex ids and edge
-triples, a block at a time (delay_triples, higher_dual_triples).  As a Graph,
-D_n(E) is a LabeledGraph whose vertices keep their layer, as the morita suite
-reads it back: a vertex of E is ("vertex", v) in layer 0 and the j-th chain
-vertex of e ("w", e, j) in layer j.  Delay ids are formatted "w(e,j)"/"f(e,j)".
+triples, a block at a time (delay_triples, and higher_dual_triples in one of
+two block forms).  As a Graph, D_n(E) is a LabeledGraph whose vertices keep
+their layer, as the morita suite reads it back: a vertex of E is
+("vertex", v) in layer 0 and the j-th chain vertex of e ("w", e, j) in
+layer j.  Delay ids are formatted "w(e,j)"/"f(e,j)".
 """
 
 from __future__ import annotations
@@ -129,11 +130,11 @@ def higher_dual_triples(g: Graph, p: int, q: int) -> tuple[list[str], Iterator[t
     right halves w with range s(u) in order (see graph._HalfLayers).
 
     For p >= 1 the range of the edge e_1...e_q is e_1...e_p and its source is
-    e_{q-p+1}...e_q; for p = 0 they are r(e_1) and s(e_q).  If q >= 2, no
-    edge id holds a comma and p <= q // 2, the range is read off u and the
-    source off w: u = (id head, range) and ws holds an (id tail, source) per
-    w, one list for every u with one s(u).  Otherwise u is None and ws holds
-    the triples.
+    e_{q-p+1}...e_q; for p = 0 they are r(e_1) and s(e_q).  The blocks take
+    one of two forms.  If q >= 2, no edge id holds a comma and p <= q // 2,
+    the range is read off u and the source off w: u = (id head, range) and ws
+    holds an (id tail, source) per w, one list for every u with one s(u).
+    Otherwise u is None and ws holds the triples.
     """
     if p < 0 or q <= p:
         raise PreconditionError("higher_dual requires 0 <= p < q")
@@ -142,33 +143,22 @@ def higher_dual_triples(g: Graph, p: int, q: int) -> tuple[list[str], Iterator[t
     vertices = list(g.vertices) if p == 0 else [join_ids(ids) for ids, _ in layers.layer(p, None)]
     h = q // 2
     left, right = layers.halves(q, None)
-    # join_ids escapes whole words, and at q = 1 the left half u is empty
-    if not h or any("," in e.id for e in g.edges):
+    # join_ids escapes whole words, at q = 1 the left half u is empty, and for
+    # p > h the range p-word runs on into w
+    if not h or p > h or any("," in e.id for e in g.edges):
         vid = dict(zip([ids for ids, _ in layers.layer(p, None)], vertices)) if p else {}
         return vertices, ((None, [
             (join_ids(ids), *((vid[ids[q - p :]], vid[ids[:p]]) if p else (src, dst[ids[0]])))
             for w, src in right[tail] for ids in [u + w]
         ]) for u, tail in left)
-    if p <= h:  # an id is u, ",", w (join_ids); the range is in u, the source in w
-        tails = {
-            v: [(",".join(w), ",".join(w[q - p - h :]) if p else src) for w, src in ws]
-            for v, ws in right.items()
-        }
-        return vertices, (
-            ((",".join(u) + ",", ",".join(u[:p]) if p else dst[u[0]]), tails[tail])
-            for u, tail in left
-        )
-    # The range p-word is u, ",", w's first p - h edges (b), and the source
-    # p-word w's last p edges (d), after u's last h - (q - p) and "," (c).
-    joined = {
-        v: [(",".join(w), ",".join(w[: p - h]), ",".join(w[max(q - p - h, 0) :])) for w, _ in ws]
+    # an id is u, ",", w (join_ids); the range is in u, the source in w
+    tails = {
+        v: [(",".join(w), ",".join(w[q - p - h :]) if p else src) for w, src in ws]
         for v, ws in right.items()
     }
     return vertices, (
-        (None, [(head + jw, c + d, head + b) for jw, b, d in joined[tail]])
+        ((",".join(u) + ",", ",".join(u[:p]) if p else dst[u[0]]), tails[tail])
         for u, tail in left
-        for head in [",".join(u) + ","]
-        for c in [",".join(u[q - p :]) + "," if q - p < h else ""]
     )
 
 

@@ -364,6 +364,16 @@ def reference_norm_squared(op: ReferenceOperator) -> Fraction:
     return max(gram.entries.values(), default=Fraction(0))
 
 
+def column(op, c: int) -> dict:
+    """Column c of an operator as {row: Fraction}, its nonzero entries only."""
+    return {r: v for (r, k), v in op.entries.items() if k == c}
+
+
+def identity(rep) -> SparseOperator:
+    """The identity operator on rep's basis."""
+    return SparseOperator(rep.basis, {(i, i): 1 for i in range(len(rep.basis))})
+
+
 def reference_creation(rep, mu: Path) -> SparseOperator:
     """The former Path-based TruncatedRep.creation, kept as a reference: scan
     the whole basis and look each prepended path up as a validated Path."""

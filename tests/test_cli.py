@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from suspquiver import Graph, StructuralError, cli, delay, fibre_paths, fibre_words, flow, opalg
+from suspquiver import Graph, StructuralError, cli, delay, fibre_paths, flow, opalg
 from suspquiver import operators, opposite, transform
 from suspquiver.graph import _layer_sizes
 from suspquiver.report import Check, RunReport, rat_str
@@ -421,6 +421,22 @@ def test_flow_negative_count_refused(two_loop_file, capsys):
     assert capsys.readouterr().out == "0\te,f\n"
 
 
+@pytest.mark.parametrize(
+    "start,err",
+    [
+        # no graph file holds an empty edge id, so the prefix is not that of e,f
+        ("e,,f", "empty edge id in start prefix 'e,,f'"),
+        ("e,", "empty edge id in start prefix 'e,'"),
+        (",e", "empty edge id in start prefix ',e'"),
+        ("", "empty start prefix"),
+        (",", "empty start prefix"),
+    ],
+)
+def test_flow_empty_edge_id_refused(two_loop_file, capsys, start, err):
+    assert cli.main(["flow", two_loop_file, "--start", start]) == 1
+    assert capsys.readouterr() == ("", f"ERROR structural: {err}\n")
+
+
 @pytest.mark.parametrize("m,n", [(0, 3), (0, 0), (1, -1), (-2, 1)])
 def test_quiver_refuses_its_parameters_with_one_message(cycle_plus_loop_file, capsys, m, n):
     assert cli.main(["quiver", cycle_plus_loop_file, "--m", str(m), "--n", str(n)]) == 2
@@ -545,19 +561,11 @@ def test_commands_build_no_fraction(cycle_plus_loop_file, monkeypatch, argv):
     assert code == 0 and out.count("\n") > 5
 
 
-def _fibre_word_lines(g, m, t, n) -> str:
-    """The quiver line format, written from the windows of fibre_words."""
-    words = fibre_words(g, m, t, n)
-    lines = [f"FIBRE m={m} t={rat_str(t % 1)} n={n} count={len(words)}"]
-    lines += ["PATH " + " ".join("(" + ")(".join(w) + ")" for w in ws) for ws in words]
-    return "\n".join(lines) + "\n"
-
-
 @given(g=st.one_of(small_graphs(), odd_id_graphs()))
 @settings(max_examples=40, deadline=None)
 def test_streamed_output_matches_the_whole_document(g):
     # each op of transform against json.dumps of the graph it writes (E(p,q)
-    # built path by path), and each fibre against its formatted windows,
+    # built path by path), and each fibre against its formatted QuiverPaths,
     # where the layers they stream hold at most 2,000 paths
     small = lambda k: sum(itertools.islice(_layer_sizes(g), k)) <= 2000
     with tempfile.TemporaryDirectory() as tmp:
@@ -580,9 +588,8 @@ def test_streamed_output_matches_the_whole_document(g):
         for m, t, n in itertools.product((1, 2, 3), ("0", "1/3", "5/2"), range(7)):
             r = cli.parse_rational(t)
             if small(n * m + (r % 1 != 0)):
-                lines = _fibre_word_lines if n else _fibre_path_lines
                 argv = ("--m", str(m), "--t", t, "--n", str(n))
-                assert _run_main("quiver", path, *argv) == (0, lines(g, m, r, n), "")
+                assert _run_main("quiver", path, *argv) == (0, _fibre_path_lines(g, m, r, n), "")
 
 
 def test_transform_output_file_matches_stdout(two_loop_file, tmp_path):
@@ -607,6 +614,8 @@ REFUSED = {
     "quiver_m_zero": ("quiver", TWO_LOOP, "--m", "0", "--n", "3"),
     "quiver_n_negative": ("quiver", TWO_LOOP, "--n", "-1"),
     "quiver_bad_t": ("quiver", TWO_LOOP, "--t", "2/4", "--n", "3"),
+    "flow_empty_edge_id": ("flow", TWO_LOOP, "--start", "e,,f"),
+    "flow_trailing_comma": ("flow", TWO_LOOP, "--start", "e,"),
 }
 
 
@@ -989,6 +998,89 @@ def test_jmath_moved_image_column_fails_only_tstar_t(cycle_plus_loop_file, capsy
 
     monkeypatch.setattr(opalg, "_jmath_tables", faulty)
     assert _verdicts(argv, capsys) == (1, _failing(passing, {"jmath.t*t=delta_q"}))
+
+
+def test_jmath_zero_defect_fails_only_defect_identity(cycle_plus_loop_file, capsys, monkeypatch):
+    # the defect projection of the first vertex of each E(p,q) made zero: its
+    # range vertex of E has two p-paths, so the image defect stays nonzero
+    argv = ["verify", cycle_plus_loop_file, "--suite", "jmath"]
+    code, passing = _verdicts(argv, capsys)
+    assert code == 0 and sum(name == "jmath.defect_identity" for _, name, _ in passing) == 3
+    real = operators.TruncatedRep.delta
+
+    def zero_first(rep, v):
+        return rep.zero() if v == rep.graph.vertices[0] else real(rep, v)
+
+    monkeypatch.setattr(operators.TruncatedRep, "delta", zero_first)
+    assert _verdicts(argv, capsys) == (1, _failing(passing, {"jmath.defect_identity"}))
+
+
+def test_jmath_vanishing_defects_fail_the_injectivity_witness(cycle_plus_loop_file, capsys, monkeypatch):
+    # every defect projection of E(p,q) made zero: each image defect sum
+    # vanishes, and q_v - sum t t* no longer equals it
+    argv = ["verify", cycle_plus_loop_file, "--suite", "jmath"]
+    code, passing = _verdicts(argv, capsys)
+    assert code == 0
+    monkeypatch.setattr(operators.TruncatedRep, "delta", lambda rep, v: rep.zero())
+    want = _failing(passing, {"jmath.defect_identity", "jmath.injectivity_witness"})
+    assert _verdicts(argv, capsys) == (1, want)
+
+
+def test_eta_misrouted_summand_fails_only_y_star_y(two_loop_file, capsys, monkeypatch):
+    # the first id that opalg joins under --suite eta is that of the first
+    # summand T_(e mu) of the first y_mu (mu = e e): routed to T_(e e f), so
+    # y_mu sums two generators of different sources.  z and the jmath table
+    # it is compared with join their ids later, unchanged
+    argv = ["verify", two_loop_file, "--suite", "eta", "--l", "2"]
+    code, passing = _verdicts(argv, capsys)
+    assert code == 0
+    real = opalg.join_ids
+    joined = []
+
+    def misrouted(ids):
+        joined.append(ids)
+        return real(ids[:-1] + ("f",)) if len(joined) == 1 else real(ids)
+
+    monkeypatch.setattr(opalg, "join_ids", misrouted)
+    assert _verdicts(argv, capsys) == (1, _failing(passing, {"eta.y*y=|E1r|Q"}))
+    assert joined[0] == ("e", "e", "e")
+
+
+def test_morita_doubled_s_fails_only_ps_tck1(two_loop_file, capsys, monkeypatch):
+    # the first S_mu = T_alpha(mu) doubled: S*S = 4 P.  At l = 2/3 the mask
+    # 3 <= length <= L - 3 is empty, and S S* is zero on the short columns
+    argv = ["verify", two_loop_file, "--suite", "morita", "--l", "2/3"]
+    code, passing = _verdicts(argv, capsys)
+    assert code == 0
+    real = operators.TruncatedRep.creation
+    built = []
+
+    def doubled(rep, mu):
+        built.append(mu)
+        return real(rep, mu).scale(2) if len(built) == 1 else real(rep, mu)
+
+    monkeypatch.setattr(operators.TruncatedRep, "creation", doubled)
+    assert _verdicts(argv, capsys) == (1, _failing(passing, {"morita.PS_tck1"}))
+
+
+def test_morita_doubled_p_fails_only_compact_shadow(two_loop_file, capsys, monkeypatch):
+    # P_v doubled on one column of length 2: short (< n = 3), so the defect's
+    # short part holds a 2, and past L - n = 1, where S*S = P is checked
+    argv = ["verify", two_loop_file, "--suite", "morita", "--l", "2/3"]
+    code, passing = _verdicts(argv, capsys)
+    assert code == 0
+    real = opalg.build_rep
+
+    def doubled(D, L):
+        rep = real(D, L)
+        c = next(i for i in rep._by_range["v"] if rep.basis.lengths[i] == 2)
+        unit = operators.SparseOperator(rep.basis, {(c, c): 1})
+        rep.Q["v"] = operators.combo(rep, [(1, rep.Q["v"]), (1, unit)])
+        return rep
+
+    monkeypatch.setattr(opalg, "build_rep", doubled)
+    want = _failing(passing, {"morita.PS_defect_in_compact_shadow"})
+    assert _verdicts(argv, capsys) == (1, want)
 
 
 @pytest.mark.parametrize("l", ["5", "6"])

@@ -25,7 +25,6 @@ from suspquiver import (
     kappa_eval,
     limit_formulas,
     morita_combinatorics,
-    norm_squared,
     operator_norm_est,
     vertex_fn_interpolated,
     vertex_path,
@@ -33,6 +32,8 @@ from suspquiver import (
 from suspquiver.opalg import _fibre_rho_psi, dual_rep
 
 from conftest import (
+    column,
+    identity,
     make_cycle_plus_loop,
     make_single_loop,
     make_three_cycle,
@@ -41,6 +42,7 @@ from conftest import (
     random_no_sink_source_graph,
     reference_edge_fn,
     reference_fullness,
+    reference_norm_squared,
     reference_vertex_fn,
 )
 
@@ -170,7 +172,7 @@ def test_rho_identity_function(two_loop):
     xi = edge_fn_interpolated(g, 1, {})
     rep = build_rep(higher_dual(g, 1, 2), 3)
     rho, _ = _fibre_rho_psi(rep, Fraction(1, 3), a, xi)
-    assert rho == rep.identity()
+    assert rho == identity(rep)
 
 
 def test_psi_prepends_with_coefficients(two_loop):
@@ -182,7 +184,7 @@ def test_psi_prepends_with_coefficients(two_loop):
     _, psi = _fibre_rho_psi(rep, t, a, xi)
     # column over the dual vertex e: psi h_[e] = sum_mu xi([mu,t]) h_mu with
     # mu ranging over the dual edges with source e
-    col = psi.column(rep.basis.find((), "e"))
+    col = column(psi, rep.basis.find((), "e"))
     dual = {rep.basis.labels[i].edge_ids[0]: val for i, val in col.items()}
     assert dual == {
         "e,e": xi.at_word(("e", "e"), t),
@@ -249,7 +251,7 @@ def test_limit_formulas(m, two_loop):
 @settings(max_examples=40, deadline=None)
 def test_limit_errors_match_fibre_minus_limit(seed, m, k, data):
     # each squared error, summed from integer coefficient differences with
-    # no operator formed, is norm_squared of the fibre pair at t less the
+    # no operator formed, is the squared norm of the fibre pair at t less the
     # limit at that end, both built as operators; zero is drawn often, so
     # whole generators drop out of the sums
     from suspquiver.opalg import _limit_errors, _limit_ops
@@ -268,7 +270,9 @@ def test_limit_errors_match_fibre_minus_limit(seed, m, k, data):
     for end, at in ((0, d), (1, 1 - d), (0, t), (1, t)):
         rho, psi = _fibre_rho_psi(rep, at, a, xi)
         eps_rho, eps_psi = _limit_ops(rep, g, a, xi, end)
-        assert err(at, end) == (norm_squared(rho - eps_rho), norm_squared(psi - eps_psi))
+        assert err(at, end) == (
+            reference_norm_squared(rho - eps_rho), reference_norm_squared(psi - eps_psi)
+        )
     # every a and xi is affine, so the closed form ||err||^2 = C d^2 holds
     lim = limit_formulas(g, m, 2, a, xi, K=3)
     assert lim.rep is rep and lim.report.ok, lim.report.to_text()

@@ -18,12 +18,12 @@ from suspquiver import (
     edge_source,
     enumerate_paths,
     fibre_paths,
-    fibre_words,
     normalize_edge,
     openness_report,
 )
 
 from conftest import (
+    brute_paths,
     make_cycle_plus_loop,
     make_three_cycle,
     make_two_loop,
@@ -125,16 +125,18 @@ def test_fibre_paths_match_checked_construction(make, m, t, n):
 @pytest.mark.parametrize("t", [0, Fraction(1, 3)])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_fibre_words_are_the_words_of_fibre_paths(make, m, t, n):
+    # edge i of the fibre path of mu in E^{nm+k} has the word mu(im, (i+1)m + k)
     g = make()
-    assert fibre_words(g, m, t, n) == [
-        tuple(e.word.edge_ids for e in qp.edges) for qp in fibre_paths(g, m, t, n)
-    ]
+    k = 0 if t == 0 else 1
+    assert [
+        tuple(ids[i * m : (i + 1) * m + k] for i in range(n)) for ids in brute_paths(g, n * m + k)
+    ] == [tuple(e.word.edge_ids for e in qp.edges) for qp in fibre_paths(g, m, t, n)]
 
 
-@pytest.mark.parametrize("m,n", [(0, 2), (1, 0), (2, -1)])
-def test_fibre_words_refuses_bad_parameters(cycle_plus_loop, m, n):
+@pytest.mark.parametrize("m,n", [(0, 2), (0, 0), (2, -1)])
+def test_fibre_paths_refuses_bad_parameters(cycle_plus_loop, m, n):
     with pytest.raises(PreconditionError):
-        fibre_words(cycle_plus_loop, m, Fraction(1, 3), n)
+        fibre_paths(cycle_plus_loop, m, Fraction(1, 3), n)
 
 
 def test_quiver_path_refuses_non_composable_edges(two_loop, cycle_plus_loop):
