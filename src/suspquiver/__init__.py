@@ -36,10 +36,6 @@ from .quiver import (
     QuiverEdge,
     QuiverPath,
     SuspensionVertex,
-    as_circle,
-    base_vertex,
-    edge_range,
-    edge_source,
     fibre_paths,
     normalize_edge,
     openness_report,

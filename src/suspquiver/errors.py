@@ -18,7 +18,7 @@ class PreconditionError(SuspensionError):
 
 
 class CompositionError(PreconditionError):
-    """Paths or quiver paths that do not compose."""
+    """Paths that do not compose."""
 
 
 class PrecisionError(PreconditionError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterator, Union
+from typing import Iterator
 
 from .errors import PrecisionError, PreconditionError
 from .graph import Graph, Path, _Frozen, enumerate_paths
@@ -21,10 +21,10 @@ from .transform import delay, delay_embed_path
 class FlowPoint(_Frozen):
     """[x,t] with x known up to |prefix| symbols and t in [0,1)."""
 
-    __slots__ = ("prefix", "t", "exact")
+    __slots__ = ("prefix", "t")
     _key = attrgetter(*__slots__)
 
-    def __init__(self, prefix: Path, t: Fraction, exact: bool = True):
+    def __init__(self, prefix: Path, t: Fraction):
         if len(prefix) == 0:
             raise PreconditionError("flow point needs a nonempty prefix")
         if not 0 <= t < 1:
@@ -32,7 +32,6 @@ class FlowPoint(_Frozen):
         init = object.__setattr__
         init(self, "prefix", prefix)
         init(self, "t", t)
-        init(self, "exact", exact)
 
     def __repr__(self) -> str:
         return f"FlowPoint({' '.join(self.prefix.edge_ids)}, t={self.t})"
@@ -54,18 +53,16 @@ def glue_shifts(prefix: Path, num: int, den: int) -> int:
     return num // den
 
 
-def apply_flow(p: FlowPoint, l: Union[Fraction, int, float]) -> FlowPoint:
+def apply_flow(p: FlowPoint, l: Fraction | int) -> FlowPoint:
     """lt_l: [x,t] -> [x,t+l], using (x, t+m) ~ (sigma^m x, t) to renormalize."""
-    inexact = isinstance(l, float)
-    lf = Fraction(l)
-    if lf < 0:
+    if l < 0:
         raise PreconditionError("flow increments must be >= 0")
-    total = p.t + lf
+    total = p.t + l
     k = int(total)
     if k >= len(p.prefix):
         raise PrecisionError(f"needs {k} shifts but prefix has length {len(p.prefix)}")
     prefix = p.prefix.window(k, len(p.prefix)) if k else p.prefix
-    return FlowPoint(prefix, total - k, exact=p.exact and not inexact)
+    return FlowPoint(prefix, total - k)
 
 
 def orbit_lines(prefix: Path, t: tuple, step: tuple, count: int) -> Iterator[str]:

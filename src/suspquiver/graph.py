@@ -191,17 +191,9 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
-
     def __getitem__(self, rc: tuple[int, int]) -> int:
         i, j = rc
         return self.entries[i * self.cols + j]
-
-    def __setitem__(self, rc: tuple[int, int], val: int) -> None:
-        i, j = rc
-        self.entries[i * self.cols + j] = int(val)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -8,7 +8,9 @@ mu(floor(t), ceil(t+m)), so equality is structural comparison.
 Only integer parameters are represented here.  A fractional parameter m/n
 is checked over the delay graph D_n(E) instead (transform.delay), by the
 morita and flow suites.  The fibre SG[m]E^n_t is built by fibre_paths as
-QuiverPaths, each edge a window of one path of E (see fibre_halves).
+QuiverPaths, each edge a window of one path of E (see fibre_halves).  Windows
+of one path compose, s(alpha_i) = r(alpha_(i+1)), by construction, so
+QuiverPath has one constructor and checks nothing.
 """
 
 from __future__ import annotations
@@ -17,13 +19,8 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import NamedTuple, Optional
 
-from .errors import CompositionError, PreconditionError, StructuralError
+from .errors import PreconditionError
 from .graph import Graph, Path, _Frozen, _HalfLayers
-
-
-def as_circle(t: Fraction) -> Fraction:
-    """Canonical representative of t in [0,1) on the circle R/Z."""
-    return Fraction(t) % 1
 
 
 class SuspensionVertex(_Frozen):
@@ -48,10 +45,6 @@ class SuspensionVertex(_Frozen):
         return f"[{self.edge},{self.t}]"
 
 
-def base_vertex(v: str) -> SuspensionVertex:
-    return SuspensionVertex("base", vertex=v)
-
-
 class QuiverEdge(_Frozen):
     """Canonical representative of [mu,t] with integer parameter m >= 0.
 
@@ -67,10 +60,6 @@ class QuiverEdge(_Frozen):
         init(self, "m", m)
         init(self, "word", word)
         init(self, "t", t)
-
-    @property
-    def kind(self) -> str:
-        return "lattice" if self.t == 0 else "interior"
 
     def __repr__(self) -> str:
         w = " ".join(self.word.edge_ids) if self.word.edge_ids else f"@{self.word.anchor}"
@@ -91,66 +80,25 @@ def normalize_edge(mu: Path, t, m: int) -> QuiverEdge:
     return QuiverEdge(m, mu.window(k, k + m + 1), frac)
 
 
-def edge_range(alpha: QuiverEdge) -> SuspensionVertex:
-    if alpha.kind == "lattice":
-        return base_vertex(alpha.word.r)
-    return SuspensionVertex("interior", edge=alpha.word.edge_ids[0], t=alpha.t)
-
-
-def edge_source(alpha: QuiverEdge) -> SuspensionVertex:
-    if alpha.kind == "lattice":
-        return base_vertex(alpha.word.s)
-    return SuspensionVertex("interior", edge=alpha.word.edge_ids[alpha.m], t=alpha.t)
-
-
 class QuiverPath(_Frozen):
-    """A composable sequence of QuiverEdges sharing parameter and time."""
+    """A sequence of QuiverEdges sharing parameter m and time t, composable
+    as the caller built them; a length-0 path carries its anchor vertex."""
 
-    __slots__ = ("m", "t", "edges", "anchor")  # an anchor only for length 0
+    __slots__ = ("m", "t", "edges", "anchor")
     _key = attrgetter(*__slots__)
 
     def __init__(
         self, m: int, t: Fraction, edges: tuple[QuiverEdge, ...],
         anchor: Optional[SuspensionVertex] = None,
     ):
-        if edges:
-            if anchor is not None:
-                raise StructuralError("nonempty quiver path must not carry an anchor")
-            for a in edges:
-                if a.m != m or a.t != t:
-                    raise StructuralError("mixed parameter or time in quiver path")
-            for a, b in zip(edges, edges[1:]):
-                if edge_source(a) != edge_range(b):
-                    raise CompositionError("quiver edges not composable")
-        elif anchor is None:
-            raise StructuralError("length-0 quiver path needs an anchor vertex")
         init = object.__setattr__
         init(self, "m", m)
         init(self, "t", t)
         init(self, "edges", edges)
         init(self, "anchor", anchor)
 
-    @classmethod
-    def _composed(cls, m: int, t: Fraction, edges: tuple[QuiverEdge, ...]) -> "QuiverPath":
-        """A nonempty quiver path whose edges the caller built composable, with
-        parameter m and time t, unchecked."""
-        qp = object.__new__(cls)
-        object.__setattr__(qp, "m", m)
-        object.__setattr__(qp, "t", t)
-        object.__setattr__(qp, "edges", edges)
-        object.__setattr__(qp, "anchor", None)
-        return qp
-
     def __len__(self) -> int:
         return len(self.edges)
-
-    @property
-    def r(self) -> SuspensionVertex:
-        return edge_range(self.edges[0]) if self.edges else self.anchor
-
-    @property
-    def s(self) -> SuspensionVertex:
-        return edge_source(self.edges[-1]) if self.edges else self.anchor
 
 
 def fibre_paths(g: Graph, m: int, t, n: int) -> list[QuiverPath]:
@@ -161,11 +109,12 @@ def fibre_paths(g: Graph, m: int, t, n: int) -> list[QuiverPath]:
     """
     if m < 1 or n < 0:
         raise PreconditionError("fibre_paths requires m >= 1 and n >= 0")
-    t = as_circle(Fraction(t))
+    t = Fraction(t) % 1
     if n == 0:
         if t == 0:
             return [
-                QuiverPath(m, t, (), base_vertex(v)) for v in sorted(g.vertices)
+                QuiverPath(m, t, (), SuspensionVertex("base", vertex=v))
+                for v in sorted(g.vertices)
             ]
         return [
             QuiverPath(m, t, (), SuspensionVertex("interior", edge=e.id, t=t))
@@ -176,7 +125,7 @@ def fibre_paths(g: Graph, m: int, t, n: int) -> list[QuiverPath]:
     k = 0 if t == 0 else 1
     left, right = fibre_halves(g, m, n, k)
     return [
-        QuiverPath._composed(m, t, tuple(
+        QuiverPath(m, t, tuple(
             QuiverEdge(m, Path._composed(g, ids[i * m : (i + 1) * m + k]), t) for i in range(n)
         ))
         for u, tail in left for w, _ in right[tail] for ids in [u + w]

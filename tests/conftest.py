@@ -32,7 +32,6 @@ from suspquiver import (
     SuspensionVertex,
     adjacency,
     apply_flow,
-    base_vertex,
     delay,
     delay_embed_path,
     enumerate_paths,
@@ -175,7 +174,7 @@ def vertex_along(mu: Path, pos: Fraction) -> SuspensionVertex:
     vertex a fraction pos of the way along mu."""
     k = int(pos)
     if pos == k:
-        return base_vertex(mu.vertex_at(k))
+        return SuspensionVertex("base", vertex=mu.vertex_at(k))
     return SuspensionVertex("interior", edge=mu.edge_ids[k], t=pos - k)
 
 

@@ -65,6 +65,7 @@ ODD_IDS = {
 }
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+DATA = os.path.join(os.path.dirname(GOLDEN), "data")
 
 # D_2(E) would hold the vertex w(e,1) twice
 CHAIN_NAMED = {"vertices": ["v", "w(e,1)"], "edges": [{"id": "e", "src": "v", "dst": "v"}]}
@@ -457,6 +458,16 @@ def test_quiver_fibre_and_openness(two_loop_file, capsys):
     assert cli.main(["quiver", two_loop_file, "--openness"]) == 0
     out = capsys.readouterr().out
     assert "OPEN_ALL s=False r=False" in out
+
+
+@pytest.mark.parametrize("t,out", [
+    ("0", "FIBRE m=2 t=0 n=0 count=2\nVERTEX [u]\nVERTEX [v]\n"),
+    ("-2/3", "FIBRE m=2 t=1/3 n=0 count=3\nVERTEX [l,1/3]\nVERTEX [p,1/3]\nVERTEX [q,1/3]\n"),
+])
+def test_quiver_vertex_anchors_pinned(t, out):
+    # the length-0 fibre: the base vertices at t = 0, else [e, t mod 1] per edge
+    path = os.path.join(DATA, "cycle_plus_loop.json")
+    assert _run_main("quiver", path, "--m", "2", "--t", t, "--n", "0") == (0, out, "")
 
 
 def _fibre_path_lines(g, m, t, n) -> str:

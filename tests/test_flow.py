@@ -67,8 +67,8 @@ def test_apply_flow_precision(single_loop):
     p = FlowPoint(Path(make_single_loop(), ("e", "e")), Fraction(1, 2))
     with pytest.raises(PrecisionError):
         apply_flow(p, 2)
-    q = apply_flow(p, 0.5)  # float increments are flagged inexact
-    assert not q.exact and q.t == 0 and q.prefix.edge_ids == ("e",)
+    q = apply_flow(p, Fraction(1, 2))
+    assert q.t == 0 and q.prefix.edge_ids == ("e",)
 
 
 def test_orbit_lines(two_loop):
@@ -155,10 +155,11 @@ def test_lattice_decomposition_matches_reference(g, mn, L):
 def test_flow_point_contract(two_loop):
     x = Path(two_loop, ("e", "f"))
     p = FlowPoint(x, Fraction(1, 3))
-    assert p == FlowPoint(Path(make_two_loop(), ("e", "f")), Fraction(1, 3), exact=True)
+    assert p == FlowPoint(Path(make_two_loop(), ("e", "f")), Fraction(1, 3))
     assert hash(p) == hash(FlowPoint(x, Fraction(1, 3)))
-    assert p != FlowPoint(x, Fraction(1, 3), exact=False) and p.exact
-    for name in ("prefix", "t", "exact"):
+    assert p != FlowPoint(x, Fraction(2, 3))
+    assert p != FlowPoint(Path(two_loop, ("e", "e")), Fraction(1, 3))
+    for name in ("prefix", "t"):
         with pytest.raises(AttributeError):
             setattr(p, name, None)
     assert repr(p) == "FlowPoint(e f, t=1/3)"

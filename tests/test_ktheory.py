@@ -115,13 +115,12 @@ def test_snf_invariant_under_unimodular_conjugation(seed):
     m = _random_int_matrix(rng, 3, 3)
     base = coker_ker(m)
     # random unimodular factors built from elementary operations
-    u = IntMatrix.identity(3)
+    u = IntMatrix.identity(3).row_lists()
     for _ in range(6):
         i, j = rng.sample(range(3), 2)
         k = rng.randint(-2, 2)
-        for c in range(3):
-            u[i, c] += k * u[j, c]
-    um = u @ m
+        u[i] = [a + k * b for a, b in zip(u[i], u[j])]
+    um = IntMatrix(3, 3, [x for row in u for x in row]) @ m
     assert coker_ker(um) == base
 
 
@@ -235,7 +234,7 @@ def test_coker_ker_pinned():
     assert coker_ker(m) == (AbelianGroup(0), AbelianGroup(0))
     m = IntMatrix(1, 1, [-3])
     assert coker_ker(m) == (AbelianGroup(0, (3,)), AbelianGroup(0))
-    m = IntMatrix.zeros(2, 1)
+    m = IntMatrix(2, 1, [0, 0])
     assert coker_ker(m) == (AbelianGroup(2), AbelianGroup(1))
 
 

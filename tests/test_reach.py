@@ -74,7 +74,6 @@ ALLOWED = {
     "graph.IntMatrix.row_lists": "called by IntMatrix.__matmul__, " + COUNTED,
     "graph.IntMatrix.transpose": "called by smith_normal_form, " + COUNTED,
     "quiver.QuiverEdge.__init__": "fibre_paths at n >= 1, " + COUNTED + "; criterion 02",
-    "quiver.QuiverPath._composed": "fibre_paths at n >= 1, " + COUNTED,
     # what the benchmark's self-tests call
     "cli.parse_rational": BENCH_TEST,
     "graph.IntMatrix.identity": BENCH_TEST + "; IntMatrix.pow at n = 0",
@@ -90,19 +89,12 @@ ALLOWED = {
     "ktheory.coker_ker": "test reference: tests/test_ktheory.py, conftest.reference_graph_K",
     "flow.make_flow_point": "test reference: tests/test_flow.py",
     "operators.Basis.labels": "test reference: tests/test_operators.py, tests/test_opalg.py",
-    "graph.IntMatrix.zeros": "test reference: tests/test_ktheory.py",
     "graph.IntMatrix.__sub__": "test reference: 1 - A^T in tests/conftest.py and tests/test_ktheory.py",
-    "quiver.QuiverPath.r": "test reference: fibre_paths against its checked construction",
-    "quiver.QuiverPath.s": "test reference: fibre_paths against its checked construction",
-    "quiver.edge_range": "QuiverPath's composability check and .r, test references",
-    "quiver.edge_source": "QuiverPath's composability check and .s, test references",
-    "quiver.QuiverEdge.kind": "called by edge_range and edge_source",
     # dunder and contract methods
     "flow.FlowPoint.__repr__": DUNDER,
     "graph.Graph.__repr__": DUNDER,
     "graph.Path.__repr__": DUNDER,
     "graph.IntMatrix.__eq__": DUNDER,
-    "graph.IntMatrix.__setitem__": DUNDER,
     "graph.IntMatrix.__repr__": DUNDER,
     "graph._Frozen.__setattr__": DUNDER + ": instances are immutable",
     "graph._Frozen.__delattr__": DUNDER + ": instances are immutable",
